@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 servebench/run.py --workload serve-cold --seed 1 --seconds 15 --trace 0
+    python3 servebench/run.py --workload serve-cold --seed 1 --seconds 25 --trace 0
 
 Workloads: serve-cold, serve-warm, serve-dense, fleet-cold (README.md).
 The system under test runs as child processes built from ``src/``; two
