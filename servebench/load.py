@@ -127,22 +127,17 @@ def stream_once(port: int, item: Item, traced: bool) -> Stream:
 
 
 def closed_loop(
-    port: int,
-    queues: Sequence[Iterator[Item]],
-    deadline: float,
-    traced: bool,
+    port: int, queues: Sequence[Iterator[Item]], traced: bool
 ) -> Tuple[List[Stream], float, float]:
     """One closed-loop client per queue (queues may be one shared
-    iterator), until ``deadline`` or the items run out; in-flight streams
-    finish.  Returns the streams and the first-send / last-end times."""
+    iterator) until the items run out.  Returns the streams and the
+    first-send / last-end times."""
     lock = threading.Lock()
     streams: List[Stream] = []
 
     def client(queue: Iterator[Item]) -> None:
         while True:
             with lock:
-                if time.perf_counter() >= deadline:
-                    return
                 item = next(queue, None)
             if item is None:
                 return

@@ -1,20 +1,43 @@
 """In-process references: what ``run_job`` says every stream must be.
 
 References run after the timed region, once the system under test has
-stopped, on a two-process pool.  They are cached in the checkout keyed
-by the spec's JSON, so a seed that runs twice pays for them once.
+stopped, in two child processes (this file run as a script) that are
+waited for before the run goes on.  They are cached in the checkout, one
+file per state of the ``src`` tree and keyed by the spec's JSON inside
+it, so a seed that runs twice on the same code pays for them once, and
+code that changes a stream is never checked against the old stream.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Iterable, Tuple
+import subprocess
+import sys
+from typing import Any, Dict, Iterable, List, Tuple
 
 from load import lines_digest
+
+
+def code_id(src: str) -> str:
+    """Digest of every file under ``src`` (relative path and bytes)."""
+    hasher = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(src):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for name in sorted(filenames):
+            if name.endswith(".pyc"):
+                continue
+            path = os.path.join(dirpath, name)
+            hasher.update(os.path.relpath(path, src).encode() + b"\0")
+            with open(path, "rb") as handle:
+                hasher.update(hashlib.sha256(handle.read()).digest())
+    return hasher.hexdigest()[:16]
+
+
+def refs_path(directory: str, src: str) -> str:
+    """The reference file for the code under ``src``."""
+    return os.path.join(directory, f"refs-{code_id(src)}.json")
 
 
 def spec_key(spec: Dict[str, Any]) -> str:
@@ -51,10 +74,35 @@ class References:
         if not missing:
             return
         keys = list(missing)
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=procs, mp_context=context) as pool:
-            for key, value in zip(keys, pool.map(reference, [missing[k] for k in keys])):
-                self._table[key] = list(value)
+        # Interleaved shares, one plain child process each: no pool, so
+        # nothing (a pool's resource tracker, say) outlives the run.
+        shares = [keys[i::procs] for i in range(procs)]
+        children = []
+        try:
+            for share in shares:
+                child = subprocess.Popen(
+                    [sys.executable, os.path.abspath(__file__)],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                )
+                children.append(child)
+            # Feed every child before reading any, so both compute at once.
+            for child, share in zip(children, shares):
+                assert child.stdin is not None
+                child.stdin.write(json.dumps([missing[k] for k in share]).encode())
+                child.stdin.close()
+            for child, share in zip(children, shares):
+                assert child.stdout is not None
+                out = child.stdout.read()
+                if child.wait() != 0:
+                    raise RuntimeError(f"reference process exited {child.returncode}")
+                for key, value in zip(share, json.loads(out)):
+                    self._table[key] = value
+        finally:
+            for child in children:
+                if child.poll() is None:
+                    child.kill()
+                child.wait()
         tmp = self.path + ".tmp"
         with open(tmp, "w") as handle:
             json.dump(self._table, handle)
@@ -64,3 +112,16 @@ class References:
         """The cached reference for ``spec`` (after :meth:`ensure`)."""
         count, digest = self._table[spec_key(spec)]
         return count, digest
+
+
+def main() -> None:
+    """Child process: references of the JSON spec list on stdin, as a
+    JSON list of ``[count, digest]`` on stdout."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    sys.path.insert(0, os.path.join(os.path.dirname(here), "src"))
+    specs: List[Dict[str, Any]] = json.load(sys.stdin)
+    json.dump([list(reference(spec)) for spec in specs], sys.stdout)
+
+
+if __name__ == "__main__":
+    main()

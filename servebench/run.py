@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 servebench/run.py --workload serve-cold --seed 1 --seconds 25 --trace 0
+    python3 servebench/run.py --workload serve-cold --seed 1 --seconds 40 --trace 0
 
 Workloads: serve-cold, serve-warm, serve-dense, fleet-cold (README.md).
 The system under test runs as child processes built from ``src/``; two
@@ -22,9 +22,9 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import sys
-import time
 from typing import Any, Dict, List, Optional
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -33,12 +33,13 @@ OUT = os.path.join(ROOT, ".servebench_out")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from load import Stream, closed_loop  # noqa: E402
-from refs import References  # noqa: E402
+from refs import References, refs_path  # noqa: E402
 import layers  # noqa: E402
 from workloads import WORKLOADS, Workload  # noqa: E402
 
-#: Set-ups per run; setup_s is their median.
-SETUP_SAMPLES = 3
+#: Set-ups per run at least (one per round, then extra starts); setup_s
+#: is their median.
+SETUP_SAMPLES = 5
 #: Seconds the traced run may spend replaying requests in process.
 REPLAY_BUDGET = 12.0
 
@@ -119,30 +120,35 @@ LAYER_MAP = (
 
 
 def measure(wl: Workload, seconds: float, traced: bool) -> Dict[str, Any]:
-    """Set up, drive the closed loop for ``seconds``, tear down."""
+    """Drive whole rounds for about ``seconds`` of load, each on a freshly
+    started system under test.
+
+    Every round is the same mix, so a run ends between rounds: the next
+    one starts only while the load time left is at least the longest
+    round so far (the first always runs).  A round's memory is read when
+    it ends, after the same work in every round.
+    """
     setups: List[float] = []
-    for _ in range(SETUP_SAMPLES - 1):
-        sut, elapsed = wl.start()
-        setups.append(elapsed)
-        sut.stop()
     streams: List[Stream] = []
-    walls, rss, docs = [], [], []
-    deadline: Optional[float] = None
+    walls: List[float] = []
+    rss, docs = [], []
     for queues in wl.rounds():
+        if walls and sum(walls) + max(walls) > seconds:
+            break
         sut, elapsed = wl.start()
         setups.append(elapsed)
-        if deadline is None:
-            deadline = time.perf_counter() + seconds
         try:
-            got, start, end = closed_loop(sut.port, queues, deadline, traced)
+            got, start, end = closed_loop(sut.port, queues, traced)
             rss.append(sut.rss_peak_mb())
             docs.append(wl.docs(sut))
         finally:
             sut.stop()
         streams += got
         walls.append(end - start)
-        if time.perf_counter() >= deadline:
-            break
+    while len(setups) < SETUP_SAMPLES:
+        sut, elapsed = wl.start()
+        setups.append(elapsed)
+        sut.stop()
     return {"streams": streams, "wall": sum(walls), "setups": setups, "rss": rss, "docs": docs}
 
 
@@ -287,13 +293,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    # A terminated run still stops the system under test (measure's
+    # finally blocks) before it exits.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     import repro  # noqa: F401 — fail before starting anything without src/
 
     out = os.path.join(OUT, args.workload)
     shutil.rmtree(out, ignore_errors=True)
     os.makedirs(out)
-    wl = WORKLOADS[args.workload](ROOT, out, args.seed, References(os.path.join(OUT, "refs.json")))
+    refs = References(refs_path(OUT, os.path.join(ROOT, "src")))
+    wl = WORKLOADS[args.workload](ROOT, out, args.seed, refs)
     wl.prepare()
     runs = [measure(wl, args.seconds, traced=False)]
     if args.trace:
@@ -306,7 +316,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "setup_s": len(runs[0]["setups"]),
         "rss_peak_mb": len(runs[0]["rss"]),
     }
-    print(f"workload {args.workload}, seed {args.seed}, {args.seconds:g} s, 2 closed-loop clients")
+    print(
+        f"workload {args.workload}, seed {args.seed}, {runs[0]['wall']:.1f} s of load"
+        f" in {len(runs[0]['rss'])} rounds, 2 closed-loop clients"
+    )
     for name, unit in END_TO_END:
         n = counts.get(name, len(runs[0]["streams"]))
         print(f"  {name:<14} {e2e[name]:>12.4f} {unit:<4} (n={n})")

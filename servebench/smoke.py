@@ -20,7 +20,7 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import gen  # noqa: E402
-from refs import spec_key  # noqa: E402
+from refs import refs_path, spec_key  # noqa: E402
 from run import OUT  # noqa: E402
 from workloads import ServeCold  # noqa: E402
 
@@ -51,7 +51,7 @@ def main() -> None:
         gen.warm_spec(7, 3, 0) == gen.warm_spec(7, 3, 0)
         and list(itertools.islice(gen.dense_specs(7, ["a"]), 8))
         == list(itertools.islice(gen.dense_specs(7, ["a"]), 8))
-        and gen.dense_graphs(7, 1, n=40, extra=200) == gen.dense_graphs(7, 1, n=40, extra=200),
+        and gen.dense_graphs(1, n=40, extra=200) == gen.dense_graphs(1, n=40, extra=200),
         "warm and dense generators are deterministic per seed",
     )
     check(
@@ -77,7 +77,7 @@ def main() -> None:
     # Poison the cached references of a fresh seed's first requests.
     seed = 424243
     os.makedirs(OUT, exist_ok=True)
-    path = os.path.join(OUT, "refs.json")
+    path = refs_path(OUT, os.path.join(ROOT, "src"))
     try:
         with open(path) as handle:
             table = json.load(handle)

@@ -3,11 +3,14 @@
 ``repro serve`` and ``repro fleet`` run from the checkout's ``src``
 tree in their own session (process group), so the load generator never
 shares an interpreter lock with the server loop and a stop can reap
-every descendant: workers, replicas and their workers.
+every descendant: workers, replicas and their workers.  This process is
+made a child subreaper, so descendants orphaned by a stop are re-parented
+to it and reaped here rather than left as zombies.
 """
 
 from __future__ import annotations
 
+import ctypes
 import http.client
 import json
 import os
@@ -19,6 +22,42 @@ import time
 from typing import Any, Dict, List, Optional
 
 HOST = "127.0.0.1"
+#: prctl option: orphaned descendants re-parent to the calling process.
+PR_SET_CHILD_SUBREAPER = 36
+
+
+def become_subreaper() -> None:
+    """Make orphaned descendants this process's children (Linux)."""
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+
+
+def reap_children(timeout: float) -> None:
+    """Kill and reap every child of this process (the system under test
+    is the only thing this process runs while it stops)."""
+    deadline = time.monotonic() + timeout
+    me = os.getpid()
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid:
+            continue
+        if time.monotonic() > deadline:
+            raise RuntimeError("children of the benchmark did not end")
+        for pid, ppid in _ppid_map().items():
+            if ppid == me:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except (ProcessLookupError, PermissionError):
+                    pass
+        time.sleep(0.02)
 
 
 def http_json(
@@ -114,6 +153,7 @@ class Sut:
 
     def start(self, timeout: float = 60.0) -> None:
         """Spawn and block until the ready line (raises on early exit)."""
+        become_subreaper()
         self.proc = subprocess.Popen(
             self.argv,
             cwd=self.root,
@@ -173,8 +213,16 @@ class Sut:
         deadline = time.monotonic() + 30
         live = _ppid_map()
         while any(pid in live for pid in self._seen) and time.monotonic() < deadline:
+            # Anything that left the process group is killed one by one.
+            for pid in self._seen:
+                if pid in live:
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except (ProcessLookupError, PermissionError):
+                        pass
             time.sleep(0.02)
             live = _ppid_map()
+        reap_children(timeout=30)
         if self._reader is not None:
             self._reader.join(timeout=10)
         stray = [pid for pid in self._seen if pid in live]

@@ -2,8 +2,9 @@
 
 A workload prepares its inputs from the seed (untimed), starts the
 system under test (timed: that is ``setup_s``), hands the load
-generator one request queue per client, and says what each stream must
-be.
+generator rounds of requests, one queue per client, and says what each
+stream must be.  Every round is the same mix on a freshly started
+system under test, so rounds, and runs made of them, compare.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from load import Item, lines_digest
 from refs import References
 from sut import Sut, http_json
 
-#: Pre-generated cold requests; the queue generates more if a run
-#: outpaces them.
-COLD_POOL = 400
 #: Mid-stream checkpoint cadence on fleet-cold (one per 64-solution chunk).
 CHECKPOINT_EVERY = 64
 #: Instances stored for serve-warm; each is requested three times.
@@ -29,7 +27,8 @@ WARM_POOL = 120
 #: A warm candidate must exhaust within this many solutions.
 WARM_CAP = 600
 DENSE_DATASETS = 3
-DENSE_POOL = 400
+#: Queries per serve-dense round: each dataset x kind x backend, four times.
+DENSE_ROUND = 48
 
 
 class Workload:
@@ -87,7 +86,8 @@ class Workload:
         return sut, time.perf_counter() - started
 
     def rounds(self) -> Iterator[List[Iterator[Item]]]:
-        """Per server start: one request queue per client."""
+        """Endless rounds; per round (one server start) one finite
+        request queue per client."""
         raise NotImplementedError
 
     def docs(self, sut: Sut) -> Dict[str, Any]:
@@ -122,19 +122,13 @@ class ServeCold(Workload):
     def item(self, rid: int, spec: Dict[str, Any]) -> Item:
         return Item(rid, spec, json.dumps({"job": spec}).encode())
 
-    def prepare(self) -> None:
-        specs = itertools.islice(gen.cold_specs(self.gen_seed()), COLD_POOL)
-        self.pool = [self.item(i, s) for i, s in enumerate(specs)]
-
-    def _queue(self) -> Iterator[Item]:
-        yield from self.pool
-        more = gen.cold_specs(self.gen_seed(), start=len(self.pool))
-        for rid, spec in enumerate(more, start=len(self.pool)):
-            yield self.item(rid, spec)
-
     def rounds(self) -> Iterator[List[Iterator[Item]]]:
-        shared = self._queue()
-        yield [shared, shared]
+        # Round r is requests r*COLD_ROUND onwards: never-seen instances,
+        # the same mix (and tail) as every other round.
+        for first in itertools.count(0, gen.COLD_ROUND):
+            specs = itertools.islice(gen.cold_specs(self.gen_seed(), first), gen.COLD_ROUND)
+            shared = iter([self.item(first + i, s) for i, s in enumerate(specs)])
+            yield [shared, shared]
 
 
 class FleetCold(ServeCold):
@@ -228,20 +222,20 @@ class ServeDense(Workload):
     name = "serve-dense"
 
     def prepare(self) -> None:
-        self.graphs = gen.dense_graphs(self.seed, DENSE_DATASETS)
+        self.graphs = gen.dense_graphs(DENSE_DATASETS)
         self.names = [f"dense{g}" for g in range(DENSE_DATASETS)]
-        specs = itertools.islice(gen.dense_specs(self.seed, self.names), DENSE_POOL)
-        self.pool = [
-            Item(i, s, json.dumps({"job": s}).encode()) for i, s in enumerate(specs)
-        ]
 
     def ready_check(self, sut: Sut) -> None:
         for name, edges in zip(self.names, self.graphs):
             http_json(sut.port, "POST", "/datasets", {"name": name, "edges": edges})
 
     def rounds(self) -> Iterator[List[Iterator[Item]]]:
-        shared = iter(self.pool)
-        yield [shared, shared]
+        for first in itertools.count(0, DENSE_ROUND):
+            specs = itertools.islice(gen.dense_specs(self.seed, self.names, first), DENSE_ROUND)
+            shared = iter(
+                [Item(first + i, s, json.dumps({"job": s}).encode()) for i, s in enumerate(specs)]
+            )
+            yield [shared, shared]
 
     def reference_spec(self, item: Item) -> Dict[str, Any]:
         # fast and vector streams are byte-identical by contract, so the
