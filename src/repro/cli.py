@@ -756,6 +756,19 @@ def _serve_tiers(args):
     return cache, ResultStore(args.store)
 
 
+def _interrupt_on_sigterm() -> None:
+    """Make SIGTERM take Ctrl-C's shutdown path.
+
+    Supervisors stop processes with SIGTERM, whose default action kills
+    the process before it can close its worker processes (or fleet
+    replicas), leaving them orphaned.  As a ``KeyboardInterrupt`` it
+    unwinds through the same ``finally`` blocks SIGINT does.
+    """
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+
+
 def _run_serve(args, out) -> None:
     """The ``serve`` subcommand body (HTTP with --port, else stdio)."""
     cache, store = _serve_tiers(args)
@@ -814,6 +827,7 @@ def _run_serve(args, out) -> None:
             )
         await server.serve_forever()
 
+    _interrupt_on_sigterm()
     try:
         asyncio.run(_main())
     except KeyboardInterrupt:
@@ -827,6 +841,7 @@ def _run_fleet(args, out) -> int:
 
     from repro.serve.fleet import FleetRouter, ReplicaProcess, RouterThread
 
+    _interrupt_on_sigterm()
     registry = args.registry or os.path.join(args.store, "datasets")
     router = FleetRouter(
         host=args.host,

@@ -13,12 +13,16 @@ returns the lexicographically least certificate over all refinement-
 consistent vertex orders.  Because the certificate *contains* the full
 adjacency under the chosen order, equal certificates imply genuinely
 isomorphic instances — the key is sound, never merely probabilistic.
-The search is exponential on highly symmetric inputs, so it carries a
-work budget; when exceeded, :class:`InstanceCache` falls back to an
-exact label-sensitive key (still correct, just not relabel-stable for
-that instance).  The budget depends only on the instance's symmetry
-structure, never on its labels, so relabeled copies agree on which tier
-they use.
+Twins (vertices with the same query role and the same neighbours, such
+as two leaves on one parent) are interchangeable, so at each branch the
+search individualizes only the first member of each twin class; the
+pruned subtrees mirror kept ones, and the result is the one the full
+search would return.  What symmetry remains can still make the search
+exponential, so it carries a work budget; when exceeded,
+:class:`InstanceCache` falls back to an exact label-sensitive key (still
+correct, just not relabel-stable for that instance).  The budget depends
+only on the instance's symmetry structure, never on its labels, so
+relabeled copies agree on which tier they use.
 
 Cached solutions are stored as canonical-index structures and translated
 back through the requesting job's own canonical order on a hit, so a hit
@@ -39,13 +43,14 @@ are transparently reloaded on the next miss.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.capabilities import spec as kind_spec
 from repro.engine.jobs import (
@@ -54,9 +59,11 @@ from repro.engine.jobs import (
     structure_line,
 )
 
-#: Abort the individualization search after this many refinement passes.
-#: Structure-determined (independent of labels), so relabeled copies of
-#: an instance always agree on canonical-vs-exact key tier.
+#: Abort the individualization search after this many refinement passes,
+#: i.e. nodes of the twin-pruned search tree.  Twin subtrees are mirror
+#: images, so the count depends only on structure (never on labels):
+#: relabeled copies of an instance always agree on canonical-vs-exact
+#: key tier.
 _CANON_BUDGET = 4096
 
 
@@ -156,12 +163,31 @@ def canonical_signature(job: EnumerationJob) -> Optional[Tuple[List[Any], tuple]
     role_palette = {r: i for i, r in enumerate(sorted(set(roles.values())))}
     role_color = [role_palette[roles[v]] for v in vertices]
     budget = [_CANON_BUDGET]
+    twin_of: List[int] = []  # filled at the first branch
 
     def refine(colors: List[int]) -> List[int]:
         budget[0] -= 1
         if budget[0] < 0:
             raise _CanonBudgetExceeded
         return _refine(n, out_adj, in_adj, colors)
+
+    def twin_classes() -> List[int]:
+        # The first vertex with v's role and neighbour multiset (out and
+        # in on digraphs).  A self-loop puts v in its own neighbourhood,
+        # so such a vertex is a class of its own.
+        first: Dict[tuple, int] = {}
+        twin: List[int] = []
+        for v in range(n):
+            if v in out_adj[v]:
+                twin.append(v)
+                continue
+            key = (
+                role_color[v],
+                tuple(sorted(out_adj[v])),
+                tuple(sorted(in_adj[v])) if in_adj is not None else (),
+            )
+            twin.append(first.setdefault(key, v))
+        return twin
 
     def certificate(order: List[int]) -> tuple:
         pos = [0] * n
@@ -196,8 +222,19 @@ def canonical_signature(job: EnumerationJob) -> Optional[Tuple[List[Any], tuple]
                 best[0] = (cert, order)
             return
         _, color = non_singleton[0]
+        if not twin_of:
+            # Lazily: instances that refine to discrete never pay for it.
+            twin_of.extend(twin_classes())
         next_color = n  # strictly larger than any dense colour in use
+        searched: Set[int] = set()
         for v in classes[color]:
+            # Swapping v with an earlier twin in this cell is an
+            # automorphism fixing every vertex individualized so far, so
+            # v's subtree mirrors that twin's and holds no earlier least
+            # certificate: searching one member per class is enough.
+            if twin_of[v] in searched:
+                continue
+            searched.add(twin_of[v])
             branched = list(colors)
             branched[v] = next_color
             search(refine(branched))
@@ -443,23 +480,11 @@ class InstanceCache:
         self.spill_dir = spill_dir
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        # Memo for the (expensive) canonicalization, bounded alongside
-        # the entry LRU so lookup()+store() pay for it once per job.
-        self._key_memo: "OrderedDict[EnumerationJob, Tuple[str, Optional[List[Any]]]]" = (
-            OrderedDict()
-        )
-
-    def _instance_key(self, job: EnumerationJob) -> Tuple[str, Optional[List[Any]]]:
-        memo = self._key_memo
-        hit = memo.get(job)
-        if hit is not None:
-            memo.move_to_end(job)
-            return hit
-        computed = instance_key(job)
-        memo[job] = computed
-        while len(memo) > 4 * self.maxsize:
-            memo.popitem(last=False)
-        return computed
+        #: Memoized :func:`instance_key`, bounded alongside the entry LRU
+        #: so lookup()+store() pay for canonicalization once per job (a
+        #: :class:`~repro.serve.store.TieredCache` shares it with its
+        #: disk tier).
+        self.key_of = functools.lru_cache(maxsize=4 * maxsize)(instance_key)
 
     # ------------------------------------------------------------------
     def lookup(self, job: EnumerationJob) -> Optional[JobResult]:
@@ -469,7 +494,7 @@ class InstanceCache:
         full: the entry is exhausted, or the job has a ``limit`` the
         stored prefix covers.  Results are marked ``cached=True``.
         """
-        key, order = self._instance_key(job)
+        key, order = self.key_of(job)
         entry = self._load(key)
         if entry is None:
             self.stats.misses += 1
@@ -492,7 +517,7 @@ class InstanceCache:
         the stored prefix is the whole enumeration.  Returns ``None``
         only on a true miss.
         """
-        key, order = self._instance_key(job)
+        key, order = self.key_of(job)
         entry = self._load(key)
         if entry is None or entry.fingerprint != job_fingerprint(job):
             # A relabeled donor's prefix is in the donor's order; splicing
@@ -511,7 +536,7 @@ class InstanceCache:
         """
         if not cacheable(result):
             return
-        key, order = self._instance_key(job)
+        key, order = self.key_of(job)
         if order is not None and result.structures is None:
             return  # canonical entries need structures to translate on hit
         existing = self._load(key)
@@ -550,7 +575,7 @@ class InstanceCache:
         the entry shape ``job``'s key implies (canonical payload iff the
         key canonicalizes).
         """
-        key, order = self._instance_key(job)
+        key, order = self.key_of(job)
         if canonical != (order is not None):
             return  # shape mismatch: refuse rather than corrupt the tier
         self._entries[key] = _Entry(payload, canonical, exhausted, fingerprint, lines)

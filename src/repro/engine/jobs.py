@@ -330,6 +330,15 @@ class EnumerationJob:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Raise :class:`InvalidInstanceError` on a malformed spec."""
+        try:
+            # Caches key on the job itself, so every field must hash; a
+            # JSON array used as a vertex label would not.
+            hash(self)
+        except TypeError as exc:
+            raise InvalidInstanceError(
+                "vertex labels and keywords must be hashable scalars, not "
+                f"JSON arrays or objects: {exc}"
+            ) from exc
         if self.kind not in JOB_KINDS:
             raise InvalidInstanceError(
                 f"unknown job kind {self.kind!r}; expected one of {sorted(JOB_KINDS)}"

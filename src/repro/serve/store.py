@@ -24,12 +24,12 @@ a killed process never leaves a half-written entry.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import tempfile
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.cache import (
     CacheStats,
@@ -93,9 +93,9 @@ class ResultStore:
     def __init__(self, root: str) -> None:
         self.root = root
         self.stats = CacheStats()
-        self._key_memo: "OrderedDict[EnumerationJob, Tuple[str, Optional[List[Any]]]]" = (
-            OrderedDict()
-        )
+        #: Memoized :func:`~repro.engine.cache.instance_key` (replaced by
+        #: the memory tier's under a :class:`TieredCache`).
+        self.key_of = functools.lru_cache(maxsize=1024)(instance_key)
 
     # ------------------------------------------------------------------
     # paths
@@ -121,25 +121,14 @@ class ResultStore:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-                handle.write("\n")
+                # json.dumps, not json.dump: only the one-shot form uses
+                # the C encoder, and this write runs on the event loop.
+                handle.write(json.dumps(payload, sort_keys=True) + "\n")
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-
-    def _instance_key(self, job: EnumerationJob) -> Tuple[str, Optional[List[Any]]]:
-        memo = self._key_memo
-        hit = memo.get(job)
-        if hit is not None:
-            memo.move_to_end(job)
-            return hit
-        computed = instance_key(job)
-        memo[job] = computed
-        while len(memo) > 1024:
-            memo.popitem(last=False)
-        return computed
 
     def _read_entry(self, key: str) -> Optional[Dict[str, Any]]:
         path = self._entry_path(key)
@@ -165,7 +154,7 @@ class ResultStore:
         serve only complete solution sets (translated to the caller's
         labels).
         """
-        key, order = self._instance_key(job)
+        key, order = self.key_of(job)
         record = self._read_entry(key)
         if record is None:
             self.stats.misses += 1
@@ -191,7 +180,7 @@ class ResultStore:
         skipped because their stream order is a permutation of this
         job's.
         """
-        key, order = self._instance_key(job)
+        key, order = self.key_of(job)
         record = self._read_entry(key)
         if record is None or record["fingerprint"] != job_fingerprint(job):
             return None
@@ -210,7 +199,7 @@ class ResultStore:
         """
         if not cacheable(result):
             return
-        key, order = self._instance_key(job)
+        key, order = self.key_of(job)
         if order is not None and result.structures is None:
             return  # canonical entries need structures to translate on hit
         existing = self._read_entry(key)
@@ -247,7 +236,7 @@ class ResultStore:
         Returns ``(payload, canonical, exhausted, fingerprint, lines)``
         or ``None`` on a miss.
         """
-        key, _order = self._instance_key(job)
+        key, _order = self.key_of(job)
         record = self._read_entry(key)
         if record is None:
             return None
@@ -342,6 +331,10 @@ class TieredCache:
     def __init__(self, cache: Optional[InstanceCache], store: Optional[ResultStore]) -> None:
         self.cache = cache
         self.store_tier = store
+        if cache is not None and store is not None:
+            # Both tiers key through one memo: a request that misses
+            # memory and falls through to disk is canonicalized once.
+            store.key_of = cache.key_of
 
     def _tiers(self):
         return [t for t in (self.cache, self.store_tier) if t is not None]

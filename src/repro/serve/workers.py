@@ -257,8 +257,15 @@ def _stream_job(
         return  # the parent went away; the idle loop will see EOF too
 
 
-def _worker_main(conn) -> None:
-    """Worker process loop: serve ``run`` requests until ``quit``/EOF."""
+def _worker_main(conn, server_end) -> None:
+    """Worker process loop: serve ``run`` requests until ``quit``/EOF.
+
+    ``server_end`` is the server's end of the pipe, which a forked child
+    inherits.  Once this worker closes its copy, the server's exit —
+    SIGKILL included — reads here as EOF, and the worker exits instead
+    of living on as an orphan.
+    """
+    server_end.close()
     while True:
         try:
             msg = conn.recv()
@@ -286,7 +293,9 @@ class WorkerHandle:
         self.arena = arena
         parent, child = ctx.Pipe(duplex=True)
         self.conn = parent
-        self.process = ctx.Process(target=_worker_main, args=(child,), daemon=True)
+        self.process = ctx.Process(
+            target=_worker_main, args=(child, parent), daemon=True
+        )
         self.process.start()
         child.close()
         self.failed = False

@@ -2,6 +2,7 @@
 (stp / zdd-count / ranked / yen / chordless / transversal / figure1)."""
 
 import io
+import os
 
 import pytest
 
@@ -275,6 +276,63 @@ class TestServeClientCLI:
         out = io.StringIO()
         assert main(["client", "--port", str(server_proc), "--health"], out=out) == 0
         assert out.getvalue().strip() == "ok"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    @pytest.mark.parametrize("signame", ["SIGTERM", "SIGKILL"])
+    def test_stopped_server_leaves_no_worker_behind(self, signame):
+        # SIGTERM shuts the server down like Ctrl-C; after SIGKILL the
+        # workers see their pipe close and exit on their own.
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        def children(pid):
+            found = []
+            for entry in os.listdir("/proc"):
+                try:
+                    with open(f"/proc/{entry}/stat") as handle:
+                        fields = handle.read().rsplit(")", 1)[1].split()
+                except (OSError, IndexError):
+                    continue
+                if fields[1] == str(pid):  # fields: state, ppid, ...
+                    found.append(int(entry))
+            return found
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        workers = []
+        try:
+            assert "serving on" in proc.stderr.readline()
+            workers = children(proc.pid)
+            assert len(workers) >= 2  # the pool forks its workers before announcing
+            proc.send_signal(getattr(signal, signame))
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if running(pid)]
+        finally:
+            for pid in [proc.pid] + workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            proc.stderr.close()
 
     def test_client_surfaces_server_errors(self, tmp_path, server_proc):
         jobs = tmp_path / "jobs.jsonl"

@@ -102,6 +102,28 @@ class TestJobs:
         with pytest.raises(InvalidInstanceError):
             EnumerationJob.from_dict({"kind": "st-path", "edges": [], "typo": 1})
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "steiner-tree", "edges": [[["w", 0], 1], [1, 2]], "terminals": [1, 2]},
+            {"kind": "steiner-tree", "edges": [[0, 1]], "vertices": [[5]], "terminals": [0]},
+            {"kind": "steiner-tree", "edges": [[0, 1]], "terminals": [[0], 1]},
+            {"kind": "steiner-forest", "edges": [[0, 1]], "families": [[[0], 1]]},
+            {"kind": "directed-steiner", "edges": [[0, 1]], "terminals": [1], "root": [0]},
+            {"kind": "st-path", "edges": [[0, 1]], "source": {"v": 0}, "target": 1},
+            {"kind": "st-path", "edges": [[0, 1]], "source": 0, "target": [1]},
+            {
+                "kind": "kfragments", "edges": [[0, 1]], "keywords": ["x"],
+                "node_keywords": [[[0], ["x"]]],
+            },
+        ],
+    )
+    def test_unhashable_labels_rejected(self, spec):
+        # JSON has no tuples, so a ("w", 0) label arrives as a list; the
+        # caches would raise on it mid-stream.
+        with pytest.raises(InvalidInstanceError, match="hashable"):
+            EnumerationJob.from_dict(spec)
+
     def test_limit_zero_and_limit(self):
         job = EnumerationJob.steiner_tree(
             [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")], ["a", "d"], limit=0

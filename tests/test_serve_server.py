@@ -163,6 +163,21 @@ class TestErrors:
         finally:
             conn.close()
 
+    def test_unhashable_label_is_a_400_before_the_head(self, client):
+        import http.client
+        import json
+
+        body = {"kind": "steiner-tree", "edges": [[["w", 0], 1], [1, 2]], "terminals": [1, 2]}
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            conn.request("POST", "/enumerate", body=json.dumps(body).encode())
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "hashable" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert tuple(client.solutions(steiner_job())) == run_job(steiner_job()).lines
+
     def test_unknown_route_404(self, client):
         import http.client
 
