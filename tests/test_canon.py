@@ -4,11 +4,12 @@
 first member of each twin class (same query role, same neighbour
 multiset) at a branch.  :func:`reference_signature` below is the search
 without that pruning; on every instance the full search finishes within
-the budget, both must return the same ``(order, certificate)``.  The
-remaining tests pin what the pruning changes: twin-heavy instances that
-used to overrun the budget now get relabel-stable keys, the budget
-fallback still fires on symmetric twin-free instances, and a tiered
-cache canonicalizes a request once.
+the budget, both must return the same ``(order, certificate)``, also on
+near-twins colour refinement cannot split.  The remaining tests pin
+what the pruning changes: twin-heavy instances that used to overrun the
+budget now get relabel-stable keys, the budget fallback still fires on
+symmetric twin-free instances, and a tiered cache canonicalizes a
+request once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import random
 from typing import Dict, List, Optional
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.capabilities import kinds_where, spec as kind_spec
@@ -236,6 +238,20 @@ def test_pruned_search_equals_full_search(job, seed):
     # certificate.
     copy = canonical_signature(relabeled(job, random.Random(seed)))
     assert copy is not None and copy[1] == reference[1]
+
+
+@pytest.mark.parametrize("kind", ["steiner-tree", "directed-steiner"])
+def test_near_twins_are_searched_on_every_labeling(kind):
+    # The query sits on its own component, so nothing breaks the
+    # near-twins' symmetry and the search branches on their cell first.
+    directed = kind_spec(kind).directed
+    edges = [(0, 1)]
+    total = _blind_spot(edges, 2, directed)
+    query = {"terminals": (1,), "root": 0} if directed else {"terminals": (0, 1)}
+    job = EnumerationJob(kind=kind, edges=tuple(edges), vertices=tuple(range(total)), **query)
+    for seed in range(8):
+        copy = relabeled(job, random.Random(seed))
+        assert canonical_signature(copy) == reference_signature(copy)
 
 
 def _twin_leaf_pairs(pairs: int) -> EnumerationJob:
