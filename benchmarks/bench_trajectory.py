@@ -1,9 +1,8 @@
 """Benchmark trajectory: pinned quick subset → JSON snapshot → gate.
 
 CI runs this on every push (the ``bench-trajectory`` job): it measures a
-pinned subset of enumeration jobs on **every claimed backend** (object,
-fast, and — where the capability registry claims it and numpy is
-installed — vector, including the dense aggregate vector gate), writes
+pinned subset of enumeration jobs on **both backends** (object and
+fast, including the dense aggregate gate), writes
 ``BENCH_<short-sha>.json`` (uploaded as an artifact, so the repository
 accumulates a throughput history), and fails if throughput regressed
 more than the tolerance against the committed
@@ -51,7 +50,7 @@ REPS = 3
 
 #: Extra repetitions for kinds whose wall is short enough to be
 #: jitter-dominated at 3 reps (best-of converges with more samples); the
-#: dense vector-gate entries run seconds-long walls, where best-of-2 is
+#: dense-gate entries run seconds-long walls, where best-of-2 is
 #: already timing-stable and a third rep only stretches the run.
 REPS_OVERRIDE = {"minimum-enum": 7, "steiner-tree-dense": 2, "st-path-dense": 2}
 
@@ -65,20 +64,16 @@ SPEEDUP_FLOORS: Dict[str, float] = {
     "directed-steiner": 1.5,
 }
 
-#: Kinds measured on the vector backend as well (the VECTOR_KINDS among
-#: the pinned jobs; numpy-gated at run time).
-VECTOR_MEASURED = frozenset({"steiner-tree", "terminal-steiner", "st-path"})
-
-#: Hard aggregate floor for the vector backend on the pinned *dense*
-#: instance: summed object wall over summed vector wall across the
+#: Hard aggregate floor for the fast backend on the pinned *dense*
+#: instance: summed object wall over summed fast wall across the
 #: steiner-tree + st-path dense entries must stay ≥5x.  Density is the
-#: lever — the bitset kernel consumes a whole adjacency row per
-#: Python-int OR, so its edge over the scalar backends grows with m/n;
-#: on the sparse size-sweep instances the intrinsic ratio is only ~2x.
-VECTOR_AGGREGATE_FLOOR = 5.0
+#: lever — above the crossover degree the fast backend's bitset sweeps
+#: consume a whole adjacency row per Python-int OR; on the sparse
+#: size-sweep instances the intrinsic ratio is only ~2x.
+DENSE_AGGREGATE_FLOOR = 5.0
 
 #: The dense entries the aggregate is computed over.
-VECTOR_DENSE_KINDS = ("steiner-tree-dense", "st-path-dense")
+DENSE_KINDS = ("steiner-tree-dense", "st-path-dense")
 
 
 def _line_graph_edges(base) -> List[Tuple[int, int]]:
@@ -293,8 +288,8 @@ def pinned_direct() -> List[Tuple[str, "object"]]:
     ]
 
 
-def dense_vector_jobs() -> List[Tuple[str, EnumerationJob]]:
-    """The pinned dense jobs behind the aggregate vector gate."""
+def dense_jobs() -> List[Tuple[str, EnumerationJob]]:
+    """The pinned dense jobs behind the aggregate dense gate."""
     from repro.bench.workloads import dense_vector_instance
 
     inst = dense_vector_instance()
@@ -330,41 +325,22 @@ def _with_backend(job: EnumerationJob, backend: str) -> EnumerationJob:
 
 
 def measure() -> Dict[str, dict]:
-    """Run the pinned subset on every claimed backend; per-kind metrics."""
-    from repro.graphs.vecgraph import vec_available
+    """Run the pinned subset on both backends; per-kind metrics."""
 
-    vector_on = vec_available()
-    runners: List[Tuple[str, "object", Tuple[str, ...]]] = []
-    for kind, job in pinned_jobs():
-
-        def job_runner(backend: str, job=job):
+    def job_runner(job: EnumerationJob):
+        def run(backend: str):
             result = run_job(_with_backend(job, backend))
             return result.lines, result.count
 
-        backends = ("object", "fast")
-        if vector_on and kind in VECTOR_MEASURED:
-            backends = ("object", "fast", "vector")
-        runners.append((kind, job_runner, backends))
-    runners.extend((kind, runner, ("object", "fast")) for kind, runner in pinned_direct())
-    if vector_on:
-        # the dense aggregate gate: vector vs object only — the sparse
-        # pinned jobs above already keep fast honest on these kinds
-        for kind, job in dense_vector_jobs():
+        return run
 
-            def dense_runner(backend: str, job=job):
-                result = run_job(_with_backend(job, backend))
-                return result.lines, result.count
+    runners = [(kind, job_runner(job)) for kind, job in pinned_jobs()]
+    runners += pinned_direct()
+    runners += [(kind, job_runner(job)) for kind, job in dense_jobs()]
 
-            runners.append((kind, dense_runner, ("object", "vector")))
-    else:
-        print(
-            "numpy unavailable: vector columns and the dense aggregate"
-            " gate are skipped",
-            file=sys.stderr,
-        )
-
+    backends = ("object", "fast")
     kinds: Dict[str, dict] = {}
-    for kind, runner, backends in runners:
+    for kind, runner in runners:
         entry: Dict[str, dict] = {}
         lines = {}
         best = {backend: float("inf") for backend in backends}
@@ -387,43 +363,26 @@ def measure() -> Dict[str, dict]:
                 "sols_per_s": round(solutions[backend] / wall, 2) if wall else 0.0,
                 "jobs_per_s": round(1.0 / wall, 3) if wall else 0.0,
             }
-        for backend in backends[1:]:
-            if lines[backend] != lines["object"]:
-                raise AssertionError(
-                    f"{kind}: {backend} backend output diverged from object backend"
-                )
+        if lines["fast"] != lines["object"]:
+            raise AssertionError(f"{kind}: fast backend output diverged from object backend")
         obj_wall = entry["object"]["wall_s"]
-        report = f"{kind:18s} object {obj_wall*1000:7.1f}ms"
-        if "fast" in entry:
-            fast_wall = entry["fast"]["wall_s"]
-            entry["speedup"] = round(obj_wall / fast_wall, 3) if fast_wall else 0.0
-            report += f"  fast {fast_wall*1000:7.1f}ms  speedup {entry['speedup']:.2f}x"
-        if "vector" in entry:
-            vec_wall = entry["vector"]["wall_s"]
-            entry["speedup_vector"] = (
-                round(obj_wall / vec_wall, 3) if vec_wall else 0.0
-            )
-            report += (
-                f"  vector {vec_wall*1000:7.1f}ms"
-                f"  v-speedup {entry['speedup_vector']:.2f}x"
-            )
+        fast_wall = entry["fast"]["wall_s"]
+        entry["speedup"] = round(obj_wall / fast_wall, 3) if fast_wall else 0.0
         kinds[kind] = entry
-        print(report)
-    agg = vector_aggregate(kinds)
-    if agg is not None:
-        print(f"vector dense aggregate: {agg:.2f}x over object")
+        print(
+            f"{kind:18s} object {obj_wall*1000:7.1f}ms"
+            f"  fast {fast_wall*1000:7.1f}ms  speedup {entry['speedup']:.2f}x"
+        )
+    print(f"dense aggregate: {dense_aggregate(kinds):.2f}x fast over object")
     return kinds
 
 
-def vector_aggregate(kinds: Dict[str, dict]) -> "float | None":
-    """Summed object wall over summed vector wall across the dense
-    entries, or ``None`` when they were not measured (no numpy)."""
-    entries = [kinds.get(kind) for kind in VECTOR_DENSE_KINDS]
-    if any(e is None or "vector" not in e for e in entries):
-        return None
+def dense_aggregate(kinds: Dict[str, dict]) -> float:
+    """Summed object wall over summed fast wall across the dense entries."""
+    entries = [kinds[kind] for kind in DENSE_KINDS]
     obj = sum(e["object"]["wall_s"] for e in entries)
-    vec = sum(e["vector"]["wall_s"] for e in entries)
-    return (obj / vec) if vec else 0.0
+    fast = sum(e["fast"]["wall_s"] for e in entries)
+    return (obj / fast) if fast else 0.0
 
 
 def git_short_sha() -> str:
@@ -450,9 +409,6 @@ def gate(
     skip_absolute: bool,
 ) -> List[str]:
     """Compare against the baseline; return regression messages."""
-    from repro.graphs.vecgraph import vec_available
-
-    vector_on = vec_available()
     failures: List[str] = []
     for kind, floor_speedup in SPEEDUP_FLOORS.items():
         cur = current.get(kind)
@@ -463,21 +419,16 @@ def gate(
                 f"{kind}: speedup {cur['speedup']:.2f}x below the"
                 f" {floor_speedup:.1f}x floor"
             )
-    agg = vector_aggregate(current)
-    if agg is None:
-        if vector_on:
-            failures.append("vector-gate: dense vector entries missing")
-    elif agg < VECTOR_AGGREGATE_FLOOR:
+    agg = dense_aggregate(current)
+    if agg < DENSE_AGGREGATE_FLOOR:
         failures.append(
-            f"vector-gate: dense aggregate {agg:.2f}x below the"
-            f" {VECTOR_AGGREGATE_FLOOR:.1f}x floor"
+            f"dense-gate: aggregate {agg:.2f}x below the"
+            f" {DENSE_AGGREGATE_FLOOR:.1f}x floor"
         )
     for kind, base in baseline.items():
         cur = current.get(kind)
         if cur is None:
-            # vector-only entries legitimately vanish on no-numpy hosts
-            if not (kind in VECTOR_DENSE_KINDS and not vector_on):
-                failures.append(f"{kind}: missing from the current run")
+            failures.append(f"{kind}: missing from the current run")
             continue
         floor = 1.0 - tolerance
         base_speedup = base.get("speedup", 0.0)
@@ -486,18 +437,9 @@ def gate(
                 f"{kind}: speedup {cur.get('speedup', 0.0):.2f}x regressed >"
                 f"{tolerance:.0%} vs baseline {base_speedup:.2f}x"
             )
-        base_vec = base.get("speedup_vector", 0.0)
-        cur_vec = cur.get("speedup_vector", 0.0)
-        if base_vec and vector_on and cur_vec < floor * base_vec:
-            failures.append(
-                f"{kind}: vector speedup {cur_vec:.2f}x regressed >"
-                f"{tolerance:.0%} vs baseline {base_vec:.2f}x"
-            )
         if skip_absolute:
             continue
-        for backend in ("object", "fast", "vector"):
-            if backend == "vector" and not vector_on:
-                continue
+        for backend in ("object", "fast"):
             base_rate = base.get(backend, {}).get("sols_per_s", 0.0)
             cur_rate = cur.get(backend, {}).get("sols_per_s", 0.0)
             if base_rate and cur_rate < floor * base_rate:

@@ -37,7 +37,6 @@ PAGES = {
             "repro.graphs.graph",
             "repro.graphs.digraph",
             "repro.graphs.fastgraph",
-            "repro.graphs.vecgraph",
             "repro.graphs.contraction",
             "repro.graphs.bridges",
             "repro.graphs.spanning",
@@ -57,7 +56,6 @@ PAGES = {
             "repro.paths",
             "repro.paths.read_tarjan",
             "repro.paths.fastpaths",
-            "repro.paths.vecpaths",
             "repro.paths.simple",
             "repro.paths.yen",
         ],

@@ -91,13 +91,13 @@ def steiner_tree_size_sweep(seed: int = 2022, terminals: int = 4) -> List[Steine
 def dense_vector_instance(
     n: int = 480, extra: int = 40000, seed: int = 2502
 ) -> SteinerInstance:
-    """T-vec: the pinned dense instance behind the vector-backend gate.
+    """T-dense: the pinned dense instance behind the dense-pair gate.
 
-    The bitset kernel's advantage over the scalar backends grows with
-    edge density (one Python-int OR consumes a whole adjacency row), so
-    the aggregate vector gate in ``benchmarks/bench_trajectory.py`` pins
-    a dense instance instead of reusing the sparse size sweep, where the
-    intrinsic ratio is only ~2x.
+    The fast backend's bitset sweeps gain over scalar sweeps with
+    average degree (one Python-int OR consumes a whole adjacency row),
+    so the aggregate dense gate in ``benchmarks/bench_trajectory.py``
+    pins a dense instance instead of reusing the sparse size sweep,
+    where the intrinsic ratio is only ~2x.
     """
     g = random_connected_graph(n, extra, seed)
     w = random_terminals(g, 4, seed + 1)

@@ -57,6 +57,7 @@ from repro.core.steiner_tree import (
 )
 from repro.core.terminal_steiner import enumerate_minimal_terminal_steiner_trees
 from repro.graphs.digraph import DiGraph
+from repro.graphs.fastgraph import BACKENDS, resolve_backend
 from repro.graphs.graph import Graph
 from repro.paths.read_tarjan import enumerate_st_paths_undirected
 
@@ -164,10 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_backend(p):
         p.add_argument(
             "--backend",
-            choices=("object", "fast", "vector"),
+            type=resolve_backend,
+            choices=BACKENDS,
             default="object",
-            help="enumeration backend (fast = integer kernel, "
-            "vector = numpy-batched kernel)",
+            help="enumeration backend (fast = integer kernel)",
         )
 
     p = sub.add_parser("steiner-tree", help="enumerate minimal Steiner trees")
@@ -581,16 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Parse ``argv`` and run the selected subcommand; returns the exit
     status (0 on success)."""
-    from repro.exceptions import UnsupportedBackendError
-
-    out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    try:
-        return _run_command(args, out)
-    except UnsupportedBackendError as exc:
-        # e.g. --backend vector on a numpy-free host: a one-line message,
-        # not a traceback.
-        raise SystemExit(str(exc)) from exc
+    return _run_command(args, out or sys.stdout)
 
 
 def _run_command(args, out) -> int:

@@ -7,13 +7,13 @@ Every enumerator in :mod:`repro.core` (and the path layer) accepts a
   :class:`repro.graphs.graph.Graph` / :class:`~repro.graphs.digraph.DiGraph`.
 * ``"fast"`` — the integer kernel (:mod:`repro.graphs.fastgraph`): the
   instance is compiled once into flat arrays and the hot path/bridge/
-  contraction machinery runs on them.
-* ``"vector"`` — the numpy kernel (:mod:`repro.graphs.vecgraph`): the
-  fast kernel plus a CSR adjacency snapshot that batches the
-  reachability sweeps through numpy.  Undirected kinds only
-  (steiner-tree, terminal-steiner, st-path, ranked); requires numpy
-  (:func:`repro.core.capabilities.require_backend` reports absence as
-  :class:`repro.exceptions.UnsupportedBackendError`).
+  contraction machinery runs on them.  Dense kernels switch the path
+  engine's reachability sweeps to bitsets by themselves
+  (:data:`repro.paths.fastpaths.BITSET_MIN_DEGREE`).
+
+A retired backend name survives as an alias of ``"fast"``;
+:func:`resolve_backend` maps it, and :func:`check_backend` returns the
+resolved name every entry point branches on.
 
 On *integer-compact* instances (vertices are exactly ``0..n-1`` — the
 engine's relabeled normal form) the two backends produce byte-identical
@@ -36,6 +36,7 @@ from repro.graphs.fastgraph import (
     compile_undirected,
     map_query_vertex,
     map_query_vertices,
+    resolve_backend,
 )
 
 # ----------------------------------------------------------------------
@@ -78,5 +79,6 @@ __all__ = [
     "map_query_vertex",
     "map_query_vertices",
     "ranked_key",
+    "resolve_backend",
     "solution_sort_key",
 ]

@@ -35,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Tuple
 
-from repro.exceptions import InvalidInstanceError, UnsupportedBackendError
+from repro.exceptions import InvalidInstanceError
+from repro.graphs.fastgraph import BACKENDS, check_backend
 
 #: Solution shapes a kind may declare.
 RESULT_SHAPES: Tuple[str, ...] = (
@@ -47,18 +48,7 @@ RESULT_SHAPES: Tuple[str, ...] = (
 )
 
 #: Enumeration backends the library ships.
-BACKEND_NAMES: Tuple[str, ...] = ("object", "fast", "vector")
-
-#: The pair every kind supports (the numpy-free baseline).
-SCALAR_BACKENDS: Tuple[str, ...] = ("object", "fast")
-
-#: Kinds the numpy-vectorized kernel covers (undirected kinds whose hot
-#: loops run through the Read–Tarjan engine / spanning completion; the
-#: ranked wrapper rides on steiner-tree and is gated by its own entry
-#: points).  numpy availability is checked at validation time, not here.
-VECTOR_KINDS: FrozenSet[str] = frozenset(
-    {"steiner-tree", "terminal-steiner", "st-path"}
-)
+BACKEND_NAMES: Tuple[str, ...] = BACKENDS
 
 
 @dataclass(frozen=True)
@@ -95,16 +85,14 @@ class KindSpec:
 
 
 def _spec(kind: str, shape: str, *, directed: bool = False) -> KindSpec:
-    # Since PR 7 the scalar matrix is closed: every kind runs on the
-    # object and fast backends, suspends, and caches; only kfragments
-    # (keyword queries are bound to concrete node labels) refuses
-    # relabeled cache translation.  The vector backend covers the
-    # VECTOR_KINDS subset.
+    # The matrix is closed: every kind runs on both backends, suspends,
+    # and caches; only kfragments (keyword queries are bound to concrete
+    # node labels) refuses relabeled cache translation.
     return KindSpec(
         kind=kind,
         result_shape=shape,
         directed=directed,
-        backends=BACKEND_NAMES if kind in VECTOR_KINDS else SCALAR_BACKENDS,
+        backends=BACKEND_NAMES,
         suspendable=True,
         relabelable=kind != "kfragments",
         cacheable=True,
@@ -167,26 +155,14 @@ def supported_backends(kind: str) -> Tuple[str, ...]:
 
 
 def require_backend(kind: str, backend: str) -> str:
-    """Validate ``backend`` against the registry; returns it for chaining.
+    """Validate ``backend`` against the registry; returns the resolved
+    name (aliases mapped by :func:`repro.graphs.fastgraph.resolve_backend`).
 
     Raises :class:`~repro.exceptions.UnsupportedBackendError` naming the
     kind and the supported set — the uniform validation every
     enumerator and :class:`~repro.engine.jobs.EnumerationJob` shares.
     """
-    kind_spec = spec(kind)
-    if backend not in kind_spec.backends:
-        raise UnsupportedBackendError(backend, kind_spec.backends, kind=kind)
-    if backend == "vector":
-        from repro.graphs.vecgraph import vec_available
-
-        if not vec_available():
-            raise UnsupportedBackendError(
-                backend,
-                SCALAR_BACKENDS,
-                kind=kind,
-                reason="numpy is not installed",
-            )
-    return backend
+    return check_backend(backend, kind=kind, supported=spec(kind).backends)
 
 
 def capability_matrix() -> Dict[str, Dict[str, object]]:

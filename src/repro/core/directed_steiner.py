@@ -344,7 +344,7 @@ class DirectedSteinerSearch:
         improved: bool = True,
         backend: str = "object",
     ) -> None:
-        check_backend(backend, kind="directed-steiner")
+        backend = check_backend(backend, kind="directed-steiner")
         self.meter = meter
         self.improved = improved
         self.backend = backend

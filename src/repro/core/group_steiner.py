@@ -225,7 +225,7 @@ def enumerate_minimal_group_steiner_trees_brute(
     bitmask family tests on the compiled kernel; the candidate order is
     shared, so the streams are byte-identical.
     """
-    check_backend(backend, kind="group-steiner", supported=("object", "fast"))
+    backend = check_backend(backend, kind="group-steiner")
     if backend == "fast":
         yield from _fast_group_steiner_brute(graph, families, max_edges)
         return

@@ -112,7 +112,7 @@ class ChordlessPathSearch:
             map_query_vertex,
         )
 
-        check_backend(backend, kind="chordless-path")
+        backend = check_backend(backend, kind="chordless-path")
         self.graph = graph
         self.meter = meter
         self.backend = backend

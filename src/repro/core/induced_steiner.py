@@ -516,7 +516,7 @@ class InducedSteinerSearch:
             map_query_vertices,
         )
 
-        check_backend(backend, kind="induced-steiner")
+        backend = check_backend(backend, kind="induced-steiner")
         self.backend = backend
         self.meter = meter
         self._validate = bool(validate_claw_free)

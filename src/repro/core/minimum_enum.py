@@ -230,7 +230,7 @@ def enumerate_minimum_steiner_trees_dp(
     ...        enumerate_minimum_steiner_trees_dp(g, [0, 2], {0: 1, 1: 1, 2: 2}))
     [[0, 1], [2]]
     """
-    check_backend(backend, kind="minimum-steiner-dp", supported=("object", "fast"))
+    backend = check_backend(backend, kind="minimum-steiner-dp")
     terms = list(dict.fromkeys(terminals))
     if not terms:
         raise InvalidInstanceError("at least one terminal is required")

@@ -92,8 +92,8 @@ def _weighted_stream(
     the stream: a compiled kernel shared across streams (the datagraph
     layer's cached compilation) is never mutated.
     """
-    if backend in ("fast", "vector"):
-        fg, index = compile_undirected(graph, vec=backend == "vector")
+    if backend == "fast":
+        fg, index = compile_undirected(graph)
         if fg is graph:
             # The caller passed an already-compiled kernel (e.g. the
             # datagraph layer's cached compilation, shared across
@@ -152,7 +152,7 @@ def enumerate_approximately_by_weight(
     """
     if lookahead < 1:
         raise ValueError("lookahead must be at least 1")
-    check_backend(backend, kind="ranked")
+    backend = check_backend(backend, kind="ranked")
     heap: List[Tuple[Tuple, Solution]] = []
     for weight, solution in _weighted_stream(
         graph, terminals, weights, meter, backend
@@ -185,7 +185,7 @@ def top_k_minimal_steiner_trees(
     Returns ``(results, scanned)`` with ``results`` ascending in
     RANKED ORDER.
     """
-    check_backend(backend, kind="ranked")
+    backend = check_backend(backend, kind="ranked")
     if k < 1:
         return [], 0
     # Max-heap on RANKED ORDER keys: heap[0] is the heaviest kept entry.

@@ -208,7 +208,7 @@ class SteinerForestSearch:
         improved: bool = True,
         backend: str = "object",
     ) -> None:
-        check_backend(backend, kind="steiner-forest")
+        backend = check_backend(backend, kind="steiner-forest")
         self.meter = meter
         self.improved = improved
         self.backend = backend

@@ -188,7 +188,6 @@ def _fast_completion_branch_terminal(
     terminals: Sequence[int],
     bridges: Set[int],
     meter,
-    completion_fn=fast_minimal_steiner_completion,
 ) -> Tuple[Optional[int], Solution]:
     """Kernel version of :func:`_completion_branch_terminal`.
 
@@ -197,10 +196,8 @@ def _fast_completion_branch_terminal(
     completion's bridge edges".  A union-find over those edges answers
     that without building any adjacency structure, and — paths in a tree
     being unique — produces exactly the object backend's flags.
-    ``completion_fn`` lets the vector backend substitute its
-    base-forest-restricted completion (same output set).
     """
-    completion = completion_fn(
+    completion = fast_minimal_steiner_completion(
         fg, terminals, partial_eids=state.edges, meter=meter
     )
     eu, esum = fg._eu, fg._esum
@@ -293,23 +290,17 @@ class SteinerTreeSearch:
         improved: bool = True,
         backend: str = "object",
     ) -> None:
-        check_backend(backend, kind="steiner-tree")
+        backend = check_backend(backend, kind="steiner-tree")
         self.graph = graph
         self.meter = meter
         self.improved = improved
         self.backend = backend
         self.input_terminals: List[Vertex] = list(terminals)
         ordered = _validate_instance(graph, self.input_terminals)
-        self.fast = backend in ("fast", "vector")
+        self.fast = backend == "fast"
         self._dead = False
-        if backend == "vector":
-            from repro.graphs.vecgraph import vec_minimal_steiner_completion
-
-            self._completion_fn = vec_minimal_steiner_completion
-        else:
-            self._completion_fn = fast_minimal_steiner_completion
         if self.fast:
-            self.fg, index = compile_undirected(graph, vec=backend == "vector")
+            self.fg, index = compile_undirected(graph)
             ordered = map_query_vertices(index, ordered)
             labels = fast_component_labels(self.fg, meter=meter)
             root_label = labels[ordered[0]]
@@ -364,7 +355,6 @@ class SteinerTreeSearch:
                     self.ordered,
                     self.bridges,
                     self.meter,
-                    completion_fn=self._completion_fn,
                 )
             else:
                 w, completion = _completion_branch_terminal(

@@ -60,6 +60,7 @@ import zlib
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import ReproError
+from repro.graphs.fastgraph import resolve_backend
 
 #: Envelope magic + version tag.
 SNAPSHOT_MAGIC = b"RSNAP1\n"
@@ -144,16 +145,19 @@ def unpack_snapshot(
     """Validate the envelope and deserialize the state payload.
 
     Every ``expect_*`` argument that is not ``None`` must match the
-    header exactly — the caller states what it is resuming against, and
-    a snapshot taken for anything else is rejected *before* the payload
-    is unpickled.  Returns ``(header, state)``.
+    header exactly (backends after alias resolution) — the caller states
+    what it is resuming against, and a snapshot taken for anything else
+    is rejected *before* the payload is unpickled.  Returns
+    ``(header, state)``.
     """
     header = read_snapshot_header(blob)
     if expect_kind is not None and header["kind"] != expect_kind:
         raise SnapshotError(
             f"snapshot is for kind {header['kind']!r}, not {expect_kind!r}"
         )
-    if expect_backend is not None and header["backend"] != expect_backend:
+    if expect_backend is not None and resolve_backend(
+        header["backend"]
+    ) != resolve_backend(expect_backend):
         raise SnapshotError(
             f"snapshot was taken on backend {header['backend']!r}, "
             f"not {expect_backend!r}"

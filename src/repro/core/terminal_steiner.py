@@ -64,7 +64,6 @@ from repro.graphs.fastgraph import (
 from repro.graphs.graph import Graph
 from repro.graphs.spanning import prune_non_terminal_leaves, spanning_tree_edges
 from repro.graphs.traversal import connected_components
-from repro.graphs.vecgraph import VecGraph, vec_spanning_forest
 from repro.paths.fastpaths import (
     FastPathSearch,
     fast_set_path_search,
@@ -103,7 +102,6 @@ class _Component:
         "work_graph",
         "_kernel",
         "_kernel_c",
-        "kernel_cls",
     )
 
     def kernel(self, n_space: int) -> FastGraph:
@@ -114,25 +112,18 @@ class _Component:
         incidence order is the same subsequence either way.
         """
         if self._kernel is None:
-            self._kernel = self.kernel_cls.from_graph(
-                self.work_graph, n_space=n_space
-            )
+            self._kernel = FastGraph.from_graph(self.work_graph, n_space=n_space)
         return self._kernel
 
     def kernel_c(self, n_space: int) -> FastGraph:
         """``G[C]`` compiled once as a kernel (fast backend): the
         substrate for the per-node spanning/flag completion step."""
         if self._kernel_c is None:
-            self._kernel_c = self.kernel_cls.from_graph(
-                self.graph_c, n_space=n_space
-            )
+            self._kernel_c = FastGraph.from_graph(self.graph_c, n_space=n_space)
         return self._kernel_c
 
     def __init__(self, graph: Graph, vertices: Set[Vertex], terminals, meter):
         self.vertices = vertices
-        # Components compiled from a vector kernel stay vector kernels,
-        # so the per-component path searches keep the numpy subroutines.
-        self.kernel_cls = type(graph) if isinstance(graph, FastGraph) else FastGraph
         # G[C]: the interior graph; its bridges are static for the whole
         # component's enumeration subtree (Lemma 16 applied inside C).
         self.graph_c = graph.subgraph(vertices)
@@ -281,14 +272,9 @@ def _fast_completion_and_flags(
     """
     kc = comp.kernel_c(n_space)
     interior_required = [e for e in state.edges if kc.has_edge_id(e)]
-    if isinstance(kc, VecGraph):
-        spanning, _forest_parent = vec_spanning_forest(
-            kc, required=interior_required, meter=meter
-        )
-    else:
-        spanning, _forest_parent = fast_spanning_forest(
-            kc, required=interior_required, meter=meter
-        )
+    spanning, _forest_parent = fast_spanning_forest(
+        kc, required=interior_required, meter=meter
+    )
     eu, esum = kc._eu, kc._esum
     bridges = comp.bridges_c
     parent: Dict[int, int] = {}
@@ -413,14 +399,14 @@ class TerminalSteinerSearch:
         improved: bool = True,
         backend: str = "object",
     ) -> None:
-        check_backend(backend, kind="terminal-steiner")
+        backend = check_backend(backend, kind="terminal-steiner")
         self.meter = meter
         self.improved = improved
         self.backend = backend
-        self.fast = backend in ("fast", "vector")
+        self.fast = backend == "fast"
         self.input_terminals: List[Vertex] = list(terminals)
         if self.fast:
-            fg, index = compile_undirected(graph, vec=backend == "vector")
+            fg, index = compile_undirected(graph)
             self.graph = fg  # FastGraph implements the Graph protocol
             terminals = map_query_vertices(index, terminals)
         else:

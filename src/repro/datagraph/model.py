@@ -38,6 +38,7 @@ from typing import (
 
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.digraph import DiGraph
+from repro.graphs.fastgraph import resolve_backend
 from repro.graphs.graph import Graph
 
 Node = Hashable
@@ -102,13 +103,8 @@ class CompiledQuery(NamedTuple):
     kernel: Any
 
     def instance(self, backend: str) -> Any:
-        """The enumeration substrate for ``backend``.
-
-        The shared :class:`FastGraph` kernel also serves the vector
-        backend: the kind machines promote it with
-        ``VecGraph.from_kernel`` (a flat-array copy, no relabeling).
-        """
-        return self.kernel if backend in ("fast", "vector") else self.graph
+        """The enumeration substrate for ``backend`` (aliases resolved)."""
+        return self.kernel if resolve_backend(backend) == "fast" else self.graph
 
 
 class CompiledDirectedQuery(NamedTuple):
@@ -123,8 +119,8 @@ class CompiledDirectedQuery(NamedTuple):
     kernel: Any
 
     def instance(self, backend: str) -> Any:
-        """The enumeration substrate for ``backend``."""
-        return self.kernel if backend == "fast" else self.digraph
+        """The enumeration substrate for ``backend`` (aliases resolved)."""
+        return self.kernel if resolve_backend(backend) == "fast" else self.digraph
 
 
 def compile_query(query: QueryGraph) -> CompiledQuery:

@@ -47,6 +47,7 @@ from repro.engine.jobs import (
     structure_line,
 )
 from repro.exceptions import CursorStateError, InvalidInstanceError
+from repro.graphs.fastgraph import resolve_backend
 
 import time
 
@@ -317,7 +318,7 @@ class EnumerationCursor:
             return None  # unreadable envelope: replay still works
         if (
             header["kind"] != self.job.kind
-            or header["backend"] != self.job.backend
+            or resolve_backend(header["backend"]) != self.job.backend
             or header["fingerprint"] != job_fingerprint(self.job)
         ):
             raise CursorStateError(

@@ -50,6 +50,7 @@ from repro.core.capabilities import require_backend, spec as kind_spec
 from repro.enumeration.delay import CostMeter
 from repro.exceptions import InvalidInstanceError, ReproError
 from repro.graphs.digraph import DiGraph
+from repro.graphs.fastgraph import resolve_backend
 from repro.graphs.graph import Graph
 
 Vertex = Hashable
@@ -168,7 +169,9 @@ class EnumerationJob:
         ``"object"`` (reference) or ``"fast"`` (integer kernel,
         :mod:`repro.graphs.fastgraph`).  Both produce the same solution
         stream on the engine's integer-relabeled instances; ``"fast"``
-        is measurably quicker on the path-driven enumerators.
+        is measurably quicker on the path-driven enumerators.  An alias
+        is resolved on construction
+        (:func:`~repro.graphs.fastgraph.resolve_backend`).
 
     Examples
     --------
@@ -194,6 +197,9 @@ class EnumerationJob:
     shards: int = 1
     job_id: Optional[str] = None
     backend: str = "object"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "backend", resolve_backend(self.backend))
 
     # ------------------------------------------------------------------
     # constructors

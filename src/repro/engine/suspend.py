@@ -41,6 +41,7 @@ from repro.engine.jobs import (
     structure_line,
 )
 from repro.exceptions import CursorStateError, InvalidInstanceError
+from repro.graphs.fastgraph import resolve_backend
 
 from repro.enumeration.events import SOLUTION
 
@@ -80,7 +81,7 @@ def snapshot_usable(
         return True
     return (
         header.get("kind") == job.kind
-        and header.get("backend") == job.backend
+        and resolve_backend(header["backend"]) == job.backend
         and header.get("fingerprint") == job_fingerprint(job)
     )
 
@@ -155,7 +156,7 @@ class JobSearch:
                 instance, self._source, self._target, meter=meter, backend=backend
             )
         elif kind == "st-path":
-            if backend in ("fast", "vector"):
+            if backend == "fast":
                 from repro.paths.fastpaths import fast_st_path_search
 
                 self._machine = fast_st_path_search(
@@ -215,12 +216,10 @@ class JobSearch:
         elif job.kind == "st-path":
             self._source = self._query_vertex(index_of, job.source)
             self._target = self._query_vertex(index_of, job.target)
-            if job.backend in ("fast", "vector"):
+            if job.backend == "fast":
                 from repro.core.backend import compile_undirected
 
-                self._substrate, _idx = compile_undirected(
-                    instance, vec=job.backend == "vector"
-                )
+                self._substrate, _idx = compile_undirected(instance)
             else:
                 self._substrate = instance
 
@@ -374,7 +373,7 @@ class JobSearch:
                 search._instance, inner, meter
             )
         elif kind == "st-path":
-            if job.backend in ("fast", "vector"):
+            if job.backend == "fast":
                 from repro.paths.fastpaths import FastPathSearch
 
                 search._machine = FastPathSearch.restore(

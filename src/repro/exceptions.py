@@ -85,17 +85,15 @@ class UnsupportedBackendError(InvalidInstanceError):
     existing ``except`` clauses keep working.
     """
 
-    def __init__(self, backend, supported, kind=None, reason=None):
+    def __init__(self, backend, supported, kind=None):
         where = f" for kind {kind!r}" if kind is not None else ""
-        why = f" ({reason})" if reason is not None else ""
         super().__init__(
             f"unsupported backend {backend!r}{where}; "
-            f"expected one of {sorted(supported)}{why}"
+            f"expected one of {sorted(supported)}"
         )
         self.backend = backend
         self.supported = tuple(supported)
         self.kind = kind
-        self.reason = reason
 
 
 class ClawFreeViolation(InvalidInstanceError):

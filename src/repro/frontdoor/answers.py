@@ -165,7 +165,7 @@ class AnswerEngine:
         (unknown dataset/keyword, bad k/model/backend); the server maps
         those to 4xx responses.
         """
-        check_backend(backend)
+        backend = check_backend(backend)
         if not isinstance(k, int) or k < 1 or k > MAX_K:
             raise InvalidInstanceError(f"k must be in 1..{MAX_K}, got {k!r}")
         keywords = [str(kw) for kw in keywords if str(kw)]

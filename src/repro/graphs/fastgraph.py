@@ -137,6 +137,10 @@ class FastGraph:
         "_pairs_version",
         "_nbrs",
         "_nbrs_version",
+        "_bits",
+        "_bits_version",
+        "_forest",
+        "_forest_version",
         "_scratch",
     )
 
@@ -173,6 +177,10 @@ class FastGraph:
         self._pairs_version = -1
         self._nbrs: Optional[List[List[int]]] = None
         self._nbrs_version = -1
+        self._bits: Optional[Tuple[List[int], List[int]]] = None
+        self._bits_version = -1
+        self._forest: Optional[List[int]] = None
+        self._forest_version = -1
         self._scratch: Optional[tuple] = None  # shared sweep buffers
 
     # ------------------------------------------------------------------
@@ -836,6 +844,55 @@ class FastGraph:
             ]
             self._nbrs_version = self.version
         return self._nbrs
+
+    def bit_rows(self) -> Tuple[List[int], List[int]]:
+        """Per-vertex adjacency bit masks and degrees, cached.
+
+        ``adj[v]`` has bit ``w`` set iff a live edge joins ``v`` and
+        ``w``; ``deg[v]`` is the live degree (multiedges counted).  The
+        bitset sweeps of :mod:`repro.paths.fastpaths` expand whole
+        frontiers by OR-ing these rows.  Rebuilt lazily after any
+        mutation; callers that patch a row must copy ``adj`` first.
+        """
+        if self._bits is None or self._bits_version != self.version:
+            adj: List[int] = []
+            deg: List[int] = []
+            for row in self.neighbor_lists():
+                acc = 0
+                for w in row:
+                    acc |= 1 << w
+                adj.append(acc)
+                deg.append(len(row))
+            self._bits = (adj, deg)
+            self._bits_version = self.version
+        return self._bits
+
+    def base_forest(self) -> List[int]:
+        """Eids of the greedy spanning forest (no required edges), in
+        scan order, cached per version; see :func:`fast_spanning_forest`
+        for why every forced scan can be restricted to it."""
+        if self._forest is None or self._forest_version != self.version:
+            parent = list(range(self.n_space))
+            chosen: List[int] = []
+            eu, ev = self._eu, self._ev
+            alive = self._edge_alive
+            for eid in self._eorder:
+                if not alive[eid]:
+                    continue
+                ru = eu[eid]
+                while parent[ru] != ru:
+                    parent[ru] = parent[parent[ru]]
+                    ru = parent[ru]
+                rv = ev[eid]
+                while parent[rv] != rv:
+                    parent[rv] = parent[parent[rv]]
+                    rv = parent[rv]
+                if ru != rv:
+                    parent[ru] = rv
+                    chosen.append(eid)
+            self._forest = chosen
+            self._forest_version = self.version
+        return self._forest
 
 
 # ----------------------------------------------------------------------
@@ -1710,6 +1767,17 @@ def fast_spanning_forest(
     The parent array answers same-component queries about the spanning
     forest for free (the completion helper uses it for the terminal
     connectivity check and the component restriction).
+
+    The scan after ``required`` visits only :meth:`FastGraph.base_forest`.
+    *Forcing lemma:* with distinct scan positions, any edge the forced
+    greedy picks outside ``required`` lies in the base forest — if ``e``
+    does not, every edge of the base-forest path joining its endpoints
+    precedes ``e`` in the scan, and each leaves the forced run connected
+    wherever it left the free run connected, so ``e``'s endpoints are
+    already joined when ``e`` comes up.  Scanning ``required + base
+    forest`` in the global order therefore yields the same chosen set
+    and the same component partition as the full scan, at ``O(n)`` per
+    call on a kernel that stays static between calls.
     """
     from repro.exceptions import NotATreeError
 
@@ -1729,12 +1797,8 @@ def fast_spanning_forest(
             raise NotATreeError("required edge set contains a cycle")
         parent[ru] = rv
         chosen.add(eid)
-    ops = 0
-    alive = fg._edge_alive
-    for eid in fg._eorder:
-        if not alive[eid]:
-            continue
-        ops += 1
+    forest = fg.base_forest()
+    for eid in forest:
         if eid in chosen:
             continue
         ru = eu[eid]
@@ -1748,8 +1812,8 @@ def fast_spanning_forest(
         if ru != rv:
             parent[ru] = rv
             chosen.add(eid)
-    if meter is not None and ops:
-        meter.tick(ops)
+    if meter is not None and forest:
+        meter.tick(len(forest))
     return chosen, parent
 
 
@@ -1806,51 +1870,38 @@ def fast_minimal_steiner_completion(
 # backend selection helpers (re-exported by repro.core.backend)
 # ----------------------------------------------------------------------
 #: Recognized enumeration backends.
-BACKENDS: Tuple[str, ...] = ("object", "fast", "vector")
+BACKENDS: Tuple[str, ...] = ("object", "fast")
+
+
+def resolve_backend(backend: str) -> str:
+    """Map a requested backend name to the backend that serves it.
+
+    ``"vector"`` — the name of the retired third backend — is an alias
+    of ``"fast"``, whose density rule picks the same bitset sweeps by
+    itself.  Every place a backend name arrives (job specs, HTTP,
+    the CLI, ``backend=`` keywords, snapshot and checkpoint headers)
+    resolves it here, so nothing below sees the alias.
+    """
+    return "fast" if backend == "vector" else backend
 
 
 def check_backend(
-    backend: str,
-    kind: Optional[str] = None,
-    supported: Optional[Tuple[str, ...]] = None,
+    backend: str, kind: Optional[str] = None, supported: Tuple[str, ...] = BACKENDS
 ) -> str:
-    """Validate a backend name; returns it for chaining.
+    """Validate a backend name; returns the resolved name.
 
     Raises :class:`~repro.exceptions.UnsupportedBackendError` — the
     uniform rejection every ``backend=`` entry point shares — naming
-    the enumerator ``kind`` when the caller supplies one.  For
-    ``"vector"`` two extra gates apply: numpy must be importable, and
-    when ``kind`` is a registry kind its :class:`KindSpec` must claim
-    the backend.  Kinds outside the registry narrow the accepted set
-    explicitly via ``supported`` (e.g. the scalar-only ZDD / FK /
-    group-Steiner entry points pass ``("object", "fast")``).
+    the enumerator ``kind`` when the caller supplies one.  Aliases are
+    resolved first (:func:`resolve_backend`); callers must branch on
+    the returned name.
     """
-    if backend not in BACKENDS:
-        from repro.exceptions import UnsupportedBackendError
-
-        raise UnsupportedBackendError(backend, BACKENDS, kind=kind)
-    if supported is not None and backend not in supported:
+    resolved = resolve_backend(backend)
+    if resolved not in supported:
         from repro.exceptions import UnsupportedBackendError
 
         raise UnsupportedBackendError(backend, supported, kind=kind)
-    if backend == "vector":
-        from repro.exceptions import UnsupportedBackendError
-        from repro.graphs.vecgraph import vec_available
-
-        if not vec_available():
-            raise UnsupportedBackendError(
-                backend,
-                ("object", "fast"),
-                kind=kind,
-                reason="numpy is not installed",
-            )
-        if kind is not None:
-            from repro.core.capabilities import KIND_REGISTRY
-
-            spec = KIND_REGISTRY.get(kind)
-            if spec is not None and "vector" not in spec.backends:
-                raise UnsupportedBackendError(backend, spec.backends, kind=kind)
-    return backend
+    return resolved
 
 
 def compile_undirected(
@@ -1860,29 +1911,11 @@ def compile_undirected(
 
     Returns ``(kernel, index)`` where ``index`` maps original vertex
     labels to kernel ids, or ``None`` when the instance was already
-    integer-compact (ids coincide) or already a kernel.  Edge ids are
-    preserved either way.  With ``vec=True`` the result is a
-    :class:`repro.graphs.vecgraph.VecGraph` (an already-compiled fast
-    kernel is promoted by copy; a vector kernel passes through).
+    integer-compact (ids coincide) or already a kernel (returned as
+    is).  Edge ids are preserved either way.  ``vec`` is accepted and
+    ignored: the ``"vector"`` backend it used to select is an alias of
+    ``"fast"``.
     """
-    if vec:
-        from repro.graphs.vecgraph import VecGraph
-
-        if isinstance(graph, VecGraph):
-            return graph, None
-        if isinstance(graph, FastGraph):
-            return VecGraph.from_kernel(graph), None
-        if is_integer_compact(graph):
-            return VecGraph.from_graph(graph), None
-        index_v: Dict[object, int] = {}
-        vg = VecGraph()
-        for v in graph.vertices():
-            i = len(index_v)
-            index_v[v] = i
-            vg.add_vertex(i)
-        for edge in graph.edges():
-            vg.add_edge(index_v[edge.u], index_v[edge.v], eid=edge.eid)
-        return vg, index_v
     if isinstance(graph, FastGraph):
         return graph, None
     if is_integer_compact(graph):

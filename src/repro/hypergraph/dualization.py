@@ -390,7 +390,7 @@ def enumerate_minimal_transversals_fk(
     >>> [sorted(t) for t in enumerate_minimal_transversals_fk(h)]
     [[2], [1, 3]]
     """
-    check_backend(backend, kind="fk-dualization", supported=("object", "fast"))
+    backend = check_backend(backend, kind="fk-dualization")
     if backend == "fast":
         yield from _fast_fk_transversals(hypergraph)
         return

@@ -29,6 +29,14 @@ byte-identical to the object backend's on instances with plain-int
 vertices (the engine's relabeled normal form); the property tests in
 ``tests/test_backend_equivalence.py`` pin this down.
 
+**Sweep strategies.**  Undirected contexts run their reachability
+sweeps (F-STP's backward pass, Lemma 11's extendibility roll) in one of
+two decision-identical ways, chosen per context from the kernel's live
+size (:data:`BITSET_MIN_DEGREE`): scalar sweeps over the incidence
+lists, or bitset sweeps that expand whole frontiers by OR-ing the
+kernel's adjacency masks (:meth:`FastGraph.bit_rows`).  Both compute
+the same reach *set*; nothing observes the order it was found in.
+
 Masked enumeration: ``excluded`` vertices are pre-blocked, which is
 stream-equivalent to deleting them from the graph (the generic backend
 builds vertex-induced subcopies instead); the terminal-Steiner
@@ -52,6 +60,12 @@ from repro.paths.read_tarjan import Path
 
 _SRC = 1  # status bit: vertex is in S (arcs into it dropped)
 _TGT = 2  # status bit: vertex is in T (arcs out of it dropped)
+
+#: Average degree (``2m / n`` over the live kernel) from which an
+#: undirected context takes the bitset sweeps.  Measured crossover of
+#: bitset over scalar wall on tree-plus-chords graphs with n = 120-480;
+#: see the dense-strategy section of docs/guides/graphs.md.
+BITSET_MIN_DEGREE = 24
 
 
 class _Ctx:
@@ -83,7 +97,9 @@ class _Ctx:
     parc: List[int]
     excl: List[int]
     blk_list: List[int]
-    vec: Optional[object]
+    bits: Optional["_BitView"]
+    backward: Any
+    extendible: Any
 
     __slots__ = (
         "n2",
@@ -112,7 +128,9 @@ class _Ctx:
         "parc",
         "excl",
         "blk_list",
-        "vec",
+        "bits",
+        "backward",
+        "extendible",
     )
 
 
@@ -152,14 +170,19 @@ def _und_ctx(
     if scratch is None or len(scratch[0]) < ctx.n2:
         scratch = fg._scratch = ([0] * ctx.n2, [0] * ctx.n2, [0] * ctx.n2, [0])
     ctx.vis, ctx.pvert, ctx.parc, ctx.vbox = scratch
-    # A VecGraph kernel switches the machine to the numpy subroutines
-    # (duck-typed on the CSR accessor so this module never needs numpy).
-    if hasattr(fg, "csr"):
-        from repro.paths.vecpaths import make_vec_view
-
-        ctx.vec = make_vec_view(fg, ctx)
+    plain = not (src_list or tgt_list)
+    n_live, m_live = fg.num_vertices, fg.num_edges
+    # Bitset sweeps from the measured degree crossover on, as long as
+    # the rows (n_live masks of n bits) stay within the footprint of
+    # the incidence lists themselves (2m entries of >= 64 bytes).
+    if 2 * m_live >= BITSET_MIN_DEGREE * n_live and n_live * n <= 1024 * m_live:
+        ctx.bits = _bit_view(fg, ctx)
+        ctx.backward = _backward_und_plain_bits if plain else _backward_und_bits
+        ctx.extendible = _extendible_und_plain_bits if plain else _extendible_und_bits
     else:
-        ctx.vec = None
+        ctx.bits = None
+        ctx.backward = _backward_und_plain if plain else _backward_und
+        ctx.extendible = _extendible_und_plain if plain else _extendible_und
     return ctx
 
 
@@ -194,7 +217,9 @@ def _dir_ctx(
     if scratch is None or len(scratch[0]) < ctx.n2:
         scratch = fd._scratch = ([0] * ctx.n2, [0] * ctx.n2, [0] * ctx.n2, [0])
     ctx.vis, ctx.pvert, ctx.parc, ctx.vbox = scratch
-    ctx.vec = None  # the vector backend covers undirected kinds only
+    ctx.bits = None
+    ctx.backward = _backward_dir
+    ctx.extendible = _extendible_dir
     return ctx
 
 
@@ -275,7 +300,7 @@ def _find_path_und(
     t_star = ctx.t_star
     reach = frame.reach
     if reach is None:
-        reach = frame.reach = _backward_und(ctx, source, target)
+        reach = frame.reach = ctx.backward(ctx, source, target)
     ops = 0
 
     # Scan the outgoing arcs of `source` in the fixed order.
@@ -339,16 +364,19 @@ def _find_path_und(
     pop = stack.pop
     aux_t = ctx.aux_t
     tindex = ctx.tindex
+    # Parent pointers are first-write-wins, so the path back from
+    # ``target`` is fixed the moment ``target`` is discovered: stop there.
+    hit = False
     while stack:
         v = pop()
-        if v == target:
-            break
         if status[v] & _TGT:
             ops += 1
             if vis[t_star] != vgen and reach[t_star] == 1:
                 vis[t_star] = vgen
                 pvert[t_star] = v
                 parc[t_star] = aux_t + tindex[v]
+                if t_star == target:
+                    break
                 push(t_star)
             continue
         lst = pairs[v]
@@ -359,7 +387,12 @@ def _find_path_und(
             vis[w] = vgen
             pvert[w] = v
             parc[w] = (e << 1) | (eu[e] != v)
+            if w == target:
+                hit = True
+                break
             push(w)
+        if hit:
+            break
     if ctx.meter is not None and ops:
         ctx.meter.tick(ops)
     arcs: List[int] = []
@@ -426,7 +459,7 @@ def _find_path_dir(
     t_star = ctx.t_star
     reach = frame.reach
     if reach is None:
-        reach = frame.reach = _backward_dir(ctx, source, target)
+        reach = frame.reach = ctx.backward(ctx, source, target)
     ops = 0
 
     started = after_arc is None
@@ -815,7 +848,7 @@ def _find_path_und_plain(
     eu = ctx.eu
     reach = frame.reach
     if reach is None:
-        reach = frame.reach = _backward_und_plain(ctx, source, target)
+        reach = frame.reach = ctx.backward(ctx, source, target)
     ops = 0
 
     started = after_arc is None
@@ -853,23 +886,25 @@ def _find_path_und_plain(
     stack = [chead]
     push = stack.append
     pop = stack.pop
+    hit = False  # early exit on discovering target, as in _find_path_und
     if ctx.meter is None:
         while stack:
             v = pop()
-            if v == target:
-                break
             for e, w in pairs[v]:
                 if vis[w] == vgen or reach[w] != 1:
                     continue
                 vis[w] = vgen
                 pvert[w] = v
                 parc[w] = (e << 1) | (eu[e] != v)
+                if w == target:
+                    hit = True
+                    break
                 push(w)
+            if hit:
+                break
     else:
         while stack:
             v = pop()
-            if v == target:
-                break
             lst = pairs[v]
             ops += len(lst)
             for e, w in lst:
@@ -878,7 +913,12 @@ def _find_path_und_plain(
                 vis[w] = vgen
                 pvert[w] = v
                 parc[w] = (e << 1) | (eu[e] != v)
+                if w == target:
+                    hit = True
+                    break
                 push(w)
+            if hit:
+                break
         if ops:
             ctx.meter.tick(ops)
     arcs: List[int] = []
@@ -994,6 +1034,418 @@ def _extendible_und_plain(
     return ext
 
 
+# ----------------------------------------------------------------------
+# bitset sweeps (undirected, chosen per context by BITSET_MIN_DEGREE)
+# ----------------------------------------------------------------------
+class _BitView:
+    """Per-context bitset state: adjacency masks plus static seeds.
+
+    ``adj`` is a private copy of the kernel's :meth:`FastGraph.bit_rows`
+    masks (the Lemma 11 rolls patch one row at a time and restore it).
+    ``tmpl`` / ``tmpl_plain`` hold the static reach seeding (targets and
+    excluded vertices) as one little-endian int over the reach bytes;
+    ``banned`` / ``banned_plain`` are the same vertices as a bit mask.
+    Dynamic seeds (blocked list, prefix, source, target) are added per
+    sweep.
+    """
+
+    __slots__ = (
+        "adj",
+        "deg",
+        "expand_mask",
+        "src_bits",
+        "banned",
+        "banned_plain",
+        "tgt2_bits",
+        "tmpl",
+        "tmpl_plain",
+    )
+
+
+def _bit_view(fg: FastGraph, ctx: _Ctx) -> _BitView:
+    adj0, deg = fg.bit_rows()
+    bv = _BitView()
+    bv.adj = list(adj0)
+    bv.deg = deg
+    n = len(adj0)
+    src_bits = 0
+    for v in ctx.src_list:
+        src_bits |= 1 << v
+    bv.expand_mask = ((1 << n) - 1) & ~src_bits
+    bv.src_bits = src_bits
+    tmpl = bytearray(ctx.n2)
+    banned = 0
+    for w in ctx.tgt_list:
+        tmpl[w] = 2
+        banned |= 1 << w
+    tmpl_plain = bytearray(ctx.n2)
+    banned_plain = 0
+    for v in ctx.excl:
+        tmpl[v] = tmpl_plain[v] = 3
+        banned_plain |= 1 << v
+    tgt2 = 0
+    for w in ctx.tgt_list:
+        if tmpl[w] == 2:
+            tgt2 |= 1 << w
+    bv.tmpl = int.from_bytes(tmpl, "little")
+    bv.tmpl_plain = int.from_bytes(tmpl_plain, "little")
+    bv.banned = banned | banned_plain
+    bv.banned_plain = banned_plain
+    bv.tgt2_bits = tgt2
+    return bv
+
+
+def _bitsweep(
+    bv: _BitView, frontier: int, visited: int, metered: bool
+) -> Tuple[int, int]:
+    """Flood backward from ``frontier``, one whole frontier per step.
+
+    ``visited`` holds every vertex already assigned a nonzero reach
+    value (the seeds), so ``& ~visited`` is the single admission test,
+    exactly as ``reach[x] == 0`` is in the scalar sweeps; S-vertices
+    absorb without expanding.  Returns ``(ones, ops)``: the newly
+    reached vertex set and the meter op count.
+    """
+    adj = bv.adj
+    deg = bv.deg
+    expand = bv.expand_mask
+    ones = 0
+    ops = 0
+    while True:
+        m = frontier & expand
+        if not m:
+            break
+        acc = 0
+        if metered:
+            while m:
+                b = m & -m
+                v = b.bit_length() - 1
+                ops += deg[v]
+                acc |= adj[v]
+                m ^= b
+        else:
+            while m:
+                b = m & -m
+                acc |= adj[b.bit_length() - 1]
+                m ^= b
+        frontier = acc & ~visited
+        if not frontier:
+            break
+        visited |= frontier
+        ones |= frontier
+    return ones, ops
+
+
+def _row_without_edge(ctx: _Ctx, v: int, e: int) -> int:
+    """Adjacency mask of ``v`` without the incidence entry of edge ``e``
+    (a parallel edge keeps its own entry, so multiedges stay usable)."""
+    acc = 0
+    for e2, w in ctx.pairs[v]:
+        if e2 != e:
+            acc |= 1 << w
+    return acc
+
+
+def _sweep_without_arc(
+    ctx: _Ctx, excluded: int, frontier: int, visited: int, metered: bool
+) -> Tuple[int, int]:
+    """:func:`_bitsweep` that never crosses the edge of arc ``excluded``
+    toward its tail — the scalar sweeps' ``== excluded`` skip.  That
+    single entry lives in the row of ``excluded``'s head, which is
+    patched for the sweep and restored."""
+    bv = ctx.bits
+    e = excluded >> 1
+    head = ctx.eu[e] if excluded & 1 else ctx.esum[e] - ctx.eu[e]
+    adj = bv.adj
+    saved = adj[head]
+    adj[head] = _row_without_edge(ctx, head, e)
+    try:
+        return _bitsweep(bv, frontier, visited, metered)
+    finally:
+        adj[head] = saved
+
+
+#: Byte ``b`` -> eight 0/1 bytes, byte ``i`` holding bit ``i`` of ``b``.
+_BYTE_BITS = [bytes((b >> i) & 1 for i in range(8)) for b in range(256)]
+
+
+def _final_reach(tmpl: int, ones: int, n: int, n2: int) -> bytearray:
+    """Template plus swept vertex set, as the scalar consumers' reach
+    bytearray.
+
+    ``ones`` only covers vertices whose template byte is 0 (every
+    nonzero seed is in the sweep's visited mask), so OR-ing the 0/1
+    bytes into the template reproduces the scalar values; the caller
+    then writes the dynamic seeds in the scalar seeding order.
+    """
+    if ones:
+        spread = b"".join(
+            map(_BYTE_BITS.__getitem__, ones.to_bytes((n + 7) >> 3, "little"))
+        )
+        tmpl |= int.from_bytes(spread, "little")
+    return bytearray(tmpl.to_bytes(n2, "little"))
+
+
+def _backward_und_bits(ctx: _Ctx, source: int, target: int) -> bytearray:
+    """Bitset :func:`_backward_und`: the same reach bytes."""
+    bv = ctx.bits
+    n = len(bv.adj)
+    blk = ctx.blk_list
+    blk_bits = 0
+    for v in blk:
+        if v < n:
+            blk_bits |= 1 << v
+    visited = bv.banned | blk_bits
+    ops = 0
+    frontier = 0
+    seeds = 0
+    if target >= ctx.s_star:
+        if target == ctx.t_star:
+            ops += len(ctx.tgt_list)
+            seeds = bv.tgt2_bits & ~blk_bits
+            if source < n:
+                seeds &= ~(1 << source)
+            frontier = seeds
+    else:
+        frontier = 1 << target
+        visited |= frontier
+    if source < n:
+        visited |= 1 << source
+    ones, sweep_ops = _bitsweep(bv, frontier, visited, ctx.meter is not None)
+    ops += sweep_ops
+    if ctx.meter is not None and ops:
+        ctx.meter.tick(ops)
+    out = _final_reach(bv.tmpl, ones, n, ctx.n2)
+    for v in blk:
+        out[v] = 3
+    out[target] = 1
+    out[source] = 3
+    s = seeds
+    while s:
+        b = s & -s
+        out[b.bit_length() - 1] = 1
+        s ^= b
+    return out
+
+
+def _backward_und_plain_bits(ctx: _Ctx, source: int, target: int) -> bytearray:
+    """Bitset :func:`_backward_und_plain`: the same reach bytes."""
+    bv = ctx.bits
+    n = len(bv.adj)
+    blk = ctx.blk_list
+    blk_bits = 0
+    for v in blk:
+        blk_bits |= 1 << v
+    frontier = 1 << target
+    visited = bv.banned_plain | blk_bits | (1 << source) | frontier
+    ones, ops = _bitsweep(bv, frontier, visited, ctx.meter is not None)
+    if ctx.meter is not None and ops:
+        ctx.meter.tick(ops)
+    out = _final_reach(bv.tmpl_plain, ones, n, ctx.n2)
+    for v in blk:
+        out[v] = 3
+    out[source] = 3
+    out[target] = 1
+    return out
+
+
+def _extendible_und_bits(
+    ctx: _Ctx, q_arcs: Sequence[int], q_vertices: Sequence[int], target: int
+) -> List[int]:
+    """Bitset :func:`_extendible_und`: the same extendible indices.
+
+    The full ``j = k-1`` pass and the decremental roll are both
+    membership-only, so the reach values stay in the bit domain:
+    ``ones`` / ``twos`` / ``threes`` masks track the scalar byte values
+    1/2/3, the super source's cell lives in ``s_val`` and the super
+    target's in ``t_val``, and each roll step's re-flood is one sweep.
+    """
+    k = len(q_vertices)
+    if k <= 2:
+        return []
+    eu = ctx.eu
+    esum = ctx.esum
+    s_star = ctx.s_star
+    t_star = ctx.t_star
+    aux_s = ctx.aux_s
+    aux_t = ctx.aux_t
+    bv = ctx.bits
+    adj = bv.adj
+    deg = bv.deg
+    n = len(adj)
+    metered = ctx.meter is not None
+    src_bits = bv.src_bits
+    ops = 0
+
+    blk_bits = 0
+    for v in ctx.blk_list:
+        if v < n:
+            blk_bits |= 1 << v
+    pfx_bits = 0
+    for v in q_vertices[: k - 2]:
+        if v < n:
+            pfx_bits |= 1 << v
+    threes = (bv.banned & ~bv.tgt2_bits) | blk_bits | pfx_bits
+    base2 = bv.tgt2_bits & ~blk_bits & ~pfx_bits
+    ones = 0
+    frontier = 0
+    t_val = 0
+    s_val = 0
+    excluded = q_arcs[k - 2]
+    if target >= s_star:
+        if target == t_star:
+            t_val = 1
+            ops += len(ctx.tgt_list)
+            seeds = base2
+            if excluded >= aux_t:
+                w_skip = ctx.tgt_list[excluded - aux_t]
+                if w_skip < n:
+                    seeds &= ~(1 << w_skip)
+            frontier = seeds
+            ones = seeds
+            base2 &= ~seeds
+    else:
+        tb = 1 << target
+        if not tb & pfx_bits:
+            threes &= ~tb
+            base2 &= ~tb
+            ones |= tb
+        frontier = tb
+    twos = base2
+
+    if excluded < aux_s:
+        swept, sweep_ops = _sweep_without_arc(
+            ctx, excluded, frontier, ones | twos | threes, metered
+        )
+    else:
+        swept, sweep_ops = _bitsweep(bv, frontier, ones | twos | threes, metered)
+    ops += sweep_ops
+    ones |= swept
+
+    ext: List[int] = []
+    if (ones >> q_vertices[k - 2]) & 1:
+        ext.append(k - 1)
+
+    # Decremental roll: one re-flood per j, all masks.
+    for j in range(k - 2, 1, -1):
+        vj = q_vertices[j - 1]
+        vb = 1 << vj
+        ones &= ~vb  # removed.discard(vj): reach[vj] = 0
+        threes &= ~vb
+        excluded = q_arcs[j - 1]
+        ex_e = excluded >> 1  # always a real arc (index >= 1, < k-2)
+        xt = eu[ex_e] if not excluded & 1 else esum[ex_e] - eu[ex_e]
+        row_vj = _row_without_edge(ctx, vj, ex_e) if xt == vj else adj[vj]
+        frontier = 0
+        if metered:
+            ops += deg[vj]
+        if row_vj & ones & ~src_bits:
+            frontier = vb
+            ones |= vb
+        pc = q_arcs[j]
+        ops += 1
+        if pc >= aux_t:
+            tb2 = 1 << ctx.tgt_list[pc - aux_t]
+            if t_val and not (ones | threes) & tb2:
+                frontier |= tb2
+                ones |= tb2
+                twos &= ~tb2
+        elif pc >= aux_s:
+            if not s_val and (ones >> ctx.src_list[pc - aux_s]) & 1:
+                s_val = 1  # s* absorbs: reach[s*] = 1, no expansion
+        else:
+            e2 = pc >> 1
+            tail = eu[e2] if not pc & 1 else esum[e2] - eu[e2]
+            tb2 = 1 << tail
+            if not (ones | threes) & tb2 and (ones >> (esum[e2] - tail)) & 1:
+                frontier |= tb2
+                ones |= tb2
+                twos &= ~tb2
+        if frontier:
+            swept, sweep_ops = _sweep_without_arc(
+                ctx, excluded, frontier, ones | twos | threes, metered
+            )
+            ones |= swept
+            ops += sweep_ops
+        if (ones >> vj) & 1:
+            ext.append(j)
+    if ctx.meter is not None and ops:
+        ctx.meter.tick(ops)
+    return ext
+
+
+def _extendible_und_plain_bits(
+    ctx: _Ctx, q_arcs: Sequence[int], q_vertices: Sequence[int], target: int
+) -> List[int]:
+    """Bitset :func:`_extendible_und_plain`: the same extendible indices
+    (plain mode has no roles, sentinels or 2-valued cells)."""
+    k = len(q_vertices)
+    if k <= 2:
+        return []
+    eu = ctx.eu
+    esum = ctx.esum
+    bv = ctx.bits
+    adj = bv.adj
+    deg = bv.deg
+    metered = ctx.meter is not None
+    ops = 0
+
+    blk_bits = 0
+    for v in ctx.blk_list:
+        blk_bits |= 1 << v
+    pfx_bits = 0
+    for v in q_vertices[: k - 2]:
+        pfx_bits |= 1 << v
+
+    tb = 1 << target
+    threes = (bv.banned_plain | blk_bits | pfx_bits) & ~tb
+    ones = tb
+    swept, sweep_ops = _sweep_without_arc(
+        ctx, q_arcs[k - 2], tb, ones | threes, metered
+    )
+    ops += sweep_ops
+    ones |= swept
+
+    ext: List[int] = []
+    if (ones >> q_vertices[k - 2]) & 1:
+        ext.append(k - 1)
+
+    for j in range(k - 2, 1, -1):
+        vj = q_vertices[j - 1]
+        vb = 1 << vj
+        ones &= ~vb
+        threes &= ~vb
+        excluded = q_arcs[j - 1]
+        ex_e = excluded >> 1
+        xt = eu[ex_e] if not excluded & 1 else esum[ex_e] - eu[ex_e]
+        row_vj = _row_without_edge(ctx, vj, ex_e) if xt == vj else adj[vj]
+        frontier = 0
+        if metered:
+            ops += deg[vj]
+        if row_vj & ones:
+            frontier = vb
+            ones |= vb
+        pc = q_arcs[j]
+        ops += 1
+        e2 = pc >> 1
+        tail = eu[e2] if not pc & 1 else esum[e2] - eu[e2]
+        tb2 = 1 << tail
+        if not (ones | threes) & tb2 and (ones >> (esum[e2] - tail)) & 1:
+            frontier |= tb2
+            ones |= tb2
+        if frontier:
+            swept, sweep_ops = _sweep_without_arc(
+                ctx, excluded, frontier, ones | threes, metered
+            )
+            ones |= swept
+            ops += sweep_ops
+        if (ones >> vj) & 1:
+            ext.append(j)
+    if ctx.meter is not None and ops:
+        ctx.meter.tick(ops)
+    return ext
+
+
 class _Frame:
     """One ``E-STP`` activation (mirrors the generic ``_Frame``)."""
 
@@ -1099,25 +1551,11 @@ class FastPathSearch:
         self.emit = emit
         if ctx.directed:
             self._find_path = _find_path_dir
-            self._extendible = _extendible_dir
         elif ctx.src_list or ctx.tgt_list:
-            if ctx.vec is not None:
-                from repro.paths import vecpaths
-
-                self._find_path = vecpaths._find_path_und_vec
-                self._extendible = vecpaths._extendible_und_vec
-            else:
-                self._find_path = _find_path_und
-                self._extendible = _extendible_und
+            self._find_path = _find_path_und
         else:
-            if ctx.vec is not None:
-                from repro.paths import vecpaths
-
-                self._find_path = vecpaths._find_path_und_plain_vec
-                self._extendible = vecpaths._extendible_und_plain_vec
-            else:
-                self._find_path = _find_path_und_plain
-                self._extendible = _extendible_und_plain
+            self._find_path = _find_path_und_plain
+        self._extendible = ctx.extendible
         self.prefix_arcs: List[int] = []
         self.prefix_vertices: List[int] = []
         self.node_counter = 0

@@ -567,12 +567,11 @@ def enumerate_st_paths_undirected(
     """
     from repro.graphs.fastgraph import check_backend
 
-    check_backend(backend, kind="st-path")
-    if backend in ("fast", "vector"):
+    if check_backend(backend, kind="st-path") == "fast":
         from repro.graphs.fastgraph import compile_undirected
         from repro.paths.fastpaths import fast_enumerate_st_paths_undirected
 
-        fg, index = compile_undirected(graph, vec=backend == "vector")
+        fg, index = compile_undirected(graph)
         if index is None:
             yield from fast_enumerate_st_paths_undirected(fg, source, target, meter)
             return
@@ -710,12 +709,11 @@ def enumerate_set_paths(
     """
     from repro.graphs.fastgraph import check_backend
 
-    check_backend(backend, kind="set-path")
-    if backend in ("fast", "vector"):
+    if check_backend(backend, kind="set-path") == "fast":
         from repro.graphs.fastgraph import compile_undirected
         from repro.paths.fastpaths import fast_enumerate_set_paths
 
-        fg, index = compile_undirected(graph, vec=backend == "vector")
+        fg, index = compile_undirected(graph)
         if index is None:
             yield from fast_enumerate_set_paths(fg, sources, targets, meter)
             return
@@ -945,15 +943,7 @@ def enumerate_set_paths_directed(
     """
     from repro.graphs.fastgraph import check_backend
 
-    check_backend(backend, kind="set-path-directed")
-    if backend == "vector":
-        # The vector kernel covers undirected kinds only.
-        from repro.exceptions import UnsupportedBackendError
-
-        raise UnsupportedBackendError(
-            backend, ("object", "fast"), kind="set-path-directed"
-        )
-    if backend == "fast":
+    if check_backend(backend, kind="set-path-directed") == "fast":
         from repro.graphs.fastgraph import compile_directed
         from repro.paths.fastpaths import fast_enumerate_set_paths_directed
 

@@ -22,11 +22,9 @@ ref.  Workers map the file **read-only** (:mod:`mmap`), so every worker
 process — and every fleet replica pointed at the same store directory —
 shares one physical copy of the instance in the page cache; nothing is
 pickled, and re-publishing an already-spooled instance is a pure
-existence check.  With numpy available the mapped bytes are read
-through a zero-copy :func:`numpy.frombuffer` view; otherwise a
-:class:`memoryview` cast serves the same purpose (both native-endian,
-like the writer — the spool is a same-host handoff, not an interchange
-format).
+existence check.  The mapped bytes are decoded through a
+:class:`memoryview` cast to int32 (native-endian, like the writer — the
+spool is a same-host handoff, not an interchange format).
 
 Only integer-compact instances (every endpoint a non-negative int32 —
 the engine's relabeled normal form, and everything the dataset registry
@@ -44,11 +42,6 @@ import os
 import struct
 import tempfile
 from typing import Any, Dict, Optional, Tuple
-
-try:  # optional accelerator, same contract without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on no-numpy CI legs
-    _np = None
 
 _MAGIC = b"REPROAR1"
 _HEADER = struct.Struct("<QQ")
@@ -166,14 +159,11 @@ def load(ref: Dict[str, Any]) -> Tuple[tuple, tuple]:
                 )
             body = memoryview(mapped)[len(_MAGIC) + _HEADER.size :]
             try:
-                if _np is not None:
-                    flat = _np.frombuffer(body, dtype=_np.int32).tolist()
-                else:
-                    cast = body.cast("i")
-                    try:
-                        flat = cast.tolist()
-                    finally:
-                        cast.release()
+                cast = body.cast("i")
+                try:
+                    flat = cast.tolist()
+                finally:
+                    cast.release()
             finally:
                 # every view must be gone before the map closes
                 body.release()

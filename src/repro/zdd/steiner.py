@@ -279,7 +279,7 @@ def build_steiner_tree_zdd(
     >>> sorted(sorted(s) for s in z)
     [[0, 1, 3], [2, 3]]
     """
-    check_backend(backend, kind="steiner-tree-zdd", supported=("object", "fast"))
+    backend = check_backend(backend, kind="steiner-tree-zdd")
     terms = list(dict.fromkeys(terminals))
     if not terms:
         raise InvalidInstanceError("at least one terminal is required")

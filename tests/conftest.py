@@ -3,16 +3,45 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
-from typing import List, NamedTuple, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, NamedTuple, Optional
 
 import pytest
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
+from repro.paths import fastpaths
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+
+#: The fast backend's two sweep strategies.  The density rule would put
+#: small test instances on the scalar side, so the differential walls
+#: run every fast leg once per strategy with the rule's threshold forced.
+FAST_STRATEGIES = ("bitset", "scalar")
+
+
+@contextmanager
+def sweep_strategy(strategy: str) -> Iterator[None]:
+    """Force the fast backend's sweep strategy inside the block.
+
+    Contexts are built lazily, so a stream must be drained inside the
+    block for the forced strategy to apply to all of it.
+    """
+    threshold = {"bitset": 0, "scalar": math.inf}[strategy]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastpaths, "BITSET_MIN_DEGREE", threshold)
+        yield
+
+
+@pytest.fixture(params=FAST_STRATEGIES)
+def fast_strategy(request) -> Iterator[str]:
+    """Run the test once per fast sweep strategy (the object backend
+    ignores the threshold, so whole tests can run under it)."""
+    with sweep_strategy(request.param):
+        yield request.param
 
 
 class CorpusCase(NamedTuple):

@@ -1,8 +1,8 @@
 """The zero-copy instance arena (:mod:`repro.serve.arena`).
 
-Covers the spool format round trip, the integer-compactness gate (and
-its inline fallback), digest dedupe, torn-file detection, the
-numpy-free decode path, and — end to end — a :class:`WorkerPool` whose
+Covers the spool format round trip (through the memoryview decode), the
+integer-compactness gate (and its inline fallback), digest dedupe,
+torn-file detection, and — end to end — a :class:`WorkerPool` whose
 forked workers receive arena refs instead of inline edge lists and
 still produce byte-identical streams.
 """
@@ -25,6 +25,7 @@ def test_publish_load_round_trip(tmp_path):
     assert ref is not None
     assert ref["edges"] == 4 and ref["vertices"] == 1
     assert os.path.exists(ref["path"])
+    arena._DECODED.pop(ref["digest"], None)  # decode from the spool itself
     edges, vertices = arena.load(ref)
     assert edges == EDGES
     assert vertices == (7,)
@@ -79,16 +80,6 @@ def test_mismatched_header_is_rejected(tmp_path):
     lied = dict(ref, edges=3, vertices=2)  # same total, wrong split
     with pytest.raises(ValueError, match="header"):
         arena.load(lied)
-
-
-def test_load_without_numpy(tmp_path, monkeypatch):
-    inst = InstanceArena(str(tmp_path))
-    ref = inst.publish(EDGES, vertices=(9,))
-    arena._DECODED.pop(ref["digest"], None)
-    monkeypatch.setattr(arena, "_np", None)
-    edges, vertices = arena.load(ref)
-    assert edges == EDGES and vertices == (9,)
-    arena._DECODED.pop(ref["digest"], None)
 
 
 def test_worker_pool_streams_through_arena(tmp_path):

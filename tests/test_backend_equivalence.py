@@ -3,15 +3,19 @@
 For every enumerator with a ``backend`` switch, the two backends must
 produce *identical ordered solution streams* on integer-compact
 instances (the engine's relabeled normal form) — not just the same
-solution sets.  Hypothesis drives random multigraph instances through
-all six core enumerators plus the path layer, and separately checks the
-kernel's delete/contract/restore cycle round-trips exactly.
+solution sets.  Every fast leg runs twice, once per sweep strategy
+(:data:`conftest.FAST_STRATEGIES`), so both the scalar and the bitset
+sweeps are held to the oracle whatever density hypothesis draws.
+Hypothesis drives random multigraph instances through all six core
+enumerators plus the path layer, and separately checks the kernel's
+delete/contract/restore cycle round-trips exactly.
 """
 
 from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import FAST_STRATEGIES, sweep_strategy
 from repro.core.directed_steiner import enumerate_minimal_directed_steiner_trees
 from repro.core.induced_paths import enumerate_chordless_st_paths
 from repro.core.induced_steiner import enumerate_minimal_induced_steiner_subgraphs
@@ -40,10 +44,12 @@ CAP = 400  # per-instance solution cap keeps worst cases bounded
 
 
 def _streams_equal(factory):
-    """Drain both backends (capped) and assert identical order."""
+    """Drain the object backend and the fast one under each sweep
+    strategy (capped) and assert identical order."""
     reference = list(islice(factory("object"), CAP))
-    candidate = list(islice(factory("fast"), CAP))
-    assert reference == candidate
+    for strategy in FAST_STRATEGIES:
+        with sweep_strategy(strategy):
+            assert list(islice(factory("fast"), CAP)) == reference, strategy
     return reference
 
 
@@ -297,13 +303,13 @@ def test_ranked_topk_identical(case, k):
     from repro.core.ranked import k_lightest_minimal_steiner_trees
 
     graph, terminals, weights = case
-    reference = k_lightest_minimal_steiner_trees(
-        graph, terminals, weights, k, backend="object"
+    _streams_equal(
+        lambda backend: iter(
+            k_lightest_minimal_steiner_trees(
+                graph, terminals, weights, k, backend=backend
+            )
+        )
     )
-    candidate = k_lightest_minimal_steiner_trees(
-        graph, terminals, weights, k, backend="fast"
-    )
-    assert reference == candidate
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,9 +384,11 @@ def test_ranked_kfragment_streams_identical(dg, lookahead):
                 dg, ["x", "y"], model=m, lookahead=lookahead, backend=backend
             )
         )
-        assert top_k_weighted_fragments(
-            dg, ["x", "y"], 4, model, backend="object"
-        ) == top_k_weighted_fragments(dg, ["x", "y"], 4, model, backend="fast")
+        _streams_equal(
+            lambda backend, m=model: iter(
+                top_k_weighted_fragments(dg, ["x", "y"], 4, m, backend=backend)
+            )
+        )
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,13 +403,15 @@ def test_midstream_limit_stops_identical(case, limit):
             limit,
         )
     )
-    candidate = list(
-        islice(
-            enumerate_minimal_steiner_trees(graph, terminals, backend="fast"),
-            limit,
-        )
-    )
-    assert reference == candidate
+    for strategy in FAST_STRATEGIES:
+        with sweep_strategy(strategy):
+            candidate = list(
+                islice(
+                    enumerate_minimal_steiner_trees(graph, terminals, backend="fast"),
+                    limit,
+                )
+            )
+        assert reference == candidate, strategy
 
 
 @settings(max_examples=15, deadline=None)
@@ -426,112 +436,6 @@ def test_engine_limit_stops_identical_across_backends(dg, limit):
             replace(job, limit=None, deadline=0.0, backend=backend)
         )
         assert tuple(stopped.lines) == full[: len(stopped.lines)]
-
-
-# ----------------------------------------------------------------------
-# the vector backend: three-way byte-identical streams
-# ----------------------------------------------------------------------
-from repro.graphs.vecgraph import vec_available
-
-_VEC = vec_available()
-
-
-def _streams_equal_vector(factory):
-    """Drain all three backends (capped) and assert identical order.
-
-    The vector leg is skipped when numpy is absent — the scalar pair
-    must still agree, which is what the no-numpy CI leg checks.
-    """
-    reference = list(islice(factory("object"), CAP))
-    assert list(islice(factory("fast"), CAP)) == reference
-    if _VEC:
-        assert list(islice(factory("vector"), CAP)) == reference
-    return reference
-
-
-@settings(max_examples=60, deadline=None)
-@given(undirected_instances())
-def test_steiner_tree_vector_streams_identical(case):
-    graph, terminals = case
-    _streams_equal_vector(
-        lambda backend: enumerate_minimal_steiner_trees(
-            graph, terminals, backend=backend
-        )
-    )
-
-
-@settings(max_examples=50, deadline=None)
-@given(undirected_instances())
-def test_terminal_steiner_vector_streams_identical(case):
-    graph, terminals = case
-    if len(terminals) < 2:
-        terminals = list(range(2))
-    _streams_equal_vector(
-        lambda backend: enumerate_minimal_terminal_steiner_trees(
-            graph, terminals, backend=backend
-        )
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(undirected_instances())
-def test_st_path_vector_streams_identical(case):
-    graph, sample = case
-    source, target = sample[0], sample[-1]
-    _streams_equal_vector(
-        lambda backend: enumerate_st_paths_undirected(
-            graph, source, target, backend=backend
-        )
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(undirected_instances())
-def test_set_path_vector_streams_identical(case):
-    graph, sample = case
-    if len(sample) < 2:
-        return
-    sources = frozenset(sample[:-1])
-    targets = (sample[-1],)
-    _streams_equal_vector(
-        lambda backend: enumerate_set_paths(graph, sources, targets, backend=backend)
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(weighted_instances(), st.integers(min_value=1, max_value=8))
-def test_ranked_approx_vector_streams_identical(case, lookahead):
-    """RANKED ORDER holds on the vector backend too — weight floats are
-    bit-identical because accumulation order never changes."""
-    from repro.core.ranked import enumerate_approximately_by_weight
-
-    graph, terminals, weights = case
-    _streams_equal_vector(
-        lambda backend: enumerate_approximately_by_weight(
-            graph, terminals, weights, lookahead=lookahead, backend=backend
-        )
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(undirected_instances(), st.integers(min_value=0, max_value=20))
-def test_midstream_limit_stops_identical_vector(case, limit):
-    if not _VEC:
-        return
-    graph, terminals = case
-    reference = list(
-        islice(
-            enumerate_minimal_steiner_trees(graph, terminals, backend="object"),
-            limit,
-        )
-    )
-    candidate = list(
-        islice(
-            enumerate_minimal_steiner_trees(graph, terminals, backend="vector"),
-            limit,
-        )
-    )
-    assert reference == candidate
 
 
 @st.composite

@@ -6,9 +6,11 @@ pinned fixture job per kind and *proves* each declared capability
 instead of trusting the table:
 
 * a kind claiming the ``fast`` backend runs the differential oracle —
-  the object and fast streams must be byte-identical;
+  the object and fast streams must be byte-identical, under each fast
+  sweep strategy;
 * a kind claiming ``suspendable`` survives a random-interrupt/restore
-  round trip at several cut points — the restored tail must equal the
+  round trip at several cut points, on the object backend and on both
+  fast sweep strategies — the restored tail must equal the
   uninterrupted tail;
 * the registry itself is checked for shape (every kind fixtured, every
   shape legal, deprecated aliases still importable but warning).
@@ -20,13 +22,12 @@ import random
 
 import pytest
 
+from conftest import sweep_strategy
 from repro.core.capabilities import (
     BACKEND_NAMES,
     JOB_KINDS,
     KIND_REGISTRY,
     RESULT_SHAPES,
-    SCALAR_BACKENDS,
-    VECTOR_KINDS,
     capability_matrix,
     kinds_where,
     require_backend,
@@ -99,14 +100,12 @@ def test_registry_shapes_are_legal():
 
 
 def test_matrix_is_closed_since_pr7():
-    # The PR 7 claim: every kind runs on both scalar backends and
-    # suspends.  The vector backend (PR 10) covers exactly VECTOR_KINDS.
+    # Every kind runs on both backends and suspends.
+    assert BACKEND_NAMES == ("object", "fast")
     assert kinds_where(suspendable=True) == JOB_KINDS
     for kind in JOB_KINDS:
-        assert set(SCALAR_BACKENDS) <= set(supported_backends(kind))
-        claims_vector = "vector" in supported_backends(kind)
-        assert claims_vector == (kind in VECTOR_KINDS)
-    assert VECTOR_KINDS == {"steiner-tree", "terminal-steiner", "st-path"}
+        assert supported_backends(kind) == BACKEND_NAMES
+        assert capability_matrix()[kind]["backends"] == ["object", "fast"]
 
 
 def test_capability_matrix_is_json_ready():
@@ -135,6 +134,17 @@ def test_require_backend_uniform_rejection():
             require_backend(kind, "gpu")
 
 
+def test_vector_is_an_alias_of_fast():
+    """The retired backend name validates everywhere and resolves to
+    ``fast`` before anything below the validation sees it."""
+    for kind in JOB_KINDS:
+        assert require_backend(kind, "vector") == "fast"
+        job = _fixture_job(kind, "vector")
+        assert job.backend == "fast"
+        assert job.to_dict()["backend"] == "fast"
+        assert EnumerationJob.from_dict(dict(job.to_dict(), backend="vector")) == job
+
+
 def test_deprecated_frozenset_aliases_warn():
     import repro.engine.jobs as jobs
 
@@ -147,7 +157,7 @@ def test_deprecated_frozenset_aliases_warn():
 # claimed capabilities, proven per kind
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
-def test_fast_claim_differential_oracle(kind):
+def test_fast_claim_differential_oracle(kind, fast_strategy):
     """A kind declaring the fast backend must stream byte-identically."""
     kind_spec = spec(kind)
     if "fast" not in kind_spec.backends:
@@ -157,48 +167,25 @@ def test_fast_claim_differential_oracle(kind):
     assert run_job(_fixture_job(kind, "fast")).lines == reference
 
 
+@pytest.mark.parametrize("leg", ["object", "fast/bitset", "fast/scalar"])
 @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
-def test_vector_claim_differential_oracle(kind):
-    """A kind declaring the vector backend must stream byte-identically;
-    a kind that does not must reject it uniformly at validation time."""
-    from repro.graphs.vecgraph import vec_available
-
-    if "vector" not in spec(kind).backends:
-        with pytest.raises(UnsupportedBackendError):
-            require_backend(kind, "vector")
-        return
-    if not vec_available():
-        with pytest.raises(UnsupportedBackendError):
-            require_backend(kind, "vector")
-        pytest.skip("numpy unavailable")
-    assert require_backend(kind, "vector") == "vector"
-    reference = run_job(_fixture_job(kind, "object")).lines
-    assert reference, f"fixture for {kind} must produce solutions"
-    assert run_job(_fixture_job(kind, "vector")).lines == reference
-
-
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-@pytest.mark.parametrize("kind", sorted(JOB_KINDS))
-def test_suspendable_claim_interrupt_restore(kind, backend):
+def test_suspendable_claim_interrupt_restore(kind, leg):
     """A kind declaring suspendable must survive snapshot round trips."""
+    backend, _, strategy = leg.partition("/")
     kind_spec = spec(kind)
     if not kind_spec.suspendable:
         pytest.skip(f"{kind} does not claim suspendability")
     if backend not in kind_spec.backends:
         pytest.skip(f"{kind} does not claim the {backend} backend")
-    if backend == "vector":
-        from repro.graphs.vecgraph import vec_available
-
-        if not vec_available():
-            pytest.skip("numpy unavailable")
     job = _fixture_job(kind, backend)
-    reference = [line for line, _s in JobSearch(job)]
-    assert reference, f"fixture for {kind} must produce solutions"
-    rng = random.Random(f"{kind}/{backend}")
-    cuts = {0, 1, len(reference) - 1, rng.randrange(len(reference))}
-    for cut in sorted(c for c in cuts if 0 <= c <= len(reference)):
-        search = JobSearch(job)
-        for _ in range(cut):
-            search.next()
-        restored = JobSearch.restore(job, search.snapshot())
-        assert [line for line, _s in restored] == reference[cut:]
+    with sweep_strategy(strategy or "scalar"):
+        reference = [line for line, _s in JobSearch(job)]
+        assert reference, f"fixture for {kind} must produce solutions"
+        rng = random.Random(f"{kind}/{backend}")
+        cuts = {0, 1, len(reference) - 1, rng.randrange(len(reference))}
+        for cut in sorted(c for c in cuts if 0 <= c <= len(reference)):
+            search = JobSearch(job)
+            for _ in range(cut):
+                search.next()
+            restored = JobSearch.restore(job, search.snapshot())
+            assert [line for line, _s in restored] == reference[cut:]

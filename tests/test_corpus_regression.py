@@ -7,7 +7,10 @@ Steiner enumeration, ranked enumeration (approximate and top-k), the
 ZDD construction, and (for keyword corpora) K-fragment search.  Each
 file pins the expected solution count, so the corpus also guards
 against both backends drifting wrong *together* — the failure mode
-cross-validation alone cannot see.
+cross-validation alone cannot see.  Tests taking the ``fast_strategy``
+fixture run once per fast sweep strategy (bitset and scalar), since
+bridges, parallel edges and weight ties are exactly the shapes the
+bitset sweeps could get wrong silently.
 
 Hypothesis counterexamples get promoted into the corpus (one JSON file
 each) so they are re-checked deterministically forever; see
@@ -23,7 +26,7 @@ IDS = [case.name for case in CORPUS]
 
 
 @pytest.mark.parametrize("case", CORPUS, ids=IDS)
-def test_steiner_streams_identical_and_count_pinned(case):
+def test_steiner_streams_identical_and_count_pinned(case, fast_strategy):
     from repro.core.steiner_tree import enumerate_minimal_steiner_trees
 
     reference = list(
@@ -37,7 +40,7 @@ def test_steiner_streams_identical_and_count_pinned(case):
 
 
 @pytest.mark.parametrize("case", CORPUS, ids=IDS)
-def test_ranked_streams_identical(case):
+def test_ranked_streams_identical(case, fast_strategy):
     from repro.core.ranked import (
         enumerate_approximately_by_weight,
         k_lightest_minimal_steiner_trees,
@@ -66,40 +69,7 @@ def test_ranked_streams_identical(case):
 
 
 @pytest.mark.parametrize("case", CORPUS, ids=IDS)
-def test_vector_streams_identical_and_count_pinned(case):
-    """The vector backend replays the adversarial corpus byte-for-byte:
-    bridges, parallel edges and weight ties are exactly the shapes the
-    bitset sweeps could get wrong silently."""
-    from repro.core.ranked import enumerate_approximately_by_weight
-    from repro.core.steiner_tree import enumerate_minimal_steiner_trees
-    from repro.graphs.vecgraph import vec_available
-
-    if not vec_available():
-        pytest.skip("numpy unavailable")
-    reference = list(
-        enumerate_minimal_steiner_trees(case.graph, case.terminals, backend="object")
-    )
-    candidate = list(
-        enumerate_minimal_steiner_trees(case.graph, case.terminals, backend="vector")
-    )
-    assert reference == candidate
-    assert len(reference) == case.expected_solutions
-    for lookahead in (1, 1000):
-        assert list(
-            enumerate_approximately_by_weight(
-                case.graph, case.terminals, case.weights,
-                lookahead=lookahead, backend="vector",
-            )
-        ) == list(
-            enumerate_approximately_by_weight(
-                case.graph, case.terminals, case.weights,
-                lookahead=lookahead, backend="object",
-            )
-        )
-
-
-@pytest.mark.parametrize("case", CORPUS, ids=IDS)
-def test_ranked_order_contract_holds(case):
+def test_ranked_order_contract_holds(case, fast_strategy):
     """With full lookahead the stream is exactly sorted by RANKED ORDER
     (weight, then canonical edge-id tuple) on both backends."""
     from repro.core.backend import ranked_key
@@ -129,7 +99,7 @@ def test_zdd_identical_and_count_pinned(case):
 @pytest.mark.parametrize(
     "case", [c for c in CORPUS if c.query], ids=[c.name for c in CORPUS if c.query]
 )
-def test_kfragment_streams_identical_and_count_pinned(case):
+def test_kfragment_streams_identical_and_count_pinned(case, fast_strategy):
     from repro.datagraph.kfragments import undirected_kfragments
     from repro.datagraph.ranked import ranked_kfragments
 

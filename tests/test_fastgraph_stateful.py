@@ -13,6 +13,13 @@ A hypothesis rule-based machine drives random interleavings of
   per-vertex incidence order and the ``_posu``/``_posv`` swap-and-pop
   bookkeeping (DESIGN.md §3.2's "rollback is byte-exact" invariant).
 
+The machine also checks the kernel's version-cached overlays — the
+incidence pairs, the adjacency bit rows of the bitset sweeps, the base
+forest — always describe the live kernel, never a stale version, and
+that the base-forest-restricted spanning scan (the forcing lemma of
+:func:`repro.graphs.fastgraph.fast_spanning_forest`) agrees with the
+full greedy scan kept here as its oracle.
+
 This is the stateful coverage the differential tests in
 ``test_backend_equivalence.py`` assume: those check that enumeration
 streams agree *given* a healthy kernel; this machine checks the kernel
@@ -20,7 +27,7 @@ stays healthy under arbitrary mutation interleavings.
 """
 
 import hypothesis.strategies as st
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
@@ -28,11 +35,63 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.graphs.fastgraph import FastGraph
+from repro.exceptions import NoSolutionError
+from repro.graphs.fastgraph import (
+    FastGraph,
+    fast_minimal_steiner_completion,
+    fast_spanning_forest,
+)
 from repro.graphs.graph import Graph
+from repro.graphs.spanning import minimal_steiner_completion
+from repro.paths import fastpaths
 
 VERTICES = st.integers(min_value=0, max_value=7)
 WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.25, 7.0])
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def full_greedy_scan(fg: FastGraph, required=(), order=None):
+    """The greedy spanning scan over *every* live edge (what
+    ``fast_spanning_forest`` did before the forcing lemma restricted
+    it), in ``order`` (default: the kernel's scan order).  Returns the
+    chosen set and the vertex partition as a set of frozensets."""
+    parent = list(range(fg.n_space))
+    chosen = set()
+    for eid in required:
+        u, v = fg.endpoints(eid)
+        ru, rv = _find(parent, u), _find(parent, v)
+        assert ru != rv
+        parent[ru] = rv
+        chosen.add(eid)
+    for eid in fg.edge_ids() if order is None else order:
+        if eid in chosen:
+            continue
+        u, v = fg.endpoints(eid)
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.add(eid)
+    return chosen, partition(fg, parent)
+
+
+def partition(fg: FastGraph, parent) -> set:
+    groups = {}
+    for v in fg.vertices():
+        groups.setdefault(_find(parent, v), set()).add(v)
+    return {frozenset(g) for g in groups.values()}
+
+
+def reverse_forest_prefix(fg: FastGraph, k: int = 2) -> list:
+    """An acyclic ``required`` set that mostly avoids the base forest:
+    the first edges of the greedy forest scanned in reverse order."""
+    forest, _ = full_greedy_scan(fg, order=list(fg.edge_ids())[::-1])
+    return [eid for eid in reversed(list(fg.edge_ids())) if eid in forest][:k]
 
 
 def kernel_fingerprint(fg: FastGraph) -> dict:
@@ -191,11 +250,99 @@ class FastGraphMachine(RuleBasedStateMachine):
             expected = [(e, fg._esum[e] - v) for e in fg._inc[v]]
             assert pairs[v] == expected
 
+    @invariant()
+    def bit_rows_describe_live_kernel(self):
+        fg = self.fg
+        rows = fg.bit_rows()
+        assert fg.bit_rows() is rows  # cached while the version holds
+        adj, deg = rows
+        assert len(adj) == len(deg) == fg.n_space
+        for v in range(fg.n_space):
+            others = [fg._esum[e] - v for e in fg._inc[v]]
+            assert adj[v] == sum({1 << w for w in others})
+            assert deg[v] == len(others)
+
+    @invariant()
+    def base_forest_is_the_greedy_scan(self):
+        fg = self.fg
+        forest = fg.base_forest()
+        assert fg.base_forest() is forest  # cached while the version holds
+        chosen, _ = full_greedy_scan(fg)
+        assert set(forest) == chosen
+        scan_order = [e for e in fg.edge_ids() if e in chosen]
+        assert forest == scan_order
+
+    @invariant()
+    def restricted_scan_matches_full_scan(self):
+        fg = self.fg
+        for required in ((), reverse_forest_prefix(fg)):
+            chosen, parent = fast_spanning_forest(fg, required=required)
+            assert (chosen, partition(fg, parent)) == full_greedy_scan(fg, required)
+
 
 FastGraphMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
 TestFastGraphMachine = FastGraphMachine.TestCase
+
+
+@st.composite
+def completion_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    m = draw(st.integers(min_value=1, max_value=18))
+    edges = []
+    for _ in range(m):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if u != v:
+            edges.append((u, v))
+    k = draw(st.integers(min_value=1, max_value=min(4, n)))
+    terminals = draw(st.permutations(range(n)))[:k]
+    return Graph.from_edges(edges, vertices=range(n)), list(terminals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(completion_instances())
+def test_completion_identical_to_object(case):
+    """The restricted-scan completion equals the object backend's
+    Lemma 13 completion, on the full instance and with a required
+    partial forest that mostly avoids the base forest."""
+    graph, terminals = case
+    fg = FastGraph.from_graph(graph)
+
+    def run(fn, g, partial):
+        try:
+            return fn(g, terminals, partial_eids=partial)
+        except NoSolutionError:
+            return "no-solution"
+
+    for partial in ((), reverse_forest_prefix(fg)):
+        assert run(fast_minimal_steiner_completion, fg, partial) == run(
+            minimal_steiner_completion, graph, partial
+        )
+
+
+def test_large_moderate_degree_kernel_stays_scalar():
+    """n = 20,000 at average degree 30 clears the degree threshold, but
+    its bit rows (n^2 / 8 bytes) would outgrow the incidence lists: the
+    context takes the scalar sweeps and the kernel builds no bit rows."""
+    n = 20_000
+    fg = FastGraph.from_edges(
+        [(v, (v + k) % n) for k in range(1, 16) for v in range(n)], vertices=range(n)
+    )
+    assert 2 * fg.num_edges == 30 * fg.num_vertices
+    assert 30 >= fastpaths.BITSET_MIN_DEGREE
+    machine = fastpaths.fast_st_path_search(fg, 0, n // 2)
+    assert machine.ctx.bits is None
+    assert machine.ctx.backward is fastpaths._backward_und_plain
+    assert machine.next_path() is not None
+    assert fg._bits is None
+    # the same degree on a small kernel takes the bitset sweeps
+    small = FastGraph.from_edges(
+        [(v, (v + k) % 100) for k in range(1, 16) for v in range(100)]
+    )
+    assert fastpaths.fast_st_path_search(small, 0, 50).ctx.bits is not None
+    assert small._bits is not None
 
 
 def test_rollback_restores_order_after_revive():

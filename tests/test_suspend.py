@@ -5,7 +5,10 @@ K-fragments, internal-Steiner brute force) is interrupted at a random
 solution index, its search state serialized, and the restored machine's
 remaining stream compared byte-for-byte with the uninterrupted tail —
 on both the ``object`` and ``fast`` backends, in-process and (for the
-engine layer) in a fresh subprocess.  The pinned corpus instances are
+engine layer) in a fresh subprocess.  Fast machines are interrupted
+under one sweep strategy and restored under the other (the per-frame
+reach caches are rebuilt on restore, whichever strategy the restoring
+kernel takes).  The pinned corpus instances are
 round-tripped the same way so a regression can never hide behind the
 random generator.
 """
@@ -23,7 +26,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_corpus
+from conftest import FAST_STRATEGIES, load_corpus, sweep_strategy
 from repro.core.steiner_tree import SteinerTreeSearch
 from repro.core.suspend import (
     RegulatedSearch,
@@ -58,6 +61,15 @@ from repro.paths.fastpaths import FastPathSearch, fast_set_path_search, fast_st_
 from repro.paths.read_tarjan import PathSearch, SetPathSearch, StPathSearch
 
 BACKENDS = ("object", "fast")
+
+#: (backend, interrupt strategy, restore strategy): the object backend
+#: (which ignores the strategy), then each fast strategy restored under
+#: the other one.
+LEGS = (
+    ("object", "scalar", "scalar"),
+    ("fast", "bitset", "scalar"),
+    ("fast", "scalar", "bitset"),
+)
 
 
 # ----------------------------------------------------------------------
@@ -155,18 +167,21 @@ def test_st_path_interrupt_restore(case):
         return out
 
     reference = paths(StPathSearch(graph, s, t))
-    assert reference == paths(fast_st_path_search(fg, s, t))
     cut = min(cut, len(reference))
     machine = StPathSearch(graph, s, t)
     for _ in range(cut):
         machine.next_path()
     restored = StPathSearch.restore(graph, _roundtrip(machine.state()))
     assert paths(restored) == reference[cut:]
-    machine = fast_st_path_search(fg, s, t)
-    for _ in range(cut):
-        machine.next_path()
-    restored = FastPathSearch.restore(fg, _roundtrip(machine.state()))
-    assert paths(restored) == reference[cut:]
+    for before, after in zip(FAST_STRATEGIES, reversed(FAST_STRATEGIES)):
+        with sweep_strategy(before):
+            assert reference == paths(fast_st_path_search(fg, s, t))
+            machine = fast_st_path_search(fg, s, t)
+            for _ in range(cut):
+                machine.next_path()
+            state = _roundtrip(machine.state())
+        with sweep_strategy(after):
+            assert paths(FastPathSearch.restore(fg, state)) == reference[cut:]
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,18 +198,21 @@ def test_set_path_interrupt_restore(case):
         return out
 
     reference = paths(SetPathSearch(graph, sources, targets))
-    assert reference == paths(fast_set_path_search(fg, sources, targets))
     cut = min(cut, len(reference))
     machine = SetPathSearch(graph, sources, targets)
     for _ in range(cut):
         machine.next_path()
     restored = SetPathSearch.restore(graph, _roundtrip(machine.state()))
     assert paths(restored) == reference[cut:]
-    machine = fast_set_path_search(fg, sources, targets)
-    for _ in range(cut):
-        machine.next_path()
-    restored = FastPathSearch.restore(fg, _roundtrip(machine.state()))
-    assert paths(restored) == reference[cut:]
+    for before, after in zip(FAST_STRATEGIES, reversed(FAST_STRATEGIES)):
+        with sweep_strategy(before):
+            assert reference == paths(fast_set_path_search(fg, sources, targets))
+            machine = fast_set_path_search(fg, sources, targets)
+            for _ in range(cut):
+                machine.next_path()
+            state = _roundtrip(machine.state())
+        with sweep_strategy(after):
+            assert paths(FastPathSearch.restore(fg, state)) == reference[cut:]
 
 
 def test_path_event_machine_restores_mid_event_queue():
@@ -221,34 +239,42 @@ def test_path_event_machine_restores_mid_event_queue():
 @given(undirected_instances(), st.booleans())
 def test_steiner_tree_interrupt_restore(case, improved):
     graph, terminals, cut = case
-    for backend in BACKENDS:
-        reference = _drain_solutions(
-            SteinerTreeSearch(graph, terminals, improved=improved, backend=backend)
-        )
-        k = min(cut, len(reference))
-        machine = SteinerTreeSearch(
-            graph, terminals, improved=improved, backend=backend
-        )
-        _interrupt_solutions(machine, k)
-        restored = SteinerTreeSearch.restore(graph, _roundtrip(machine.state()))
-        assert _drain_solutions(restored) == reference[k:]
+    for backend, before, after in LEGS:
+        with sweep_strategy(before):
+            reference = _drain_solutions(
+                SteinerTreeSearch(graph, terminals, improved=improved, backend=backend)
+            )
+            k = min(cut, len(reference))
+            machine = SteinerTreeSearch(
+                graph, terminals, improved=improved, backend=backend
+            )
+            _interrupt_solutions(machine, k)
+            state = _roundtrip(machine.state())
+        with sweep_strategy(after):
+            restored = SteinerTreeSearch.restore(graph, state)
+            assert _drain_solutions(restored) == reference[k:]
 
 
 @settings(max_examples=40, deadline=None)
 @given(undirected_instances(), st.booleans())
 def test_terminal_steiner_interrupt_restore(case, improved):
     graph, terminals, cut = case
-    for backend in BACKENDS:
-        reference = _drain_solutions(
-            TerminalSteinerSearch(graph, terminals, improved=improved, backend=backend)
-        )
-        k = min(cut, len(reference))
-        machine = TerminalSteinerSearch(
-            graph, terminals, improved=improved, backend=backend
-        )
-        _interrupt_solutions(machine, k)
-        restored = TerminalSteinerSearch.restore(graph, _roundtrip(machine.state()))
-        assert _drain_solutions(restored) == reference[k:]
+    for backend, before, after in LEGS:
+        with sweep_strategy(before):
+            reference = _drain_solutions(
+                TerminalSteinerSearch(
+                    graph, terminals, improved=improved, backend=backend
+                )
+            )
+            k = min(cut, len(reference))
+            machine = TerminalSteinerSearch(
+                graph, terminals, improved=improved, backend=backend
+            )
+            _interrupt_solutions(machine, k)
+            state = _roundtrip(machine.state())
+        with sweep_strategy(after):
+            restored = TerminalSteinerSearch.restore(graph, state)
+            assert _drain_solutions(restored) == reference[k:]
 
 
 def test_linear_delay_variant_suspends():
@@ -365,7 +391,7 @@ def test_suspendable_kinds_have_machines():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_job_search_snapshot_tail(backend):
+def test_job_search_snapshot_tail(backend, fast_strategy):
     for job in _suspendable_jobs(backend=backend):
         reference = [line for line, _s in JobSearch(job)]
         assert reference == list(run_job(job).lines)
@@ -601,7 +627,7 @@ def _corpus_jobs(case):
 
 @pytest.mark.parametrize("case", load_corpus(), ids=lambda c: c.name)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_corpus_snapshot_roundtrip(case, backend):
+def test_corpus_snapshot_roundtrip(case, backend, fast_strategy):
     for job in _corpus_jobs(case):
         job = dataclasses.replace(job, backend=backend)
         reference = [line for line, _s in JobSearch(job)]

@@ -1,13 +1,6 @@
 """Tests for the ZDD substrate and the frontier Steiner construction."""
 
 import pytest
-
-try:  # only the Kirchhoff determinant oracle needs numpy
-    import numpy as np
-except ImportError:
-    np = None
-
-needs_numpy = pytest.mark.skipif(np is None, reason="numpy unavailable")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,21 +84,40 @@ class TestZDDSubstrate:
             builder.make(6, child, TOP)
 
 
+def bareiss_det(matrix) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination:
+    every division is exact, so no rounding ever enters the oracle."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
 def matrix_tree_count(graph: Graph) -> int:
     """Kirchhoff's theorem: spanning tree count = any cofactor of the
     Laplacian.  Independent oracle for the ZDD construction."""
     vertices = sorted(graph.vertices(), key=repr)
     index = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
-    lap = np.zeros((n, n))
+    lap = [[0] * n for _ in range(n)]
     for edge in graph.edges():
         i, j = index[edge.u], index[edge.v]
-        lap[i, i] += 1
-        lap[j, j] += 1
-        lap[i, j] -= 1
-        lap[j, i] -= 1
-    minor = lap[1:, 1:]
-    return int(round(float(np.linalg.det(minor)))) if n > 1 else 1
+        lap[i][i] += 1
+        lap[j][j] += 1
+        lap[i][j] -= 1
+        lap[j][i] -= 1
+    return bareiss_det([row[1:] for row in lap[1:]])
 
 
 class TestSpanningTrees:
@@ -122,7 +134,6 @@ class TestSpanningTrees:
     def test_known_counts(self, graph, expected):
         assert spanning_tree_zdd(graph).count() == expected
 
-    @needs_numpy
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_matrix_tree_theorem(self, seed):
         g = random_connected_graph(7, 6 + seed % 4, seed=seed)
@@ -131,8 +142,15 @@ class TestSpanningTrees:
     def test_grid_graph(self):
         g = grid_graph(3, 3)
         assert spanning_tree_zdd(g).count() == 192
-        if np is not None:
-            assert matrix_tree_count(g) == 192
+        assert matrix_tree_count(g) == 192
+
+    def test_bareiss_determinant(self):
+        assert bareiss_det([]) == 1
+        assert bareiss_det([[7]]) == 7
+        assert bareiss_det([[0, 1], [1, 0]]) == -1  # needs a pivot swap
+        assert bareiss_det([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]) == 4
+        assert bareiss_det([[1, 2], [2, 4]]) == 0
+        assert matrix_tree_count(complete_graph(6)) == 6**4  # Cayley
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InvalidInstanceError):
@@ -261,7 +279,6 @@ def test_zdd_equals_direct_enumeration(n, extra, t, seed):
     assert compiled == direct
 
 
-@needs_numpy
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=7),
