@@ -308,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("snapshot", "replay"),
         default="snapshot",
         help="how checkpointed jobs resume: thaw the serialized search "
-        "state (O(state), suspendable kinds) or replay fast-forward "
-        "(O(offset), always available)",
+        "state (O(state)) or replay fast-forward (O(offset))",
     )
 
     p = sub.add_parser(
@@ -1104,8 +1103,8 @@ def _run_batch_checkpointed(args, jobs, cache, out) -> None:
 
     Each job streams through an :class:`EnumerationCursor`; a job that
     stops early (limit / deadline / budget) checkpoints to
-    ``DIR/<job_id>.json`` — with the serialized search state embedded
-    for suspendable kinds — and the next invocation of the same command
+    ``DIR/<job_id>.json`` with the serialized search state embedded,
+    and the next invocation of the same command
     resumes every unfinished job from its checkpoint (``--resume-mode``
     picks snapshot thaw vs replay fast-forward).  Exhausted jobs drop
     their checkpoints.

@@ -1,11 +1,7 @@
 """The kind-capability registry: one :class:`KindSpec` per job kind.
 
-Earlier revisions encoded the engine's capability split as five
-scattered frozensets in :mod:`repro.engine.jobs`
-(``EDGE_SET_KINDS`` … ``SUSPENDABLE_KINDS``) that the cache, cursor,
-serve and front-door layers each re-interpreted ad hoc.  This module
-replaces them with a single declarative registry that every layer
-consults:
+Every layer (cache, cursor, serve, front door) consults this single
+declarative registry instead of encoding the capability split itself:
 
 * ``result_shape`` — what one solution *is* (``"edge-set"``,
   ``"arc-set"``, ``"vertex-set"``, ``"path"`` or ``"fragment"``), which
@@ -15,19 +11,16 @@ consults:
 * ``backends`` — the backends the kind's solver accepts; every kind
   listing ``"fast"`` is covered by the differential oracle wall
   (byte-identical streams on integer-compact instances).
-* ``suspendable`` — the kind has an explicit-state search machine
-  (:mod:`repro.engine.suspend`): checkpoints embed O(state) snapshots
-  instead of replaying ``offset`` solutions.
 * ``relabelable`` — cache entries translate between relabeled
   isomorphic instances (:mod:`repro.engine.cache`).
-* ``cacheable`` — finished results may be stored and replayed.
 
+Every kind runs on an explicit-state search machine
+(:mod:`repro.engine.suspend`), so every stream suspends, checkpoints
+with an O(state) snapshot, and caches its finished results; those are
+properties of the engine, not flags of a kind.
 ``tests/test_capabilities.py`` asserts every claim by construction:
-each kind claiming ``fast`` runs the differential oracle, each kind
-claiming ``suspendable`` survives a random-interrupt/restore round
-trip.  The old frozenset names remain importable from
-:mod:`repro.engine.jobs` as deprecated aliases derived from this
-registry (they warn, and will be removed one release after 0.7).
+each kind claiming ``fast`` runs the differential oracle, and each kind
+survives a random-interrupt/restore round trip.
 """
 
 from __future__ import annotations
@@ -64,13 +57,7 @@ class KindSpec:
     result_shape: str
     directed: bool
     backends: Tuple[str, ...]
-    suspendable: bool
     relabelable: bool
-    cacheable: bool
-
-    def supports_backend(self, backend: str) -> bool:
-        """True when ``backend`` is one of the declared backends."""
-        return backend in self.backends
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready capability row (used by ``/stats`` and ``/metrics``)."""
@@ -78,24 +65,20 @@ class KindSpec:
             "result_shape": self.result_shape,
             "directed": self.directed,
             "backends": list(self.backends),
-            "suspendable": self.suspendable,
             "relabelable": self.relabelable,
-            "cacheable": self.cacheable,
         }
 
 
 def _spec(kind: str, shape: str, *, directed: bool = False) -> KindSpec:
-    # The matrix is closed: every kind runs on both backends, suspends,
-    # and caches; only kfragments (keyword queries are bound to concrete
-    # node labels) refuses relabeled cache translation.
+    # Every kind runs on both backends; only kfragments (keyword queries
+    # are bound to concrete node labels) refuses relabeled cache
+    # translation.
     return KindSpec(
         kind=kind,
         result_shape=shape,
         directed=directed,
         backends=BACKEND_NAMES,
-        suspendable=True,
         relabelable=kind != "kfragments",
-        cacheable=True,
     )
 
 
@@ -139,8 +122,8 @@ def kinds_where(**flags: object) -> FrozenSet[str]:
     --------
     >>> sorted(kinds_where(result_shape="path"))
     ['chordless-path', 'st-path']
-    >>> kinds_where(suspendable=False)
-    frozenset()
+    >>> sorted(kinds_where(relabelable=False))
+    ['kfragments']
     """
     out = []
     for kind_spec in KIND_REGISTRY.values():

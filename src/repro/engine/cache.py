@@ -316,8 +316,8 @@ def to_canonical(kind: str, structures, order: List[Any]) -> tuple:
 def from_canonical(job: EnumerationJob, canonical, order: List[Any]) -> tuple:
     """Translate canonical-index structures into ``job``'s own labels."""
     if kind_spec(job.kind).result_shape == "vertex-set":
-        # Vertex sets are rendered sorted by repr (matching
-        # iter_structures); paths keep their traversal order.
+        # Vertex sets are rendered sorted by repr (matching JobSearch);
+        # paths keep their traversal order.
         return tuple(
             tuple(sorted((order[i] for i in s), key=repr)) for s in canonical
         )
@@ -358,7 +358,7 @@ def line_result(job: EnumerationJob, lines: tuple, exhausted: bool) -> JobResult
     return entry_result(job, tuple(lines), False, exhausted, None)
 
 
-def cacheable(result: JobResult) -> bool:
+def storable(result: JobResult) -> bool:
     """True when ``result`` is sound to record for future replay.
 
     Deadline- and budget-stopped runs are rejected: their cut point is
@@ -534,7 +534,7 @@ class InstanceCache:
         An existing entry is only replaced by one that knows strictly
         more solutions.
         """
-        if not cacheable(result):
+        if not storable(result):
             return
         key, order = self.key_of(job)
         if order is not None and result.structures is None:

@@ -1,32 +1,37 @@
-"""Resumable streaming cursors over enumeration jobs.
+"""Resumable streaming cursors over enumeration jobs, and their checkpoints.
 
 A :class:`EnumerationCursor` turns a job into a pull-based stream: take
-the first ``k`` solutions, :meth:`checkpoint` (a small JSON-able dict:
-job spec + delivered offset + a digest of the delivered prefix + — for
-suspendable kinds — a serialized search-state snapshot), persist it
-anywhere, and :meth:`resume` later to receive *exactly* the remaining
-tail — the concatenation of the two passes equals one uninterrupted run.
+the first ``k`` solutions, :meth:`~EnumerationCursor.checkpoint` (a
+small JSON-able record: job spec + delivered offset + a digest of the
+delivered prefix + a serialized search-state snapshot), persist it
+anywhere, and :meth:`~EnumerationCursor.resume` later to receive
+*exactly* the remaining tail — the concatenation of the two passes
+equals one uninterrupted run.
 
 Resumption cost, in order of preference:
 
-1. **Snapshot resume** (kinds in
-   ``suspendable`` in :mod:`repro.core.capabilities`): the checkpoint embeds
-   the frozen branch-and-bound stack (:mod:`repro.engine.suspend`), so
-   the resumed cursor continues in O(state) — no re-enumeration, no
-   matter how deep the stream position is.
+1. **Snapshot resume**: the checkpoint embeds the frozen
+   branch-and-bound stack (:mod:`repro.engine.suspend`), so the resumed
+   cursor continues in O(state) — no re-enumeration, no matter how deep
+   the stream position is.
 2. **Cache replay**: with a cache attached, delivered prefixes are
-   stored on :meth:`checkpoint`, so resuming replays cached solutions
-   and only enumerates what was never produced.
-3. **Replay fast-forward** (the fallback, and the only option for
-   replay-only kinds or ``resume_mode="replay"``): re-run the
-   (deterministic) enumerator and discard ``offset`` solutions without
-   rendering them — correct, but O(offset).
+   stored on checkpoint, so resuming replays cached solutions and only
+   enumerates what was never produced.
+3. **Fast-forward** (the fallback, and ``resume_mode="replay"``):
+   re-run the (deterministic) enumerator and discard ``offset``
+   solutions — correct, but O(offset).
 
-Every resume is fingerprint-checked: a checkpoint replayed against a
-job whose kind, backend or exact-instance fingerprint differs raises
-:class:`repro.exceptions.CursorStateError` instead of silently
-fast-forwarding the wrong stream, and the prefix digest still guards
-against spec tampering on the replay path.
+Live enumeration runs as one :class:`repro.engine.suspend.Segment`,
+which states the execution envelope (limit, deadline, op budget).
+
+The checkpoint record is built by :func:`checkpoint_record` and read by
+:func:`read_checkpoint` — here and in the serving layer, whose store
+persists the same records.  Every resume is fingerprint-checked: a
+checkpoint replayed against a job whose kind, backend or exact-instance
+fingerprint differs raises :class:`repro.exceptions.CursorStateError`
+instead of silently fast-forwarding the wrong stream, and the prefix
+digest (:func:`prefix_digest`) guards against spec tampering on the
+fast-forward path.
 """
 
 from __future__ import annotations
@@ -34,36 +39,123 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.engine.cache import InstanceCache, job_fingerprint
-from repro.core.capabilities import spec as kind_spec
-from repro.engine.jobs import (
-    BudgetExceeded,
-    EnumerationJob,
-    JobResult,
-    _BudgetMeter,
-    iter_structures,
-    structure_line,
-)
+from repro.engine.jobs import EnumerationJob, JobResult
+from repro.engine.suspend import Segment
 from repro.exceptions import CursorStateError, InvalidInstanceError
-from repro.graphs.fastgraph import resolve_backend
-
-import time
 
 #: Valid values for ``resume_mode``.
 RESUME_MODES = ("snapshot", "replay")
 
+#: The checkpoint record layout version.
+CHECKPOINT_VERSION = 1
 
-class _CleanStop(BudgetExceeded):
-    """A deadline observed *between* solutions (machine-driven segments).
 
-    Unlike a mid-step abort raised by the substrate meter, the machine
-    is at a clean suspension point, so the cursor keeps its snapshot:
-    deadline-bounded rounds stay O(state)-resumable.
+# ----------------------------------------------------------------------
+# the checkpoint record
+# ----------------------------------------------------------------------
+def prefix_digest(lines: Iterable[str]) -> str:
+    """SHA-256 of a delivered prefix, one newline-terminated line each."""
+    hasher = hashlib.sha256()
+    for line in lines:
+        hasher.update(line.encode())
+        hasher.update(b"\n")
+    return hasher.hexdigest()
+
+
+def checkpoint_record(
+    job: EnumerationJob,
+    offset: int,
+    digest: Optional[str] = None,
+    snapshot: Optional[bytes] = None,
+) -> Dict[str, Any]:
+    """The JSON-able checkpoint of ``job``'s stream at ``offset``."""
+    record: Dict[str, Any] = {
+        "version": CHECKPOINT_VERSION,
+        "job": job.to_dict(),
+        "offset": offset,
+        "digest": digest,
+    }
+    if snapshot is not None:
+        record["snapshot"] = base64.b64encode(snapshot).decode("ascii")
+    return record
+
+
+class Checkpoint(NamedTuple):
+    """A checkpoint record, validated and decoded by :func:`read_checkpoint`."""
+
+    job: EnumerationJob
+    offset: int
+    digest: Optional[str]
+    snapshot: Optional[bytes]
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def read_checkpoint(
+    record: Any, job: Optional[EnumerationJob] = None
+) -> Checkpoint:
+    """Validate and decode a :func:`checkpoint_record` dict.
+
+    Raises :class:`InvalidInstanceError` for a record that is not a
+    version-1 object with a job object, a non-negative integer offset
+    and string-or-null ``digest`` / ``snapshot`` fields.  When ``job``
+    is given the checkpoint must belong to it — same kind, backend and
+    exact-instance fingerprint — or :class:`CursorStateError` is
+    raised; the returned checkpoint then carries the *caller's* job,
+    whose envelope (limit/deadline/budget) may legitimately differ.  A
+    snapshot that is not valid base64 decodes to ``None``: the stream
+    fast-forwards instead.
     """
+    if not isinstance(record, dict):
+        raise InvalidInstanceError("a cursor checkpoint must be a JSON object")
+    version = record.get("version")
+    if not (_is_int(version) and version == CHECKPOINT_VERSION):
+        raise InvalidInstanceError(f"unknown cursor version {version!r}")
+    offset = record.get("offset")
+    if not (_is_int(offset) and offset >= 0):
+        raise InvalidInstanceError(
+            f"checkpoint offset must be a non-negative integer, not {offset!r}"
+        )
+    spec = record.get("job")
+    if not isinstance(spec, dict):
+        raise InvalidInstanceError("checkpoint job must be a JSON object")
+    for field in ("digest", "snapshot"):
+        if not isinstance(record.get(field), (str, type(None))):
+            raise InvalidInstanceError(f"checkpoint {field} must be a string or null")
+    try:
+        checkpointed = EnumerationJob.from_dict(spec)
+    except TypeError as exc:  # e.g. a string limit compared with 0
+        raise InvalidInstanceError(f"malformed checkpoint job: {exc}") from exc
+    if job is not None:
+        job.validate()
+        if (
+            job.kind != checkpointed.kind
+            or job.backend != checkpointed.backend
+            or job_fingerprint(job) != job_fingerprint(checkpointed)
+        ):
+            raise CursorStateError(
+                "checkpoint was taken for a different job (checkpointed "
+                f"kind={checkpointed.kind!r} backend={checkpointed.backend!r}, "
+                f"resuming kind={job.kind!r} backend={job.backend!r})"
+            )
+        checkpointed = job
+    snapshot = None
+    if record.get("snapshot"):
+        try:
+            snapshot = base64.b64decode(record["snapshot"])
+        except ValueError:
+            snapshot = None
+    return Checkpoint(checkpointed, offset, record.get("digest"), snapshot)
 
 
+# ----------------------------------------------------------------------
+# the cursor
+# ----------------------------------------------------------------------
 class EnumerationCursor:
     """A chunked, checkpointable view of one job's solution stream.
 
@@ -71,11 +163,9 @@ class EnumerationCursor:
     ----------
     job:
         The job to stream.  Its ``limit`` bounds the *total* stream
-        length.  Each live enumeration segment gets a fresh allowance:
-        the ``deadline`` bounds the segment's wall clock (fast-forward
-        included), while the op ``budget`` arms only once delivery
-        begins, so budget-stopped cursors always progress across
-        resumes.
+        length; each live enumeration segment gets a fresh ``deadline``
+        and ``budget`` allowance under the rules of
+        :class:`repro.engine.suspend.Segment`.
     cache:
         Optional :class:`InstanceCache`.  Delivered prefixes are stored
         into it on :meth:`checkpoint`/exhaustion so later resumes (and
@@ -87,10 +177,9 @@ class EnumerationCursor:
         Internal — serialized search state to resume from (set by
         :meth:`resume` from the checkpoint's ``snapshot`` field).
     resume_mode:
-        ``"snapshot"`` (default) resumes suspendable kinds from the
-        embedded search-state snapshot; ``"replay"`` forces the
-        fast-forward path (used for benchmarking and as an escape
-        hatch).  Replay-only kinds always fast-forward.
+        ``"snapshot"`` (default) resumes from the embedded search-state
+        snapshot; ``"replay"`` forces the fast-forward path (used for
+        benchmarking and as an escape hatch).
 
     Examples
     --------
@@ -124,7 +213,6 @@ class EnumerationCursor:
         self.resume_mode = resume_mode
         self.exhausted = False
         self.stop_reason: Optional[str] = None
-        self._delivered: List[str] = []  # lines delivered by THIS cursor object
         # Everything known about positions [0, offset): replayed cache
         # prefix + fast-forwarded lines + delivered lines, with parallel
         # label-level structures (None where unknown).  Complete coverage
@@ -135,9 +223,7 @@ class EnumerationCursor:
         self._expected_digest = _expected_digest
         self._snapshot_blob = snapshot
         self._iterator: Optional[Iterator[Tuple[str, Any]]] = None
-        self._meter: Optional[_BudgetMeter] = None
-        self._search = None  # live JobSearch (suspendable kinds only)
-        self._dirty = False  # True after a mid-step abort: state unusable
+        self._segment: Optional[Segment] = None  # the live segment, once started
 
     # ------------------------------------------------------------------
     def take(self, k: int) -> List[str]:
@@ -147,28 +233,17 @@ class EnumerationCursor:
         out: List[str] = []
         if self.exhausted:
             return out
-        iterator = self._ensure_iterator()
+        if self._iterator is None:
+            self._iterator = self._open_stream()
         while len(out) < k:
-            if self._remaining_limit() == 0:
-                self.exhausted = True
-                self.stop_reason = "limit"
-                break
             try:
-                line, structure = next(iterator)
+                line, structure = next(self._iterator)
             except StopIteration:
                 self.exhausted = True
-                self._record_final()
-                break
-            except BudgetExceeded as exc:
-                self.exhausted = True
-                self.stop_reason = exc.reason
-                # A between-solutions deadline stop keeps the machine at
-                # a clean suspension point; only mid-step aborts (budget
-                # or a substrate-raised deadline) poison the snapshot.
-                self._dirty = not isinstance(exc, _CleanStop)
+                if self.stop_reason is None:
+                    self._store_prefix()
                 break
             out.append(line)
-            self._delivered.append(line)
             self._known_lines.append(line)
             self._known_structures.append(structure)
             self.offset += 1
@@ -189,21 +264,14 @@ class EnumerationCursor:
         """A JSON-serializable resume token for the current position.
 
         Also stores the delivered prefix into the attached cache so the
-        matching :meth:`resume` costs no re-enumeration, and — for
-        suspendable kinds at a clean suspension point — embeds the
-        serialized search state so :meth:`resume` is O(state).
+        matching :meth:`resume` costs no re-enumeration, and — at a
+        clean suspension point — embeds the serialized search state so
+        :meth:`resume` is O(state).
         """
         self._store_prefix()
-        state: Dict[str, Any] = {
-            "version": 1,
-            "job": self.job.to_dict(),
-            "offset": self.offset,
-            "digest": self._prefix_digest(),
-        }
-        blob = self._current_snapshot()
-        if blob is not None:
-            state["snapshot"] = base64.b64encode(blob).decode("ascii")
-        return state
+        return checkpoint_record(
+            self.job, self.offset, self._prefix_digest(), self._current_snapshot()
+        )
 
     def save(self, path: str) -> None:
         """Write :meth:`checkpoint` to ``path`` as JSON."""
@@ -223,46 +291,18 @@ class EnumerationCursor:
 
         The resumed cursor continues at ``state['offset']``: its next
         :meth:`take` returns exactly what the original cursor would have
-        returned next.  When ``job`` is given, the checkpoint must have
-        been taken for that job — same kind, same backend, same
-        exact-instance fingerprint — or :class:`CursorStateError` is
-        raised (a mismatched spec would silently replay the wrong
-        stream); the cursor then runs under the *caller's* job, whose
-        execution envelope (limit/deadline/budget) may legitimately
-        differ from the checkpointed one.
+        returned next.  ``state`` is validated by
+        :func:`read_checkpoint`; when ``job`` is given the checkpoint
+        must belong to it, and the cursor runs under the *caller's*
+        job.
         """
-        if state.get("version") != 1:
-            raise InvalidInstanceError(f"unknown cursor version {state.get('version')!r}")
-        checkpoint_job = EnumerationJob.from_dict(state["job"])
-        if job is not None:
-            job.validate()
-            if (
-                job.kind != checkpoint_job.kind
-                or job.backend != checkpoint_job.backend
-                or job_fingerprint(job) != job_fingerprint(checkpoint_job)
-            ):
-                raise CursorStateError(
-                    "checkpoint does not belong to the job it is resumed "
-                    f"against (checkpointed kind={checkpoint_job.kind!r} "
-                    f"backend={checkpoint_job.backend!r}, resuming "
-                    f"kind={job.kind!r} backend={job.backend!r}, "
-                    "fingerprints "
-                    + (
-                        "match"
-                        if job_fingerprint(job) == job_fingerprint(checkpoint_job)
-                        else "differ"
-                    )
-                    + ")"
-                )
-            checkpoint_job = job
-        encoded = state.get("snapshot")
-        blob = base64.b64decode(encoded) if encoded else None
+        checkpoint = read_checkpoint(state, job)
         return cls(
-            checkpoint_job,
+            checkpoint.job,
             cache=cache,
-            offset=int(state["offset"]),
-            _expected_digest=state.get("digest"),
-            snapshot=blob,
+            offset=checkpoint.offset,
+            _expected_digest=checkpoint.digest,
+            snapshot=checkpoint.snapshot,
             resume_mode=resume_mode,
         )
 
@@ -281,256 +321,90 @@ class EnumerationCursor:
             )
 
     # ------------------------------------------------------------------
-    def _remaining_limit(self) -> Optional[int]:
-        if self.job.limit is None:
-            return None
-        return max(0, self.job.limit - self.offset)
-
-    def _ensure_iterator(self) -> Iterator[Tuple[str, Any]]:
-        if self._iterator is None:
-            self._iterator = self._open_stream()
-        return self._iterator
-
-    def _try_restore_search(self):
-        """A :class:`JobSearch` thawed from the resume snapshot.
-
-        Returns ``None`` to fall back to replay (no snapshot, replay
-        mode, replay-only kind, or an unreadable/cross-version payload —
-        replay is always correct).  A snapshot that *identifies* a
-        different job — kind, backend or fingerprint mismatch, or a
-        position that contradicts the checkpoint offset — raises
-        :class:`CursorStateError` instead: that is corruption, not a
-        degraded path.
-        """
-        blob = self._snapshot_blob
-        if (
-            blob is None
-            or self.resume_mode != "snapshot"
-            or not kind_spec(self.job.kind).suspendable
-        ):
-            return None
-        from repro.core.suspend import SnapshotError, read_snapshot_header
-        from repro.engine.suspend import JobSearch
-
-        try:
-            header = read_snapshot_header(blob)
-        except SnapshotError:
-            return None  # unreadable envelope: replay still works
-        if (
-            header["kind"] != self.job.kind
-            or resolve_backend(header["backend"]) != self.job.backend
-            or header["fingerprint"] != job_fingerprint(self.job)
-        ):
-            raise CursorStateError(
-                "cursor snapshot was taken for a different job "
-                f"(snapshot kind={header['kind']!r} backend={header['backend']!r})"
-            )
-        if header.get("emitted") != self.offset:
-            raise CursorStateError(
-                f"cursor snapshot position {header.get('emitted')!r} does not "
-                f"match the checkpoint offset {self.offset}"
-            )
-        # Machine-driven segments keep the clock out of the substrate
-        # meter: the deadline is enforced *between* solutions (see
-        # :class:`_CleanStop`), so deadline stops stay snapshotable.
-        meter = _BudgetMeter()
-        try:
-            search = JobSearch.restore(self.job, blob, meter)
-        except CursorStateError:
-            # Fingerprint already matched above, so this is a payload
-            # problem (cross-version pickle, truncation): fall back.
-            return None
-        # Delivery starts immediately (no fast-forward): arm the budget.
-        if self.job.budget is not None:
-            meter.budget = meter.count + self.job.budget
-        self._meter = meter
-        return search
-
     def _open_stream(self) -> Iterator[Tuple[str, Any]]:
-        """Line iterator starting at ``self.offset``.
+        """Pairs from ``self.offset`` on.
 
-        Prefers, in order: a complete cached result (zero enumeration),
-        the search-state snapshot (O(state) resume), a cached prefix
-        replay + live continuation, and finally live enumeration with a
-        replay fast-forward.
+        A complete cached result replays with no enumeration.  Otherwise
+        the snapshot thaws at the offset (O(state)), or the cached prefix
+        replays and a live segment fast-forwards past it.
         """
-        start = self.offset
-        cached_lines: Tuple[str, ...] = ()
-        cached_structures: Optional[Tuple[Any, ...]] = None
-        cache_complete = False
+        start, limit = self.offset, self.job.limit
+        lines: Tuple[str, ...] = ()
+        structures: Optional[Tuple[Any, ...]] = None
+        complete = False
         if self.cache is not None:
             stored = self.cache.prefix(self.job)
             if stored is not None:
-                cached_lines = stored.lines
-                cached_structures = stored.structures
-                cache_complete = stored.exhausted
-
-        expected = self._expected_digest
-        prefix_hasher = hashlib.sha256() if expected is not None else None
-
-        def check_prefix() -> None:
-            if prefix_hasher is not None and prefix_hasher.hexdigest() != expected:
-                raise InvalidInstanceError(
-                    "cursor checkpoint does not match this job's solution stream"
+                lines, structures, complete = (
+                    stored.lines,
+                    stored.structures,
+                    stored.exhausted,
                 )
+        snapshot = self._snapshot_blob if self.resume_mode == "snapshot" else None
+        if snapshot is not None and not complete:
+            lines = lines[:start]  # the snapshot continues from `start`
 
-        def hash_prefix_line(line: str) -> None:
-            if prefix_hasher is not None:
-                prefix_hasher.update(line.encode())
-                prefix_hasher.update(b"\n")
+        def structure_at(i: int) -> Any:
+            return structures[i] if structures is not None else None
 
-        def remember(line: str, structure: Any) -> None:
-            self._known_lines.append(line)
-            self._known_structures.append(structure)
-
-        if not (cache_complete and len(cached_lines) >= start):
-            search = self._try_restore_search()
-            if search is not None:
-                if len(cached_lines) >= start:
-                    # The cache knows the whole delivered prefix: adopt
-                    # it (and verify the digest) so a later checkpoint /
-                    # exhaustion can still upgrade the cache entry.
-                    for i in range(start):
-                        hash_prefix_line(cached_lines[i])
-                        remember(
-                            cached_lines[i],
-                            cached_structures[i]
-                            if cached_structures is not None
-                            else None,
+        def known(position: int, line: str, structure: Any) -> None:
+            # Positions below `start` are the delivered prefix: remember
+            # them for later checkpoints and check the digest once whole.
+            if position < start and position == len(self._known_lines):
+                self._known_lines.append(line)
+                self._known_structures.append(structure)
+                if position + 1 == start and self._expected_digest is not None:
+                    if prefix_digest(self._known_lines) != self._expected_digest:
+                        raise InvalidInstanceError(
+                            "cursor checkpoint does not match this job's "
+                            "solution stream"
                         )
-                    check_prefix()
-                self._search = search
-                deadline_at = (
-                    (time.monotonic() + self.job.deadline)
-                    if self.job.deadline is not None
-                    else None
-                )
-
-                def snapshot_stream() -> Iterator[Tuple[str, Any]]:
-                    while True:
-                        pair = search.next()
-                        if pair is None:
-                            return
-                        yield pair
-                        if deadline_at is not None and time.monotonic() > deadline_at:
-                            raise _CleanStop("deadline")
-
-                return snapshot_stream()
 
         def stream() -> Iterator[Tuple[str, Any]]:
-            covered = min(start, len(cached_lines))
-            for i in range(covered):
-                hash_prefix_line(cached_lines[i])
-                remember(
-                    cached_lines[i],
-                    cached_structures[i] if cached_structures is not None else None,
-                )
-            if covered == start:
-                check_prefix()
-            position = start
-            for i in range(start, len(cached_lines)):
-                structure = (
-                    cached_structures[i] if cached_structures is not None else None
-                )
-                yield cached_lines[i], structure
-                position += 1
-            if cache_complete:
-                if covered < start:
+            for i in range(min(start, len(lines))):
+                known(i, lines[i], structure_at(i))
+            end = len(lines) if limit is None else min(limit, len(lines))
+            for i in range(start, end):
+                yield lines[i], structure_at(i)
+            position = max(start, end)
+            if limit is not None and position >= limit:
+                self.stop_reason = "limit"
+                return
+            if complete:
+                if start > len(lines):
                     raise InvalidInstanceError(
                         "cursor checkpoint offset exceeds the job's solution stream"
                     )
                 return
-            # The deadline covers the whole live segment (it is a wall-
-            # clock latency bound, fast-forward included), but the op
-            # budget arms only when *delivery* begins: otherwise a
-            # budget-stopped cursor would re-spend its whole fresh
-            # allowance re-skipping the prefix and never make progress
-            # across resumes.  With a cache attached the fast-forward is
-            # free, so deadline-stopped cursors also progress.
-            suspendable = kind_spec(self.job.kind).suspendable
-            deadline_at = (
-                (time.monotonic() + self.job.deadline)
-                if self.job.deadline is not None
-                else None
+            segment = Segment(
+                self.job,
+                position,
+                snapshot if position == start else None,
+                on_skip=known,
             )
-            # Machine-driven segments enforce the deadline between
-            # solutions (clean stop, snapshot preserved) instead of
-            # letting the substrate meter abort mid-step.
-            meter = _BudgetMeter(deadline_at=None if suspendable else deadline_at)
-            self._meter = meter
-            armed = position == 0
-            if armed:
-                meter.budget = self.job.budget
-            if suspendable:
-                # Drive the live segment through the suspendable machine
-                # so checkpoints taken later embed a search snapshot.
-                from repro.engine.suspend import JobSearch
-
-                search = JobSearch(self.job, meter)
-                self._search = search
-                source: Iterator[Tuple[str, Any]] = iter(search)
-            else:
-                source = (
-                    (structure_line(self.job, s), s)
-                    for s in iter_structures(self.job, meter)
-                )
-            seen = 0
-            for line, structure in source:
-                seen += 1
-                if seen <= position:
-                    if covered < seen <= start:
-                        hash_prefix_line(line)
-                        remember(line, structure)
-                        if seen == start:
-                            check_prefix()
-                    if (
-                        suspendable
-                        and deadline_at is not None
-                        and time.monotonic() > deadline_at
-                    ):
-                        raise _CleanStop("deadline")
-                    continue
-                if not armed:
-                    armed = True
-                    if self.job.budget is not None:
-                        meter.budget = meter.count + self.job.budget
-                yield line, structure
-                if (
-                    suspendable
-                    and deadline_at is not None
-                    and time.monotonic() > deadline_at
-                ):
-                    raise _CleanStop("deadline")
-            if seen < start:
-                # The enumeration ended before reaching the checkpoint
-                # offset: the checkpoint belongs to a different job spec.
-                raise InvalidInstanceError(
-                    "cursor checkpoint offset exceeds the job's solution stream"
-                )
+            self._segment = segment
+            yield from segment
+            self.stop_reason = segment.stop_reason
 
         return stream()
 
     # ------------------------------------------------------------------
     def _current_snapshot(self) -> Optional[bytes]:
         """The search-state blob for :meth:`checkpoint`, if sound."""
-        if not kind_spec(self.job.kind).suspendable or self._dirty:
-            return None
-        if self._search is not None and self._search.emitted == self.offset:
-            return self._search.snapshot()
-        if self.offset == self._initial_offset:
+        segment = self._segment
+        if segment is not None and not segment.clean:
+            return None  # a budget abort left the machine mid-step
+        blob = segment.snapshot() if segment is not None else None
+        if blob is None and self.offset == self._initial_offset:
             # A resumed cursor that has not advanced (or has replayed
             # only cached lines) re-issues the snapshot it was resumed
             # with, so checkpoint-of-a-checkpoint chains stay O(state).
-            return self._snapshot_blob
-        return None
+            blob = self._snapshot_blob
+        return blob
 
     def _prefix_digest(self) -> Optional[str]:
         if self.offset and self.offset == len(self._known_lines):
-            digest = hashlib.sha256()
-            for line in self._known_lines:
-                digest.update(line.encode())
-                digest.update(b"\n")
-            return digest.hexdigest()
+            return prefix_digest(self._known_lines)
         if self.offset == self._initial_offset:
             # A resumed cursor that has not advanced re-issues the digest
             # it was resumed with, so tamper detection survives
@@ -558,10 +432,7 @@ class EnumerationCursor:
             exhausted=complete,
             stop_reason=None if complete else "limit",
             elapsed=0.0,
-            ops=self._meter.count if self._meter else 0,
+            ops=self._segment.meter.count if self._segment is not None else 0,
             structures=structures,
         )
         self.cache.store(self.job, result)
-
-    def _record_final(self) -> None:
-        self._store_prefix()

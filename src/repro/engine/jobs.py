@@ -39,7 +39,6 @@ from typing import (
     Any,
     Dict,
     Hashable,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -57,42 +56,9 @@ Vertex = Hashable
 
 #: All job kinds the engine can execute — derived from the kind
 #: capability registry (:mod:`repro.core.capabilities`), which is the
-#: single source of truth for result shapes, backend support,
-#: suspendability, relabelability and cacheability.
+#: single source of truth for result shapes, backend support and
+#: relabelability.
 JOB_KINDS = capabilities.JOB_KINDS
-
-# ----------------------------------------------------------------------
-# deprecated capability frozensets
-# ----------------------------------------------------------------------
-# The capability split used to be encoded here as five frozensets that
-# serve/cursor/cache each imported.  They are now derived views of the
-# registry, kept importable for one release; new code should consult
-# :func:`repro.core.capabilities.spec` / ``kinds_where`` instead.
-_DEPRECATED_KIND_SETS = {
-    "EDGE_SET_KINDS": {"result_shape": "edge-set"},
-    "ARC_SET_KINDS": {"result_shape": "arc-set"},
-    "VERTEX_SET_KINDS": {"result_shape": "vertex-set"},
-    "PATH_KINDS": {"result_shape": "path"},
-    "RELABELABLE_KINDS": {"relabelable": True},
-    "SUSPENDABLE_KINDS": {"suspendable": True},
-}
-
-
-def __getattr__(name: str):
-    flags = _DEPRECATED_KIND_SETS.get(name)
-    if flags is not None:
-        import warnings
-
-        warnings.warn(
-            f"repro.engine.jobs.{name} is deprecated and will be removed "
-            f"one release after 0.7; use "
-            f"repro.core.capabilities.kinds_where({', '.join(f'{k}={v!r}' for k, v in flags.items())}) "
-            f"or repro.core.capabilities.spec(kind) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return capabilities.kinds_where(**flags)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BudgetExceeded(ReproError):
@@ -526,13 +492,11 @@ class JobResult:
     the cache stores (see :mod:`repro.engine.cache`) and is excluded from
     serialization.  ``exhausted`` is True iff the enumeration ran to
     completion; otherwise ``stop_reason`` says why it stopped
-    (``limit`` / ``deadline`` / ``budget``).  For suspendable kinds
-    (``suspendable`` in :mod:`repro.core.capabilities`) a cleanly
-    stopped run also carries a
-    search-state ``snapshot``: pass it back as ``run_job(job,
-    resume=...)`` to continue the stream in O(state) instead of
-    replaying the delivered prefix.  Like ``structures`` it is excluded
-    from serialization and comparison.
+    (``limit`` / ``deadline`` / ``budget``).  A cleanly stopped run
+    also carries a search-state ``snapshot``: pass it back as
+    ``run_job(job, resume=...)`` to continue the stream in O(state)
+    instead of replaying the delivered prefix.  Like ``structures`` it
+    is excluded from serialization and comparison.
     """
 
     job_id: Optional[str]
@@ -620,103 +584,9 @@ def _render_fragment(job: EnumerationJob, labels, fragment) -> str:
     return f"[{fragment.size}] {edges} | {matches}"
 
 
-def iter_structures(job: EnumerationJob, meter: Optional[CostMeter] = None) -> Iterator:
-    """Drive the solver for ``job``, yielding label-level structures.
-
-    The solver runs on the integer-indexed instance (see
-    :meth:`EnumerationJob.instantiate_indexed`) so the solution order is
-    identical in every process; yields are translated back to the job's
-    own labels.  For ``kfragments`` jobs the yields are pre-rendered
-    lines (fragments carry match metadata that does not survive
-    relabeling, so the cache never translates them).
-    """
-    job.validate()
-    instance, labels, raw_index = job.instantiate_indexed()
-
-    class _QueryIndex(dict):
-        """index_of with instance-membership errors instead of KeyErrors."""
-
-        def __missing__(self, vertex):
-            raise InvalidInstanceError(
-                f"query vertex {vertex!r} is not in the instance"
-            )
-
-    index_of = _QueryIndex(raw_index)
-    backend = job.backend
-    if job.kind == "steiner-tree":
-        from repro.core.steiner_tree import enumerate_minimal_steiner_trees
-
-        for sol in enumerate_minimal_steiner_trees(
-            instance, [index_of[t] for t in job.terminals], meter=meter,
-            backend=backend,
-        ):
-            yield solution_edge_structure(job, sol)
-    elif job.kind == "steiner-forest":
-        from repro.core.steiner_forest import enumerate_minimal_steiner_forests
-
-        for sol in enumerate_minimal_steiner_forests(
-            instance,
-            [[index_of[t] for t in f] for f in job.families],
-            meter=meter,
-            backend=backend,
-        ):
-            yield solution_edge_structure(job, sol)
-    elif job.kind == "terminal-steiner":
-        from repro.core.terminal_steiner import enumerate_minimal_terminal_steiner_trees
-
-        for sol in enumerate_minimal_terminal_steiner_trees(
-            instance, [index_of[t] for t in job.terminals], meter=meter,
-            backend=backend,
-        ):
-            yield solution_edge_structure(job, sol)
-    elif job.kind == "directed-steiner":
-        from repro.core.directed_steiner import enumerate_minimal_directed_steiner_trees
-
-        for sol in enumerate_minimal_directed_steiner_trees(
-            instance,
-            [index_of[t] for t in job.terminals],
-            index_of[job.root],
-            meter=meter,
-            backend=backend,
-        ):
-            yield solution_edge_structure(job, sol)
-    elif job.kind == "induced-steiner":
-        from repro.core.induced_steiner import enumerate_minimal_induced_steiner_subgraphs
-
-        for sol in enumerate_minimal_induced_steiner_subgraphs(
-            instance, [index_of[t] for t in job.terminals], meter=meter,
-            backend=backend,
-        ):
-            yield tuple(sorted((labels[v] for v in sol), key=repr))
-    elif job.kind == "chordless-path":
-        from repro.core.induced_paths import enumerate_chordless_st_paths
-
-        for path in enumerate_chordless_st_paths(
-            instance, index_of[job.source], index_of[job.target], meter=meter,
-            backend=backend,
-        ):
-            yield tuple(labels[v] for v in path)
-    elif job.kind == "st-path":
-        from repro.paths.read_tarjan import enumerate_st_paths_undirected
-
-        for path in enumerate_st_paths_undirected(
-            instance, index_of[job.source], index_of[job.target], meter=meter,
-            backend=backend,
-        ):
-            yield tuple(labels[v] for v in path.vertices)
-    elif job.kind == "kfragments":
-        from repro.datagraph.kfragments import undirected_kfragments
-
-        for fragment in undirected_kfragments(
-            instance, list(job.keywords), meter=meter, backend=backend
-        ):
-            yield _render_fragment(job, labels, fragment)
-    else:  # pragma: no cover - validate() rejects unknown kinds
-        raise InvalidInstanceError(f"unhandled job kind {job.kind!r}")
-
-
 def structure_line(job: EnumerationJob, structure) -> str:
-    """Render one structure yielded by :func:`iter_structures` for ``job``."""
+    """Render one label-level structure of ``job``'s stream as its line
+    (``kfragments`` structures are pre-rendered lines)."""
     if job.kind == "kfragments":
         return structure
     return render_structure(job.kind, structure)
@@ -725,106 +595,35 @@ def structure_line(job: EnumerationJob, structure) -> str:
 def run_job(job: EnumerationJob, resume: Optional[bytes] = None) -> JobResult:
     """Execute ``job`` to its limit/deadline/budget; never raises on overrun.
 
-    Suspendable kinds (``suspendable`` in the capability registry,
-    :mod:`repro.core.capabilities`) run on their search
-    machine: a run stopped cleanly (limit reached, or the deadline
-    observed between solutions) carries a search-state ``snapshot`` in
-    its result, and passing that blob back as ``resume`` continues the
-    stream where it stopped — the job's ``limit`` always bounds the
-    *total* stream position, resumed segments included.  A run aborted
-    mid-step (op budget / deadline tripped inside the substrate) has no
-    clean machine state and returns no snapshot; such streams resume by
-    replay.  ``resume`` for a replay-only kind raises
-    :class:`InvalidInstanceError`.
+    The job runs as one :class:`repro.engine.suspend.Segment`, which
+    states the execution envelope.  A run stopped cleanly (limit
+    reached, or the deadline observed between solutions) carries a
+    search-state ``snapshot`` in its result; passing that blob back as
+    ``resume`` continues the stream where it stopped — the job's
+    ``limit`` always bounds the *total* stream position, resumed
+    segments included.  A run aborted by its op budget has no clean
+    machine state and returns no snapshot.  A ``resume`` snapshot bound
+    to another job raises :class:`~repro.exceptions.CursorStateError`.
     """
-    start = time.perf_counter()
-    deadline_at = (
-        (time.monotonic() + job.deadline) if job.deadline is not None else None
-    )
-    meter = _BudgetMeter(budget=job.budget, deadline_at=deadline_at)
-    structures: List[Any] = []
-    stop_reason: Optional[str] = None
-    exhausted = False
-    snapshot_out: Optional[bytes] = None
-    if kind_spec(job.kind).suspendable:
-        from repro.engine.suspend import JobSearch
+    from repro.engine.suspend import Segment
 
-        # Machine-driven runs enforce the deadline between solutions —
-        # a clean suspension point, so the stop keeps its snapshot —
-        # instead of letting the substrate meter abort mid-step.
-        meter.deadline_at = None
-        lines_list: List[str] = []
-        search = (
-            JobSearch.restore(job, resume, meter)
-            if resume is not None
-            else JobSearch(job, meter)
-        )
-        remaining = (
-            None if job.limit is None else max(0, job.limit - search.emitted)
-        )
-        clean = True
-        try:
-            while True:
-                if remaining is not None and len(structures) >= remaining:
-                    stop_reason = "limit"
-                    break
-                pair = search.next()
-                if pair is None:
-                    exhausted = True
-                    break
-                line, structure = pair
-                lines_list.append(line)
-                structures.append(structure)
-                # Limit before deadline, matching the replay-only branch:
-                # reaching the cap reports "limit" even when the clock
-                # has also just run out.
-                if remaining is not None and len(structures) >= remaining:
-                    stop_reason = "limit"
-                    break
-                if deadline_at is not None and time.monotonic() > deadline_at:
-                    stop_reason = "deadline"
-                    break
-        except BudgetExceeded as exc:
-            stop_reason = exc.reason
-            clean = False  # the machine state is mid-step: not resumable
-        if not exhausted and clean:
-            snapshot_out = search.snapshot()
-        lines = tuple(lines_list)
-    else:
-        if resume is not None:
-            raise InvalidInstanceError(
-                f"job kind {job.kind!r} is replay-only (no snapshot resume)"
-            )
-        if job.limit == 0:
-            stop_reason = "limit"
-        else:
-            try:
-                for structure in iter_structures(job, meter):
-                    structures.append(structure)
-                    if job.limit is not None and len(structures) >= job.limit:
-                        stop_reason = "limit"
-                        break
-                    if (
-                        meter.deadline_at is not None
-                        and time.monotonic() > meter.deadline_at
-                    ):
-                        stop_reason = "deadline"
-                        break
-                else:
-                    exhausted = True
-            except BudgetExceeded as exc:
-                stop_reason = exc.reason
-        lines = tuple(structure_line(job, s) for s in structures)
+    start = time.perf_counter()
+    segment = Segment(job, snapshot=resume)
+    lines: List[str] = []
+    structures: List[Any] = []
+    for line, structure in segment:
+        lines.append(line)
+        structures.append(structure)
     return JobResult(
         job_id=job.job_id,
         kind=job.kind,
-        lines=lines,
-        exhausted=exhausted,
-        stop_reason=stop_reason,
+        lines=tuple(lines),
+        exhausted=segment.exhausted,
+        stop_reason=segment.stop_reason,
         elapsed=time.perf_counter() - start,
-        ops=meter.count,
+        ops=segment.meter.count,
         structures=tuple(structures),
-        snapshot=snapshot_out,
+        snapshot=segment.snapshot(),
     )
 
 

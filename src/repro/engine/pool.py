@@ -235,11 +235,11 @@ def run_batch(
     the cache (their shard-ordered output would not match a future
     unsharded run of the same instance).
 
-    ``resume_snapshots`` (parallel to ``jobs``) continues suspendable
-    jobs from serialized search states (see :mod:`repro.engine.suspend`):
+    ``resume_snapshots`` (parallel to ``jobs``) continues jobs from
+    serialized search states (see :mod:`repro.engine.suspend`):
     a resumed job delivers only its remaining tail, so it bypasses the
     cache (a tail is not a full result), duplicate coalescing and
-    sharding.  Stopped suspendable jobs return fresh snapshots on their
+    sharding.  Cleanly stopped jobs return fresh snapshots on their
     results, so a driver can run a batch in deadline-bounded rounds.
 
     Examples

@@ -88,8 +88,8 @@ class BatchRunner:
         resume_snapshots: Optional[Sequence[Optional[bytes]]] = None,
     ) -> List[JobResult]:
         """Run a batch; results are returned in job order, deterministic
-        in the worker count.  ``resume_snapshots`` continues suspendable
-        jobs from serialized search states (see
+        in the worker count.  ``resume_snapshots`` continues jobs
+        from serialized search states (see
         :func:`repro.engine.pool.run_batch`)."""
         start = time.perf_counter()
         results = run_batch(

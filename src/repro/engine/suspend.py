@@ -1,55 +1,67 @@
-"""Job-level suspendable streams: O(state) resume instead of O(offset).
+"""Job-level suspendable streams and the one envelope every stream runs in.
 
-:class:`JobSearch` adapts the suspendable core machines
-(:mod:`repro.core.suspend`) to the engine's job vocabulary: it produces
-the same ``(line, structure)`` stream as
-:func:`repro.engine.jobs.iter_structures` for the kinds in
-:data:`repro.engine.jobs.SUSPENDABLE_KINDS`, and adds
-:meth:`JobSearch.snapshot` / :meth:`JobSearch.restore` — a serialized
-search-state blob bound to the job's exact-instance fingerprint
-(:func:`repro.engine.cache.job_fingerprint`) and backend.
+:class:`JobSearch` runs a job on its kind's explicit-state search
+machine (:mod:`repro.core.suspend`) and produces the job's
+``(line, structure)`` stream, with :meth:`JobSearch.snapshot` /
+:meth:`JobSearch.restore` — a serialized search-state blob bound to
+the job's exact-instance fingerprint
+(:func:`repro.engine.cache.job_fingerprint`) and backend.  A snapshot
+freezes the branch-and-bound stack itself, so resuming a stream at
+solution ``k`` costs the snapshot's size, not a re-enumeration of
+``k`` solutions.
 
-A snapshot freezes the branch-and-bound stack itself, so resuming a
-stream at solution ``k`` costs the snapshot's size, not a re-enumeration
-of ``k`` solutions — the property the cursor layer
-(:mod:`repro.engine.cursor`), the batch pool (:mod:`repro.engine.pool`)
-and the serving layer (:mod:`repro.serve`) build on.
+:class:`Segment` is the execution envelope: it positions a search at a
+stream offset and delivers the pairs after it under the job's limit,
+deadline and op budget.  :func:`repro.engine.jobs.run_job`,
+:class:`repro.engine.cursor.EnumerationCursor` and the serve workers
+(:mod:`repro.serve.workers`) all run their streams through it.
 
 Snapshots are taken at *clean suspension points* — between delivered
-solutions — which is where the cursor, the batch runner and the serve
-workers naturally sit.  A stream aborted by a mid-step exception
-(deadline/budget overrun raises from inside the substrate) has no clean
-machine state; those resume by replay fast-forward instead.
+solutions.  A stream aborted by its op budget stops inside a step, has
+no clean machine state, and resumes by fast-forward instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple
+import time
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
+from repro.core.directed_steiner import DirectedSteinerSearch
+from repro.core.induced_paths import ChordlessPathSearch
+from repro.core.induced_steiner import InducedSteinerSearch
+from repro.core.steiner_forest import SteinerForestSearch
+from repro.core.steiner_tree import SteinerTreeSearch
 from repro.core.suspend import (
     SnapshotError,
     pack_snapshot,
     read_snapshot_header,
     unpack_snapshot,
 )
+from repro.core.terminal_steiner import TerminalSteinerSearch
+from repro.datagraph.kfragments import KFragmentSearch
 from repro.engine.cache import job_fingerprint
-from repro.core.capabilities import kinds_where, spec as kind_spec
 from repro.engine.jobs import (
+    BudgetExceeded,
     EnumerationJob,
+    _BudgetMeter,
     _render_fragment,
     solution_edge_structure,
     structure_line,
 )
-from repro.exceptions import CursorStateError, InvalidInstanceError
-from repro.graphs.fastgraph import resolve_backend
-
 from repro.enumeration.events import SOLUTION
+from repro.exceptions import CursorStateError, InvalidInstanceError
+from repro.graphs.fastgraph import compile_undirected, resolve_backend
+from repro.paths.fastpaths import FastPathSearch, fast_st_path_search
+from repro.paths.read_tarjan import StPathSearch
 
 
-def supports_snapshot(job_or_kind) -> bool:
-    """True when the job's kind has a suspendable machine."""
-    kind = getattr(job_or_kind, "kind", job_or_kind)
-    return kind in kinds_where(suspendable=True)
+def _binds(header: Dict[str, Any], job: EnumerationJob) -> bool:
+    """True when a snapshot header names ``job``'s kind, backend and instance."""
+    return (
+        header.get("kind") == job.kind
+        and resolve_backend(header["backend"]) == job.backend
+        and header.get("fingerprint") == job_fingerprint(job)
+    )
 
 
 def snapshot_usable(
@@ -62,10 +74,9 @@ def snapshot_usable(
     Validates the envelope magic + header and, when ``job`` is given,
     that kind / backend / fingerprint / Python version all line up —
     without deserializing any machine state.  The serve layer uses this
-    to degrade an unusable checkpoint snapshot to a deterministic
-    offset replay instead of failing the stream (the property the fleet
-    router's migration path leans on when replicas run under different
-    interpreters or a snapshot in the shared store is damaged).
+    to drop an unusable checkpoint snapshot before the stream starts,
+    so it is neither shipped to a worker nor re-issued in the next
+    checkpoint.
     """
     try:
         header = read_snapshot_header(blob)
@@ -77,156 +88,158 @@ def snapshot_usable(
         tag = f"{sys.version_info.major}.{sys.version_info.minor}"
         if header.get("python") != tag:
             return False
-    if job is None:
-        return True
-    return (
-        header.get("kind") == job.kind
-        and resolve_backend(header["backend"]) == job.backend
-        and header.get("fingerprint") == job_fingerprint(job)
+    return job is None or _binds(header, job)
+
+
+# ----------------------------------------------------------------------
+# the kind table
+# ----------------------------------------------------------------------
+class _Machine(NamedTuple):
+    """How one kind's search machine is built, thawed and read."""
+
+    #: ``(job, vertex) -> args``: the query in indexed vertices.
+    query: Callable[..., tuple]
+    #: ``(instance, args, meter, backend) -> machine``.
+    build: Callable[..., Any]
+    #: ``(instance, state, meter, backend) -> machine``.
+    restore: Callable[..., Any]
+    #: ``machine -> raw solution``, ``None`` at the end of the stream.
+    pull: Callable[[Any], Any]
+    #: ``(job, labels, raw solution) -> label-level structure``.
+    structure: Callable[..., Any]
+
+
+def _terminals(job, vertex):
+    return ([vertex(t) for t in job.terminals],)
+
+
+def _families(job, vertex):
+    return ([[vertex(t) for t in family] for family in job.families],)
+
+
+def _rooted(job, vertex):
+    return ([vertex(t) for t in job.terminals], vertex(job.root))
+
+
+def _endpoints(job, vertex):
+    return (vertex(job.source), vertex(job.target))
+
+
+def _keywords(job, vertex):
+    return (list(job.keywords),)
+
+
+def _next_solution(machine):
+    """The next SOLUTION payload of an event-stream machine."""
+    while True:
+        event = machine.advance()
+        if event is None:
+            return None
+        if event[0] == SOLUTION:
+            return event[1]
+
+
+def _next_path(machine):
+    path = machine.next_path()
+    return None if path is None else path.vertices
+
+
+def _advance(machine):
+    return machine.advance()
+
+
+def _edge_set(job, _labels, eids):
+    return solution_edge_structure(job, eids)
+
+
+def _vertex_set(_job, labels, solution):
+    return tuple(sorted((labels[v] for v in solution), key=repr))
+
+
+def _path(_job, labels, vertices):
+    return tuple(labels[v] for v in vertices)
+
+
+def _steiner(cls, query) -> _Machine:
+    return _Machine(
+        query,
+        lambda g, args, meter, backend: cls(
+            g, *args, meter=meter, improved=True, backend=backend
+        ),
+        lambda g, state, meter, _backend: cls.restore(g, state, meter),
+        _next_solution,
+        _edge_set,
     )
+
+
+def _plain(cls, query, structure) -> _Machine:
+    return _Machine(
+        query,
+        lambda g, args, meter, backend: cls(g, *args, meter=meter, backend=backend),
+        lambda g, state, meter, _backend: cls.restore(g, state, meter),
+        _advance,
+        structure,
+    )
+
+
+def _st_path_kernel(g, backend):
+    """The fast backend enumerates st-paths on the compiled kernel."""
+    return compile_undirected(g)[0] if backend == "fast" else g
+
+
+#: Every job kind's search machine, in one place.
+_MACHINES: Dict[str, _Machine] = {
+    "steiner-tree": _steiner(SteinerTreeSearch, _terminals),
+    "terminal-steiner": _steiner(TerminalSteinerSearch, _terminals),
+    "steiner-forest": _steiner(SteinerForestSearch, _families),
+    "directed-steiner": _steiner(DirectedSteinerSearch, _rooted),
+    "induced-steiner": _plain(InducedSteinerSearch, _terminals, _vertex_set),
+    "chordless-path": _plain(ChordlessPathSearch, _endpoints, _path),
+    "st-path": _Machine(
+        _endpoints,
+        lambda g, args, meter, backend: (
+            fast_st_path_search if backend == "fast" else StPathSearch
+        )(_st_path_kernel(g, backend), *args, meter=meter),
+        lambda g, state, meter, backend: (
+            FastPathSearch if backend == "fast" else StPathSearch
+        ).restore(_st_path_kernel(g, backend), state, meter),
+        _next_path,
+        _path,
+    ),
+    "kfragments": _plain(KFragmentSearch, _keywords, _render_fragment),
+}
 
 
 class JobSearch:
     """A suspendable ``(line, structure)`` stream for one job.
 
-    The stream is byte-identical to
-    :func:`repro.engine.jobs.iter_structures` on the same job (both
-    backends); :meth:`next` returns one pair at a time, ``None`` at
-    exhaustion.  ``emitted`` counts the absolute stream position —
-    solutions produced across every suspended segment — so a snapshot's
-    position always matches the cursor offset it was checkpointed with.
+    :meth:`next` returns one pair at a time, ``None`` at exhaustion.
+    The stream is byte-identical on both backends.  ``emitted`` counts
+    the absolute stream position — solutions produced across every
+    suspended segment — so a snapshot's position always matches the
+    cursor offset it was checkpointed with.
     """
 
     def __init__(self, job: EnumerationJob, meter=None) -> None:
-        self._prepare(job, meter)
-        instance = self._instance
-        kind = job.kind
-        backend = job.backend
-        if kind == "steiner-tree":
-            from repro.core.steiner_tree import SteinerTreeSearch
+        kind = self._prepare(job, meter)
+        args = kind.query(job, self._query_vertex)
+        self._machine = kind.build(self._instance, args, meter, job.backend)
 
-            self._machine = SteinerTreeSearch(
-                instance,
-                self._indexed_terminals,
-                meter=meter,
-                improved=True,
-                backend=backend,
-            )
-        elif kind == "terminal-steiner":
-            from repro.core.terminal_steiner import TerminalSteinerSearch
-
-            self._machine = TerminalSteinerSearch(
-                instance,
-                self._indexed_terminals,
-                meter=meter,
-                improved=True,
-                backend=backend,
-            )
-        elif kind == "steiner-forest":
-            from repro.core.steiner_forest import SteinerForestSearch
-
-            self._machine = SteinerForestSearch(
-                instance,
-                self._indexed_families,
-                meter=meter,
-                improved=True,
-                backend=backend,
-            )
-        elif kind == "directed-steiner":
-            from repro.core.directed_steiner import DirectedSteinerSearch
-
-            self._machine = DirectedSteinerSearch(
-                instance,
-                self._indexed_terminals,
-                self._indexed_root,
-                meter=meter,
-                improved=True,
-                backend=backend,
-            )
-        elif kind == "induced-steiner":
-            from repro.core.induced_steiner import InducedSteinerSearch
-
-            self._machine = InducedSteinerSearch(
-                instance, self._indexed_terminals, meter=meter, backend=backend
-            )
-        elif kind == "chordless-path":
-            from repro.core.induced_paths import ChordlessPathSearch
-
-            self._machine = ChordlessPathSearch(
-                instance, self._source, self._target, meter=meter, backend=backend
-            )
-        elif kind == "st-path":
-            if backend == "fast":
-                from repro.paths.fastpaths import fast_st_path_search
-
-                self._machine = fast_st_path_search(
-                    self._substrate, self._source, self._target, meter=meter
-                )
-            else:
-                from repro.paths.read_tarjan import StPathSearch
-
-                self._machine = StPathSearch(
-                    self._substrate, self._source, self._target, meter=meter
-                )
-        else:  # kfragments
-            from repro.datagraph.kfragments import KFragmentSearch
-
-            self._machine = KFragmentSearch(
-                instance, list(job.keywords), meter=meter, backend=backend
-            )
-
-    def _prepare(self, job: EnumerationJob, meter) -> None:
-        """Shared constructor body: validation, indexing, substrates.
-
-        Factored out so :meth:`restore` can set up the search without
-        building (and immediately discarding) a fresh machine — the
-        static analysis runs once, inside the kind machine's own
-        ``restore``.
-        """
+    def _prepare(self, job: EnumerationJob, meter) -> _Machine:
+        """Shared by :meth:`__init__` and :meth:`restore`: validation,
+        fingerprint and the integer-indexed instance."""
         job.validate()
-        if not kind_spec(job.kind).suspendable:
-            raise InvalidInstanceError(
-                f"job kind {job.kind!r} has no suspendable machine; "
-                f"suspendable kinds: {sorted(kinds_where(suspendable=True))}"
-            )
         self.job = job
         self.meter = meter
         self.fingerprint = job_fingerprint(job)
         self.emitted = 0
-        instance, labels, index_of = job.instantiate_indexed()
-        self.labels = labels
-        self._instance = instance
-        if job.kind in ("steiner-tree", "terminal-steiner", "induced-steiner"):
-            self._indexed_terminals = [
-                self._query_vertex(index_of, t) for t in job.terminals
-            ]
-        elif job.kind == "steiner-forest":
-            self._indexed_families = [
-                [self._query_vertex(index_of, t) for t in family]
-                for family in job.families
-            ]
-        elif job.kind == "directed-steiner":
-            self._indexed_terminals = [
-                self._query_vertex(index_of, t) for t in job.terminals
-            ]
-            self._indexed_root = self._query_vertex(index_of, job.root)
-        elif job.kind == "chordless-path":
-            self._source = self._query_vertex(index_of, job.source)
-            self._target = self._query_vertex(index_of, job.target)
-        elif job.kind == "st-path":
-            self._source = self._query_vertex(index_of, job.source)
-            self._target = self._query_vertex(index_of, job.target)
-            if job.backend == "fast":
-                from repro.core.backend import compile_undirected
+        self._instance, self.labels, self._index_of = job.instantiate_indexed()
+        self._kind = _MACHINES[job.kind]
+        return self._kind
 
-                self._substrate, _idx = compile_undirected(instance)
-            else:
-                self._substrate = instance
-
-    @staticmethod
-    def _query_vertex(index_of: Dict[Any, int], vertex: Any) -> int:
+    def _query_vertex(self, vertex: Any) -> int:
         try:
-            return index_of[vertex]
+            return self._index_of[vertex]
         except KeyError:
             raise InvalidInstanceError(
                 f"query vertex {vertex!r} is not in the instance"
@@ -235,45 +248,12 @@ class JobSearch:
     # ------------------------------------------------------------------
     def next(self) -> Optional[Tuple[str, Any]]:
         """The next ``(line, structure)`` pair, or ``None`` at the end."""
-        job = self.job
-        kind = job.kind
-        if kind in (
-            "steiner-tree",
-            "terminal-steiner",
-            "steiner-forest",
-            "directed-steiner",
-        ):
-            while True:
-                event = self._machine.advance()
-                if event is None:
-                    return None
-                if event[0] == SOLUTION:
-                    structure = solution_edge_structure(job, event[1])
-                    break
-        elif kind == "induced-steiner":
-            solution = self._machine.advance()
-            if solution is None:
-                return None
-            structure = tuple(
-                sorted((self.labels[v] for v in solution), key=repr)
-            )
-        elif kind == "chordless-path":
-            path = self._machine.advance()
-            if path is None:
-                return None
-            structure = tuple(self.labels[v] for v in path)
-        elif kind == "st-path":
-            path = self._machine.next_path()
-            if path is None:
-                return None
-            structure = tuple(self.labels[v] for v in path.vertices)
-        else:  # kfragments
-            fragment = self._machine.advance()
-            if fragment is None:
-                return None
-            structure = _render_fragment(job, self.labels, fragment)
+        raw = self._kind.pull(self._machine)
+        if raw is None:
+            return None
+        structure = self._kind.structure(self.job, self.labels, raw)
         self.emitted += 1
-        return structure_line(job, structure), structure
+        return structure_line(self.job, structure), structure
 
     def __iter__(self) -> Iterator[Tuple[str, Any]]:
         while True:
@@ -288,12 +268,7 @@ class JobSearch:
     @property
     def frame_count(self) -> int:
         """Search-stack depth (header bookkeeping for inspection tools)."""
-        machine = self._machine
-        if self.job.kind == "st-path":
-            if hasattr(machine, "machine"):  # object-backend wrapper
-                return len(machine.machine.stack)
-            return len(machine.stack)
-        return machine.frame_count
+        return self._machine.frame_count
 
     def snapshot(self) -> bytes:
         """Freeze the search state into a fingerprint-bound envelope."""
@@ -333,68 +308,172 @@ class JobSearch:
         except SnapshotError as exc:
             raise CursorStateError(f"cannot resume snapshot: {exc}") from exc
         search = cls.__new__(cls)
-        search._prepare(job, meter)
-        inner = state["machine"]
-        kind = job.kind
-        if kind == "steiner-tree":
-            from repro.core.steiner_tree import SteinerTreeSearch
-
-            search._machine = SteinerTreeSearch.restore(
-                search._instance, inner, meter
-            )
-        elif kind == "terminal-steiner":
-            from repro.core.terminal_steiner import TerminalSteinerSearch
-
-            search._machine = TerminalSteinerSearch.restore(
-                search._instance, inner, meter
-            )
-        elif kind == "steiner-forest":
-            from repro.core.steiner_forest import SteinerForestSearch
-
-            search._machine = SteinerForestSearch.restore(
-                search._instance, inner, meter
-            )
-        elif kind == "directed-steiner":
-            from repro.core.directed_steiner import DirectedSteinerSearch
-
-            search._machine = DirectedSteinerSearch.restore(
-                search._instance, inner, meter
-            )
-        elif kind == "induced-steiner":
-            from repro.core.induced_steiner import InducedSteinerSearch
-
-            search._machine = InducedSteinerSearch.restore(
-                search._instance, inner, meter
-            )
-        elif kind == "chordless-path":
-            from repro.core.induced_paths import ChordlessPathSearch
-
-            search._machine = ChordlessPathSearch.restore(
-                search._instance, inner, meter
-            )
-        elif kind == "st-path":
-            if job.backend == "fast":
-                from repro.paths.fastpaths import FastPathSearch
-
-                search._machine = FastPathSearch.restore(
-                    search._substrate, inner, meter
-                )
-            else:
-                from repro.paths.read_tarjan import StPathSearch
-
-                search._machine = StPathSearch.restore(
-                    search._substrate, inner, meter
-                )
-        else:  # kfragments
-            from repro.datagraph.kfragments import KFragmentSearch
-
-            search._machine = KFragmentSearch.restore(
-                search._instance, inner, meter
-            )
+        kind = search._prepare(job, meter)
+        search._machine = kind.restore(
+            search._instance, state["machine"], meter, job.backend
+        )
         search.emitted = state["emitted"]
         return search
 
 
-def snapshot_header(blob: bytes) -> Dict[str, Any]:
-    """The envelope header of a snapshot blob (no payload deserialization)."""
-    return read_snapshot_header(blob)
+# ----------------------------------------------------------------------
+# the envelope
+# ----------------------------------------------------------------------
+class Segment:
+    """One run of a job's stream from ``offset``, under the job's envelope.
+
+    Iterating a segment yields the ``(line, structure)`` pairs at stream
+    positions ``offset, offset + 1, ...`` and applies these rules:
+
+    * **Positioning.**  A ``snapshot`` taken at ``offset`` is thawed.
+      Without a usable one the search restarts and fast-forwards past
+      the first ``offset`` solutions without delivering them.
+      ``offset=None`` means the snapshot's own position (0 without one).
+    * **Limit.**  ``job.limit`` bounds the absolute stream position,
+      and is checked before the deadline: a segment that reaches it
+      stops with ``"limit"`` even when the clock has also run out.
+    * **Deadline.**  ``job.deadline`` runs from the start of the
+      segment, covers positioning and fast-forward, and is checked
+      between solutions.  Such a stop is clean and keeps its snapshot.
+    * **Op budget.**  ``job.budget`` covers the whole segment when it
+      starts at position 0.  A positioned segment arms it at its first
+      delivered solution, so a budget-stopped stream still progresses
+      across resumes instead of re-spending its allowance on the
+      fast-forward.
+    * **Budget abort.**  The budget trips inside a step, so the stop is
+      not clean and keeps no snapshot.
+    * **Offset past the end** of the stream raises
+      :class:`InvalidInstanceError`.
+    * **Foreign snapshot.**  A snapshot bound to another job, or at a
+      position other than ``offset``, raises :class:`CursorStateError`.
+      With ``degrade`` it restarts and fast-forwards instead (thawing a
+      snapshot behind ``offset`` and fast-forwarding the gap), the rule
+      fleet migration depends on.  A snapshot whose header matches but
+      whose payload does not thaw (damaged, written by another Python
+      minor version) restarts either way.
+
+    ``on_skip(position, line, structure)`` sees each fast-forwarded
+    solution.  When iteration ends, ``stop_reason`` (``"limit"``,
+    ``"deadline"``, ``"budget"`` or ``None``), ``exhausted`` and
+    ``clean`` report why; ``position`` is the stream position reached
+    and :meth:`snapshot` freezes the search there.
+    """
+
+    def __init__(
+        self,
+        job: EnumerationJob,
+        offset: Optional[int] = None,
+        snapshot: Optional[bytes] = None,
+        *,
+        degrade: bool = False,
+        on_skip: Optional[Callable[[int, str, Any], None]] = None,
+    ) -> None:
+        job.validate()
+        self.job = job
+        self.offset = offset
+        self.position = offset
+        self.degrade = degrade
+        self.on_skip = on_skip
+        self.meter = _BudgetMeter()
+        self.search: Optional[JobSearch] = None
+        self.stop_reason: Optional[str] = None
+        self.exhausted = False
+        self.clean = True
+        self._given = snapshot
+
+    def __iter__(self) -> Iterator[Tuple[str, Any]]:
+        job, meter = self.job, self.meter
+        deadline_at = None if job.deadline is None else time.monotonic() + job.deadline
+        blob, offset = self._reconcile()
+        self.offset = self.position = offset
+        if job.limit is not None and offset >= job.limit:
+            self.stop_reason = "limit"
+            return
+        armed = offset == 0
+        if armed:
+            meter.budget = job.budget
+        try:
+            search = None
+            if blob is not None:
+                try:
+                    search = JobSearch.restore(job, blob, meter)
+                except CursorStateError:
+                    pass  # the header matched, the payload does not thaw
+            if search is None:
+                search = JobSearch(job, meter)
+            self.search = search
+            while True:
+                pair = search.next()
+                if pair is None:
+                    self.exhausted = True
+                    break
+                if search.emitted <= offset:
+                    if self.on_skip is not None:
+                        self.on_skip(search.emitted - 1, *pair)
+                    if deadline_at is not None and time.monotonic() > deadline_at:
+                        self.stop_reason = "deadline"
+                        return
+                    continue
+                if not armed:
+                    armed = True
+                    if job.budget is not None:
+                        meter.budget = meter.count + job.budget
+                self.position = search.emitted
+                yield pair
+                if job.limit is not None and self.position >= job.limit:
+                    self.stop_reason = "limit"
+                    return
+                if deadline_at is not None and time.monotonic() > deadline_at:
+                    self.stop_reason = "deadline"
+                    return
+        except BudgetExceeded as exc:
+            self.stop_reason = exc.reason
+            self.clean = False
+            return
+        if search.emitted < offset:
+            self.exhausted = False
+            raise InvalidInstanceError(
+                f"offset {offset} exceeds the job's solution stream "
+                f"({search.emitted} solutions)"
+            )
+
+    def _reconcile(self) -> Tuple[Optional[bytes], int]:
+        """The snapshot to thaw (``None``: restart) and the offset."""
+        blob, offset = self._given, self.offset
+        if blob is None:
+            return None, offset or 0
+        try:
+            header = read_snapshot_header(blob)
+        except SnapshotError as exc:
+            if offset is None:
+                raise CursorStateError(f"cannot resume snapshot: {exc}") from exc
+            return None, offset
+        if not _binds(header, self.job):
+            if self.degrade:
+                return None, offset
+            raise CursorStateError(
+                "snapshot was taken for a different job (snapshot "
+                f"kind={header['kind']!r} backend={header['backend']!r})"
+            )
+        emitted = header.get("emitted")
+        if offset is None or emitted == offset:
+            return blob, emitted
+        if not self.degrade:
+            raise CursorStateError(
+                f"snapshot position {emitted!r} does not match the offset {offset}"
+            )
+        return (blob if emitted < offset else None), offset
+
+    def snapshot(self) -> Optional[bytes]:
+        """The search state at :attr:`position`, or ``None`` when there is
+        no clean one (budget abort, exhausted, or stopped short of the
+        offset)."""
+        search = self.search
+        if (
+            search is None
+            or not self.clean
+            or self.exhausted
+            or search.emitted != self.position
+        ):
+            return None
+        return search.snapshot()

@@ -410,7 +410,7 @@ def _find_path_und(
 
 
 def _backward_dir(ctx: _Ctx, source: int, target: int) -> bytearray:
-    """Directed backward reachability (cacheable like the undirected)."""
+    """Directed backward reachability (memoised like the undirected)."""
     itails = ctx.itails
     status = ctx.status
     s_star = ctx.s_star
@@ -1693,6 +1693,11 @@ class FastPathSearch:
     # ------------------------------------------------------------------
     # snapshot plumbing
     # ------------------------------------------------------------------
+    @property
+    def frame_count(self) -> int:
+        """Search-stack depth."""
+        return len(self.stack)
+
     def state(self) -> Dict[str, Any]:
         """Plain-data search state.
 

@@ -812,6 +812,11 @@ class StPathSearch:
             if event[0] == SOLUTION:
                 return _undirected_path(event[1])
 
+    @property
+    def frame_count(self) -> int:
+        """Search-stack depth."""
+        return len(self.machine.stack)
+
     def state(self) -> Dict[str, Any]:
         """Plain-data state (the directed view is rebuilt on restore)."""
         return {

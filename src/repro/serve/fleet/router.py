@@ -23,9 +23,10 @@ Per request the router:
 4. **migrates** — when a replica dies mid-stream the router marks it
    down, re-routes to the surviving owner, and re-issues the stream at
    the exact next position.  The replacement replica thaws the last
-   ``RSNAP1`` checkpoint from the shared store (suspendable kinds) or
-   replays deterministically, and the router de-duplicates on event
-   ``seq`` — the client sees one gap-free, byte-identical stream.
+   ``RSNAP1`` checkpoint from the shared store, or fast-forwards
+   deterministically when it cannot use it, and the router
+   de-duplicates on event ``seq`` — the client sees one gap-free,
+   byte-identical stream.
 
 Replicas register themselves (``repro serve --join``) via
 ``POST /fleet/join`` and are health-checked continuously; ``GET

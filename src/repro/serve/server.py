@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -51,11 +50,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-import base64
-
-from repro.engine.cache import InstanceCache, job_fingerprint
-from repro.core.capabilities import capability_matrix, kinds_where, spec as kind_spec
+from repro.core.capabilities import capability_matrix
+from repro.engine.cache import InstanceCache
+from repro.engine.cursor import checkpoint_record, prefix_digest, read_checkpoint
 from repro.engine.jobs import EnumerationJob, JobResult
+from repro.engine.suspend import snapshot_usable
 from repro.exceptions import CursorStateError, InvalidInstanceError, ReproError
 from repro.frontdoor.answers import AnswerEngine, AnswerTimeout
 from repro.frontdoor.metrics import MetricsRegistry
@@ -125,6 +124,18 @@ class _StreamState:
     last_snapshot_pos: int = -1  # absolute stream position of last_snapshot
     priority: int = 0  # tenant tier priority for worker-slot scheduling
     compute_seconds: float = 0.0  # accumulated worker-busy time (quota charge)
+
+    def checkpoint(self, digest: Optional[str] = None) -> Dict[str, Any]:
+        """The cursor record at ``total``, embedding the search state
+        frozen at exactly that position when one is known."""
+        snapshot = None
+        if self.last_snapshot is not None and self.last_snapshot_pos == self.total:
+            snapshot = self.last_snapshot
+        elif self.resume_snapshot is not None and self.total == self.offset:
+            # No live progress this round: re-issue the inherited
+            # snapshot so checkpoint chains stay O(state).
+            snapshot = self.resume_snapshot
+        return checkpoint_record(self.job, self.total, digest, snapshot)
 
 
 class EnumerationServer:
@@ -661,11 +672,9 @@ class EnumerationServer:
         payload: Dict[str, Any] = {"ok": True, "workers": self.workers}
         payload.update(self.stats.as_dict())
         payload.update(self.tier.as_dict())
-        # The full per-kind capability matrix is the contract clients
-        # should consult (see docs/contracts/capabilities.md); the flat
-        # suspendable_kinds list is kept alongside for one release.
+        # The per-kind capability matrix is the contract clients should
+        # consult (see docs/contracts/capabilities.md).
         payload["capabilities"] = capability_matrix()
-        payload["suspendable_kinds"] = sorted(kinds_where(suspendable=True))
         payload["datasets"] = len(self.registry)
         return payload
 
@@ -674,7 +683,6 @@ class EnumerationServer:
         payload: Dict[str, Any] = {"ok": True}
         payload.update(self.metrics.as_dict())
         payload["capabilities"] = capability_matrix()
-        payload["suspendable_kinds"] = sorted(kinds_where(suspendable=True))
         payload["tenants"] = (
             self.tenants.usage_table() if self.tenants is not None else {}
         )
@@ -731,48 +739,24 @@ class EnumerationServer:
     def _resolve_resume(
         self, job: EnumerationJob, stream_id: Optional[str]
     ) -> Tuple[int, bool, Optional[bytes]]:
-        """Load the checkpointed offset (and search-state snapshot, for
-        suspendable kinds) for ``stream_id`` — ``(0, False, None)`` when
-        fresh.  A checkpoint taken for a different job (kind, backend or
-        instance fingerprint) raises :class:`CursorStateError`."""
+        """Load the checkpointed offset and search-state snapshot for
+        ``stream_id`` — ``(0, False, None)`` when fresh.  The record is
+        validated by :func:`repro.engine.cursor.read_checkpoint`: a
+        malformed one raises :class:`InvalidInstanceError`, one taken
+        for a different job :class:`CursorStateError`."""
         if stream_id is None or self.store is None:
             return 0, False, None
-        state = self.store.load_cursor(stream_id)
-        if state is None:
+        record = self.store.load_cursor(stream_id)
+        if record is None:
             return 0, False, None
-        try:
-            checkpointed = EnumerationJob.from_dict(state["job"])
-            offset = int(state["offset"])
-        except (KeyError, TypeError, ValueError, ReproError) as exc:
-            raise InvalidInstanceError(
-                f"corrupt checkpoint for stream {stream_id!r}: {exc}"
-            ) from exc
-        if (
-            checkpointed.kind != job.kind
-            or checkpointed.backend != job.backend
-            or job_fingerprint(checkpointed) != job_fingerprint(job)
-        ):
-            raise CursorStateError(
-                f"stream {stream_id!r} is checkpointed for a different job "
-                f"(kind={checkpointed.kind!r}, backend={checkpointed.backend!r})"
-            )
-        snapshot: Optional[bytes] = None
-        encoded = state.get("snapshot")
-        if encoded and kind_spec(job.kind).suspendable:
-            try:
-                snapshot = base64.b64decode(encoded)
-            except (ValueError, TypeError):
-                snapshot = None  # unreadable: replay fast-forward instead
-            if snapshot is not None:
-                from repro.engine.suspend import snapshot_usable
-
-                if not snapshot_usable(snapshot, job):
-                    # Damaged, cross-version, or bound to a different
-                    # job: drop it here (header check only) and let the
-                    # worker fast-forward deterministically instead of
-                    # failing the whole stream.
-                    snapshot = None
-        return offset, True, snapshot
+        checkpoint = read_checkpoint(record, job)
+        snapshot = checkpoint.snapshot
+        if snapshot is not None and not snapshot_usable(snapshot, job):
+            # Damaged or cross-version: drop it here (header check only)
+            # so the worker fast-forwards and the next checkpoint does
+            # not re-issue it.
+            snapshot = None
+        return checkpoint.offset, True, snapshot
 
     async def _enumerate(
         self, body: bytes, writer, tenant: Optional[Tenant] = None
@@ -996,11 +980,11 @@ class EnumerationServer:
     ) -> None:
         """Drive one worker stream; crashed workers are replaced in place.
 
-        Suspendable kinds ship a search-state snapshot with every chunk,
-        so when a worker process dies mid-stream the replacement resumes
-        from the last delivered chunk boundary in O(state) — the client
-        sees an uninterrupted solution stream.  Replay-only kinds
-        restart the replacement with an offset fast-forward instead.
+        Workers ship a search-state snapshot with every chunk, so when
+        a worker process dies mid-stream the replacement resumes from
+        the last delivered chunk boundary in O(state) — the client sees
+        an uninterrupted solution stream.  Without a snapshot at that
+        boundary the replacement fast-forwards instead.
         """
         assert self._pool is not None and self._gate is not None
         assert self._executor is not None
@@ -1010,9 +994,7 @@ class EnumerationServer:
         if state.stream_id is None or self.store is None:
             cadence = None  # nowhere (or no identity) to checkpoint under
         next_checkpoint = position + cadence if cadence is not None else None
-        snapshot = None
-        if state.resume_snapshot is not None:
-            snapshot = state.resume_snapshot
+        snapshot = state.resume_snapshot
         replacements = 0
         async with self._gate.slot(state.priority):
             while True:  # one iteration per worker (original + replacements)
@@ -1111,26 +1093,9 @@ class EnumerationServer:
         write runs in the executor.
         """
         assert self.store is not None and state.stream_id is not None
-        checkpoint: Dict[str, Any] = {
-            "version": 1,
-            "job": state.job.to_dict(),
-            "offset": state.total,
-            "digest": None,
-        }
-        if (
-            state.last_snapshot is not None
-            and state.last_snapshot_pos == state.total
-        ):
-            checkpoint["snapshot"] = base64.b64encode(state.last_snapshot).decode(
-                "ascii"
-            )
-        elif state.resume_snapshot is not None and state.total == state.offset:
-            checkpoint["snapshot"] = base64.b64encode(
-                state.resume_snapshot
-            ).decode("ascii")
-        store, stream_id = self.store, state.stream_id
+        store, stream_id, record = self.store, state.stream_id, state.checkpoint()
         await asyncio.get_running_loop().run_in_executor(
-            self._executor, store.save_cursor, stream_id, checkpoint
+            self._executor, store.save_cursor, stream_id, record
         )
         self.stats.checkpoints += 1
 
@@ -1164,32 +1129,8 @@ class EnumerationServer:
             return
         digest: Optional[str] = None
         if state.contiguous and known >= state.total:
-            hasher = hashlib.sha256()
-            for line in state.known_lines[: state.total]:
-                hasher.update(line.encode())
-                hasher.update(b"\n")
-            digest = hasher.hexdigest()
-        checkpoint: Dict[str, Any] = {
-            "version": 1,
-            "job": job.to_dict(),
-            "offset": state.total,
-            "digest": digest,
-        }
-        # Embed the search state frozen at exactly the checkpoint offset
-        # (the last chunk boundary): the next request with this
-        # stream_id resumes in O(state) instead of replaying the prefix.
-        snapshot = None
-        if state.last_snapshot is not None and state.last_snapshot_pos == state.total:
-            snapshot = state.last_snapshot
-        elif (
-            state.resume_snapshot is not None and state.total == state.offset
-        ):
-            # No live progress this round: re-issue the inherited
-            # snapshot so checkpoint chains stay O(state).
-            snapshot = state.resume_snapshot
-        if snapshot is not None:
-            checkpoint["snapshot"] = base64.b64encode(snapshot).decode("ascii")
-        self.store.save_cursor(state.stream_id, checkpoint)
+            digest = prefix_digest(state.known_lines[: state.total])
+        self.store.save_cursor(state.stream_id, state.checkpoint(digest))
 
     async def _write_end(self, writer, state: _StreamState) -> None:
         await self._write_event(

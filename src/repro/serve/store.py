@@ -34,12 +34,12 @@ from typing import Any, Dict, Optional, Tuple
 from repro.engine.cache import (
     CacheStats,
     InstanceCache,
-    cacheable,
     entry_result,
     entry_usable,
     instance_key,
     job_fingerprint,
     line_result,
+    storable,
     to_canonical,
 )
 from repro.core.capabilities import spec as kind_spec
@@ -197,7 +197,7 @@ class ResultStore:
         cut point is not deterministic); an existing entry is replaced
         only by one that knows strictly more solutions.
         """
-        if not cacheable(result):
+        if not storable(result):
             return
         key, order = self.key_of(job)
         if order is not None and result.structures is None:

@@ -24,21 +24,21 @@ pending chunk with ``cancel`` instead of ``more`` and the worker
 abandons the enumeration and returns to its idle loop, ready for the
 next job — no process churn.
 
-Resumable streams: for suspendable kinds
-(``suspendable`` in :mod:`repro.core.capabilities`) the ``run`` message may
-carry a serialized search-state ``snapshot``
-(:mod:`repro.engine.suspend`) — the worker thaws it and continues in
-O(state) instead of fast-forwarding, and every ``chunk`` (plus the
-clean-``end`` meta) carries a fresh snapshot of the state *after* that
-chunk, which is what lets the server checkpoint streams for O(state)
-resume and transparently replace a crashed worker mid-stream.  Without
-a snapshot (or for replay-only kinds) ``offset`` fast-forwards past the
-first ``offset`` solutions of the (deterministic) enumeration without
-rendering them.  The execution envelope carries over from
-:mod:`repro.engine.jobs`: the job's ``deadline`` bounds the live
-segment's wall clock (fast-forward included) and its op ``budget`` arms
-when delivery begins, exactly like
-:class:`repro.engine.cursor.EnumerationCursor`.
+Resumable streams: the ``run`` message may carry a serialized
+search-state ``snapshot`` (:mod:`repro.engine.suspend`) — the worker
+thaws it and continues in O(state) instead of fast-forwarding, and
+every ``chunk`` (plus the clean-``end`` meta) carries a fresh snapshot
+of the state *after* that chunk, which is what lets the server
+checkpoint streams for O(state) resume and transparently replace a
+crashed worker mid-stream.  Without a snapshot, ``offset``
+fast-forwards past the first ``offset`` solutions of the
+(deterministic) enumeration without rendering them.  The stream runs
+as one :class:`repro.engine.suspend.Segment`, the execution envelope
+shared with :func:`repro.engine.jobs.run_job` and
+:class:`repro.engine.cursor.EnumerationCursor`; the worker's own rule
+is to degrade a snapshot it cannot use (damaged, written by another
+Python, bound to another job, or past ``offset``) to a restart plus
+fast-forward instead of failing the stream.
 
 A worker that dies mid-stream (OOM-killed, crashed) surfaces as a
 :class:`WorkerDied` to the caller and is replaced by a fresh process;
@@ -53,14 +53,8 @@ import os
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.capabilities import spec as kind_spec
-from repro.engine.jobs import (
-    BudgetExceeded,
-    EnumerationJob,
-    _BudgetMeter,
-    iter_structures,
-    structure_line,
-)
+from repro.engine.jobs import EnumerationJob
+from repro.engine.suspend import Segment
 
 #: Default number of solutions per streamed chunk.
 DEFAULT_CHUNK = 64
@@ -75,178 +69,71 @@ def _stream_job(
 ) -> None:
     """Run one streaming enumeration on the worker side of ``conn``."""
     start = time.perf_counter()
-    meter = _BudgetMeter()
+    segment: Optional[Segment] = None
     delivered = 0
-    stop_reason: Optional[str] = None
-    exhausted = False
     error: Optional[str] = None
+    cancelled = False
     buf_lines: list = []
     buf_structures: list = []
-    search = None  # suspendable machine (when the kind supports one)
-    clean = True  # False after a mid-step abort: snapshot unusable
-    last_snap: list = [None, -1]  # [blob, emitted position] from flush()
+    last_snap: list = [None, -1]  # [blob, stream position] from flush()
 
     def flush() -> bool:
         """Send the buffered chunk; False when the stream was cancelled."""
-        nonlocal stop_reason
         if not buf_lines:
             return True
-        snap = search.snapshot() if search is not None and clean else None
+        snap = segment.snapshot() if error is None else None
         if snap is not None:
-            last_snap[0], last_snap[1] = snap, search.emitted
+            last_snap[0], last_snap[1] = snap, segment.position
         conn.send(("chunk", list(buf_lines), list(buf_structures), snap))
         buf_lines.clear()
         buf_structures.clear()
-        reply = conn.recv()
-        if reply[0] == "cancel":
-            stop_reason = "cancelled"
-            return False
-        return True
+        return conn.recv()[0] != "cancel"
 
     try:
         if "arena" in spec:
             from repro.serve import arena as _arena
 
             spec = _arena.resolve_spec(spec)
+        # Fleet migration thaws checkpoints written by other replicas:
+        # a snapshot this worker cannot use degrades to a fast-forward.
         job = EnumerationJob.from_dict(spec)
-        deadline_at = (
-            (time.monotonic() + job.deadline) if job.deadline is not None else None
-        )
-        meter.deadline_at = deadline_at
-        remaining: Optional[int] = None
-        if job.limit is not None:
-            remaining = max(0, job.limit - offset)
-        armed = offset == 0
-        if armed:
-            meter.budget = job.budget
-        if remaining == 0:
-            stop_reason = "limit"
-        elif kind_spec(job.kind).suspendable:
-            from repro.engine.suspend import JobSearch
-
-            # Machine-driven streams enforce the deadline between
-            # solutions — a clean suspension point, so deadline stops
-            # keep their snapshot — instead of letting the substrate
-            # meter abort mid-step.
-            meter.deadline_at = None
-            if snapshot is not None:
-                from repro.exceptions import CursorStateError
-
-                try:
-                    search = JobSearch.restore(job, snapshot, meter)
-                except CursorStateError:
-                    # A damaged, cross-version or mismatched snapshot
-                    # degrades to a deterministic offset fast-forward —
-                    # a slower resume, never a failed stream.  The fleet
-                    # migration path depends on this: the replacement
-                    # replica may thaw a checkpoint written by a replica
-                    # it shares nothing with but the store directory.
-                    search = JobSearch(job, meter)
-                else:
-                    if search.emitted > offset:
-                        # The snapshot ran past the requested position
-                        # (an explicit client offset behind the
-                        # checkpoint): restart and fast-forward — still
-                        # deterministic.
-                        search = JobSearch(job, meter)
-            else:
-                search = JobSearch(job, meter)
-            try:
-                while True:
-                    pair = search.next()
-                    if pair is None:
-                        exhausted = True
-                        break
-                    line, structure = pair
-                    if search.emitted <= offset:
-                        if (
-                            deadline_at is not None
-                            and time.monotonic() > deadline_at
-                        ):
-                            stop_reason = "deadline"
-                            break
-                        continue  # fast-forward the uncovered gap
-                    if not armed:
-                        armed = True
-                        if job.budget is not None:
-                            meter.budget = meter.count + job.budget
-                    buf_lines.append(line)
-                    buf_structures.append(structure)
-                    delivered += 1
-                    if remaining is not None and delivered >= remaining:
-                        stop_reason = "limit"
-                        break
-                    if deadline_at is not None and time.monotonic() > deadline_at:
-                        stop_reason = "deadline"
-                        break
-                    if len(buf_lines) >= chunk:
-                        if not flush():
-                            break
-            except BudgetExceeded:
-                clean = False
-                raise
-            if exhausted and search.emitted < offset:
-                error = "stream offset exceeds the job's solution stream"
-                exhausted = False
-                stop_reason = "error"
-        else:
-            seen = 0
-            for structure in iter_structures(job, meter):
-                seen += 1
-                if seen <= offset:
-                    continue  # fast-forward: deterministic order, skip cheaply
-                if not armed:
-                    armed = True
-                    if job.budget is not None:
-                        meter.budget = meter.count + job.budget
-                buf_lines.append(structure_line(job, structure))
-                buf_structures.append(structure)
-                delivered += 1
-                if remaining is not None and delivered >= remaining:
-                    stop_reason = "limit"
-                    break
-                if len(buf_lines) >= chunk:
-                    if not flush():
-                        break
-            else:
-                exhausted = True
-            if seen < offset and exhausted:
-                error = "stream offset exceeds the job's solution stream"
-                exhausted = False
-                stop_reason = "error"
-    except BudgetExceeded as exc:
-        stop_reason = exc.reason
+        segment = Segment(job, offset, snapshot, degrade=True)
+        for line, structure in segment:
+            buf_lines.append(line)
+            buf_structures.append(structure)
+            delivered += 1
+            if len(buf_lines) >= chunk and not flush():
+                cancelled = True
+                break
     except Exception as exc:  # noqa: BLE001 — a bad job must not kill the worker
         error = f"{type(exc).__name__}: {exc}"
-        stop_reason = "error"
-        exhausted = False
-        clean = False
     try:
-        if stop_reason != "cancelled":
-            if not flush():
-                pass  # cancelled at the final chunk; fall through to "end"
+        if not cancelled and segment is not None:
+            cancelled = not flush()
         final_snap = None
-        if (
-            search is not None
-            and clean
-            and not exhausted
-            and error is None
-            and stop_reason != "cancelled"  # drain_to_end discards the meta
-        ):
+        # drain_to_end discards a cancelled stream's meta, and a budget
+        # abort leaves no clean state to end on.
+        if error is None and not cancelled and segment.clean:
             # The final flush usually froze the state at this exact
             # position already; reuse it instead of re-serializing.
-            if last_snap[0] is not None and last_snap[1] == search.emitted:
+            if last_snap[1] == segment.position:
                 final_snap = last_snap[0]
             else:
-                final_snap = search.snapshot()
+                final_snap = segment.snapshot()
+        if cancelled:
+            stop_reason: Optional[str] = "cancelled"
+        elif error is not None:
+            stop_reason = "error"
+        else:
+            stop_reason = segment.stop_reason
         conn.send(
             (
                 "end",
                 {
                     "delivered": delivered,
-                    "exhausted": exhausted,
+                    "exhausted": error is None and segment.exhausted,
                     "stop_reason": stop_reason,
-                    "ops": meter.count,
+                    "ops": segment.meter.count if segment is not None else 0,
                     "elapsed": round(time.perf_counter() - start, 6),
                     "error": error,
                     "snapshot": final_snap,
@@ -310,8 +197,8 @@ class WorkerHandle:
     ) -> None:
         """Dispatch a streaming run to this worker.
 
-        ``snapshot`` (suspendable kinds only) thaws the enumeration at
-        ``offset`` in O(state) instead of fast-forwarding.  With an
+        ``snapshot`` thaws the enumeration at ``offset`` in O(state)
+        instead of fast-forwarding.  With an
         arena attached, integer-compact instances travel as a spool-file
         ref instead of an inline edge list — the worker maps the spool
         read-only, so repeated streams of one dataset share a single

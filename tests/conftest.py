@@ -44,6 +44,51 @@ def fast_strategy(request) -> Iterator[str]:
         yield request.param
 
 
+def _demo_datagraph():
+    from repro.datagraph.model import DataGraph
+
+    dg = DataGraph()
+    for node, kws in [
+        ("a", ["x"]),
+        ("b", []),
+        ("c", ["y"]),
+        ("d", ["x", "z"]),
+        ("e", ["z"]),
+    ]:
+        dg.add_node(node, kws)
+    for u, v in [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("b", "d"), ("d", "e")]:
+        dg.add_link(u, v)
+    return dg
+
+
+def fixture_job(kind: str, backend: str = "object", **opts):
+    """A small pinned instance with a non-trivial stream, per job kind
+    (``opts`` sets envelope fields such as ``limit`` or ``deadline``)."""
+    from repro.engine.jobs import EnumerationJob
+
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3), (3, 4), (2, 4)]
+    cycle = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)]
+    arcs = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4), (2, 4)]
+    opts["backend"] = backend
+    if kind == "steiner-tree":
+        return EnumerationJob.steiner_tree(edges, [0, 4], **opts)
+    if kind == "steiner-forest":
+        return EnumerationJob.steiner_forest(edges, [[0, 4], [1, 2]], **opts)
+    if kind == "terminal-steiner":
+        return EnumerationJob.terminal_steiner(edges, [0, 4], **opts)
+    if kind == "directed-steiner":
+        return EnumerationJob.directed_steiner(arcs, [3, 4], 0, **opts)
+    if kind == "induced-steiner":
+        return EnumerationJob.induced_steiner(cycle, [0, 3], **opts)
+    if kind == "st-path":
+        return EnumerationJob.st_path(edges, 0, 4, **opts)
+    if kind == "chordless-path":
+        return EnumerationJob.chordless_path(edges, 0, 4, **opts)
+    if kind == "kfragments":
+        return EnumerationJob.kfragments(_demo_datagraph(), ["x", "y"], **opts)
+    raise AssertionError(f"no fixture for kind {kind!r} — add one")
+
+
 class CorpusCase(NamedTuple):
     """One regression-corpus instance (see tests/corpus/README.md)."""
 

@@ -1,4 +1,4 @@
-"""Docs health in tier-1: docstring audit, API freshness, link check.
+"""Docs health in tier-1: docstring audit, API freshness, link check, LoC counter.
 
 CI's docs job additionally runs ``mkdocs build --strict`` (mkdocs is
 not a test dependency); these tests keep everything mkdocs does not
@@ -93,3 +93,25 @@ def test_readme_links_into_docs():
         readme = handle.read()
     for target in ("docs/index.md", "docs/architecture.md", "docs/guides/serve.md"):
         assert target in readme, f"README.md no longer links {target}"
+
+
+def test_loc_counts_code_lines_only():
+    """tools/loc.py skips blanks, comments and docstrings, and counts
+    every line a multi-line statement spans."""
+    import loc
+
+    source = '''"""Module docstring
+over two lines."""
+
+# a comment
+import os  # trailing comment
+
+
+def f(x):
+    """Function docstring."""
+    text = """a string
+that is not a docstring"""
+    return (x,
+            text)
+'''
+    assert loc.code_lines(source) == 6

@@ -494,11 +494,11 @@ class TestCursor:
         resumed = EnumerationCursor.resume(state, cache=cache)
         tail = resumed.drain()
         assert tuple(head + tail) == run_job(dense_job).lines
-        # Once exhausted, a fresh cursor replays fully from cache: the
-        # live meter is never created.
+        # Once exhausted, a fresh cursor replays fully from cache: no
+        # live segment is ever started.
         replay = EnumerationCursor(dense_job, cache=cache)
         assert tuple(replay.drain()) == run_job(dense_job).lines
-        assert replay._meter is None
+        assert replay._segment is None
 
     def test_budget_stopped_cursor_makes_progress_across_resumes(self, dense_job):
         import dataclasses

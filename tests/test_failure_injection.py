@@ -11,7 +11,9 @@ surface (both a single replica and the fleet router, which share the
 request parser) gets fed malformed job bodies, truncated and chunked
 requests, mid-handshake disconnects and oversized payloads, and must
 answer with a documented 4xx — never a traceback-bearing 500 and never
-a hung connection (see the ``TestServeHTTP*`` classes)."""
+a hung connection (see the ``TestServeHTTP*`` classes).  Cursor
+checkpoints read back from the store get the same treatment
+(``TestHostileCheckpoints``)."""
 
 import json
 import socket
@@ -334,6 +336,89 @@ class TestServeHTTPFraming:
             _exchange(http_surface, b"POST /enumerate HTTP/1.1\r\nX")
             _post(http_surface, "/enumerate", b"{broken")
         assert _healthy(http_surface)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_server(tmp_path_factory):
+    """A replica with a cursor store, for hand-planted checkpoints."""
+    from repro.serve.server import EnumerationServer, ServerThread
+
+    store = str(tmp_path_factory.mktemp("hostile-checkpoints") / "store")
+    server = ServerThread(EnumerationServer(workers=1, store=store)).start()
+    yield server.port, store
+    server.stop()
+
+
+class TestHostileCheckpoints:
+    """A damaged or hand-edited cursor record must be refused — by the
+    cursor with :class:`InvalidInstanceError`, by the server with a 400
+    before the stream head — never replayed into a torn stream."""
+
+    PATCHES = {
+        "version-2": {"version": 2},
+        "version-string": {"version": "1"},
+        "version-bool": {"version": True},
+        "offset-negative": {"offset": -3},
+        "offset-float": {"offset": 2.9},
+        "offset-string": {"offset": "2"},
+        "offset-bool": {"offset": True},
+        "offset-missing": {"offset": None},
+        "job-string": {"job": "st-path"},
+        "job-list": {"job": [[0, 1]]},
+        "job-malformed": {
+            "job": {"kind": "st-path", "edges": [[0, 1]], "source": 0, "target": 1, "limit": "x"}
+        },
+        "digest-number": {"digest": 5},
+        "snapshot-number": {"snapshot": 5},
+        "snapshot-object": {"snapshot": {"blob": "x"}},
+    }
+
+    @staticmethod
+    def _job():
+        from repro.engine.jobs import EnumerationJob
+
+        return EnumerationJob.st_path([(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)], 0, 3)
+
+    def _record(self, case):
+        from repro.engine.cursor import EnumerationCursor
+
+        cursor = EnumerationCursor(self._job())
+        cursor.take(2)
+        return dict(cursor.checkpoint(), **self.PATCHES[case])
+
+    @pytest.mark.parametrize("case", sorted(PATCHES))
+    def test_cursor_rejects_the_record(self, case):
+        from repro.engine.cursor import EnumerationCursor
+
+        with pytest.raises(InvalidInstanceError):
+            EnumerationCursor.resume(self._record(case)).drain()
+
+    @pytest.mark.parametrize("case", sorted(PATCHES))
+    def test_server_answers_400_before_the_head(self, checkpoint_server, case):
+        from repro.serve.store import ResultStore
+
+        port, store = checkpoint_server
+        ResultStore(store).save_cursor(case, self._record(case))
+        body = json.dumps({"job": self._job().to_dict(), "stream_id": case})
+        response = _post(port, "/enumerate", body.encode())
+        assert _status(response) == 400, response[:200]
+        _assert_clean_4xx(response)
+        assert _healthy(port)
+
+    def test_pinned_offset_degrades_to_a_fresh_run(self, checkpoint_server):
+        from repro.engine.jobs import run_job
+        from repro.serve.client import ServeClient
+        from repro.serve.store import ResultStore
+
+        port, store = checkpoint_server
+        ResultStore(store).save_cursor("pinned", self._record("offset-negative"))
+        client = ServeClient(port=port)
+        before = client.stats()["degraded_resumes"]
+        events = list(client.enumerate(self._job(), stream_id="pinned", offset=1))
+        lines = [e["line"] for e in events if e["event"] == "solution"]
+        assert tuple(lines) == run_job(self._job()).lines[1:]
+        assert events[-1]["event"] == "end"
+        assert client.stats()["degraded_resumes"] == before + 1
 
 
 class TestExceptionHierarchy:

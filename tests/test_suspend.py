@@ -43,13 +43,11 @@ from repro.core.internal_steiner import (
 from repro.datagraph.kfragments import KFragmentSearch
 from repro.datagraph.model import DataGraph
 from repro.engine.cursor import EnumerationCursor
-from repro.core.capabilities import kinds_where
 from repro.engine.jobs import (
+    JOB_KINDS,
     EnumerationJob,
     run_job,
 )
-
-SUSPENDABLE_KINDS = kinds_where(suspendable=True)
 from repro.engine.pool import run_batch
 from repro.engine.suspend import JobSearch
 from repro.enumeration.events import SOLUTION
@@ -387,7 +385,7 @@ def _suspendable_jobs(limit=None, backend="object"):
 
 
 def test_suspendable_kinds_have_machines():
-    assert {job.kind for job in _suspendable_jobs()} == set(SUSPENDABLE_KINDS)
+    assert {job.kind for job in _suspendable_jobs()} == set(JOB_KINDS)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
