@@ -64,6 +64,7 @@ PAGES = {
         "repro.core — the paper's enumerators",
         [
             "repro.core",
+            "repro.core.tree_search",
             "repro.core.steiner_tree",
             "repro.core.steiner_forest",
             "repro.core.terminal_steiner",

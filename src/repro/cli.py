@@ -291,7 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=256, help="instance cache capacity"
     )
     p.add_argument(
-        "--spill-dir", default=None, help="directory for evicted cache entries"
+        "--spill-dir",
+        default=None,
+        help="disk tier behind the instance cache: results persist there "
+        "as JSON and are served again after LRU eviction",
     )
     p.add_argument(
         "--stats", action="store_true", help="print a run summary to stderr"
@@ -1066,6 +1069,7 @@ def _run_batch(args, out) -> None:
     from repro.engine.jobs import load_jobs_jsonl
     from repro.engine.service import BatchRunner
     from repro.exceptions import ReproError
+    from repro.serve.store import ResultStore, TieredCache
 
     try:
         jobs = load_jobs_jsonl(args.jobs)
@@ -1073,11 +1077,9 @@ def _run_batch(args, out) -> None:
         raise SystemExit(f"cannot read {args.jobs}: {exc}") from exc
     except ReproError as exc:
         raise SystemExit(str(exc)) from exc
-    cache = (
-        False
-        if args.no_cache
-        else InstanceCache(maxsize=args.cache_size, spill_dir=args.spill_dir)
-    )
+    cache = False if args.no_cache else InstanceCache(maxsize=args.cache_size)
+    if cache is not False and args.spill_dir is not None:
+        cache = TieredCache(cache, ResultStore(args.spill_dir))
     if args.checkpoints is not None:
         _run_batch_checkpointed(args, jobs, cache, out)
         return
@@ -1123,8 +1125,8 @@ def _run_batch_checkpointed(args, jobs, cache, out) -> None:
             f"--checkpoints needs an 'id' on every job (missing on line(s) "
             f"{', '.join(map(str, missing))})"
         )
-    # `cache` is False for --no-cache, else an InstanceCache (which is
-    # falsy while empty — do not truthiness-test it away).
+    # `cache` is False for --no-cache, else an InstanceCache or a
+    # TieredCache (both falsy while empty — do not truthiness-test them).
     cache = None if cache is False else cache
     for job in jobs:
         digest = hashlib.sha256(job.job_id.encode()).hexdigest()[:40]

@@ -29,19 +29,7 @@ O(n+m) delay with the output-queue regulator (Theorem 36).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.backend import (
     check_backend,
@@ -49,8 +37,10 @@ from repro.core.backend import (
     map_query_vertex,
     map_query_vertices,
 )
-from repro.enumeration.events import DISCOVER, EXAMINE, SOLUTION, Event
-from repro.enumeration.queue_method import regulate
+from repro.core.suspend import drain
+from repro.core.tree_search import PartialTree, TreeSearch
+from repro.enumeration.events import Event, solutions_only
+from repro.enumeration.queue_method import DEFAULT_WINDOW, regulate
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.contraction import contract_vertex_set_directed
 from repro.graphs.digraph import DiGraph
@@ -262,78 +252,19 @@ def _terminal_below(
     raise AssertionError("T* subtree without terminal leaf")  # pragma: no cover
 
 
-class _PartialTree:
-    """Shared mutable state: the partial directed tree ``T``.
-
-    ``vertices`` is an insertion-ordered dict (used as an ordered set),
-    for the same reason as the undirected enumerator's partial tree: its
-    iteration order — attachment order — is the source ordering handed
-    to the path enumerators, making every order-sensitive decision a
-    deterministic function of the search path itself.  That is what lets
-    a restored :class:`DirectedSteinerSearch` snapshot (which replays
-    only the surviving attach records) reproduce the uninterrupted run's
-    remaining stream byte-for-byte.
-    """
-
-    __slots__ = ("arcs", "vertices", "uncovered")
-
-    def __init__(self, root: Vertex, terminals: Sequence[Vertex]):
-        self.arcs: Set[int] = set()
-        self.vertices: Dict[Vertex, None] = {root: None}
-        self.uncovered: Set[Vertex] = set(terminals)
-
-    def apply(self, path):
-        new_arcs = tuple(path.arcs)
-        new_vertices = tuple(path.vertices[1:])
-        covered = tuple(v for v in new_vertices if v in self.uncovered)
-        self.arcs.update(new_arcs)
-        for v in new_vertices:
-            self.vertices[v] = None
-        self.uncovered.difference_update(covered)
-        return new_arcs, new_vertices, covered
-
-    def apply_record(self, record) -> None:
-        """Re-apply a stored undo record (snapshot restore path)."""
-        new_arcs, new_vertices, covered = record
-        self.arcs.update(new_arcs)
-        for v in new_vertices:
-            self.vertices[v] = None
-        self.uncovered.difference_update(covered)
-
-    def undo(self, record):
-        new_arcs, new_vertices, covered = record
-        self.arcs.difference_update(new_arcs)
-        for v in new_vertices:
-            del self.vertices[v]
-        self.uncovered.update(covered)
-
-
-class _TreeFrame:
-    """One enumeration-tree activation: a path machine plus undo data."""
-
-    __slots__ = ("paths", "record", "node_id", "depth", "sources", "branch")
-
-    def __init__(self, paths, record, node_id, depth, sources, branch):
-        self.paths = paths  # suspendable path search (``next_path()``)
-        self.record = record  # partial-tree undo record (None at the root)
-        self.node_id = node_id
-        self.depth = depth
-        self.sources = sources  # ordered V(T) at frame creation
-        self.branch = branch  # the branch terminal this frame expands
-
-
-class DirectedSteinerSearch:
+class DirectedSteinerSearch(TreeSearch):
     """Suspendable machine of the directed-Steiner enumeration.
 
-    The directed counterpart of
-    :class:`repro.core.steiner_tree.SteinerTreeSearch`: one
-    :meth:`advance` call returns the next traversal event or ``None``,
-    for both backends and both branching rules, and :meth:`state` /
-    :meth:`restore` freeze / thaw the search mid-enumeration.  Frames
-    hold suspendable directed set-path searches; the Lemma 35 node
-    analysis (contraction, DFS, certificate) is stateless per node and
-    is simply recomputed after restore.
+    The :class:`repro.core.tree_search.TreeSearch` traversal with the
+    Lemma 35 node test, for both backends and both branching rules.  A
+    branch is an uncovered terminal ``w``; its frame enumerates directed
+    ``V(T)``-``w`` paths and records the ordered source set and ``w``.
+    The node analysis (contraction, DFS, certificate) is stateless per
+    node and is simply recomputed after restore.
     """
+
+    query_fields = ("terminals", "root")
+    frame_fields = ("sources", "branch")
 
     def __init__(
         self,
@@ -348,57 +279,31 @@ class DirectedSteinerSearch:
         self.meter = meter
         self.improved = improved
         self.backend = backend
-        self.input_terminals: List[Vertex] = list(terminals)
-        self.input_root: Vertex = root
+        query = {"terminals": list(terminals), "root": root}
         self.fast = backend == "fast"
         if self.fast:
             fd, index = compile_directed(digraph)
             self._d = fd  # FastDiGraph implements the DiGraph protocol
-            work_terminals = map_query_vertices(index, self.input_terminals)
+            work_terminals = map_query_vertices(index, query["terminals"])
             work_root = map_query_vertex(index, root)
         else:
             self._d = digraph
-            work_terminals = self.input_terminals
+            work_terminals = query["terminals"]
             work_root = root
         ordered = _validate(self._d, work_terminals, work_root)
         reach = reachable_from(self._d, work_root, meter=meter)
         self._dead = not all(w in reach for w in ordered)
         self.ordered = ordered
         self.root = work_root
-        self.state_tree = _PartialTree(work_root, ordered)
-        self.node_counter = 0
-        self.stack: List[_TreeFrame] = []
-        self.pending: deque = deque()
-        self.phase = 0  # 0 = not started, 1 = running, 2 = exhausted
-        self.emitted = 0  # solutions produced (header bookkeeping)
+        self._begin(query, PartialTree((work_root,), ordered))
 
-    # ------------------------------------------------------------------
-    def advance(self) -> Optional[Event]:
-        """The next traversal event, or ``None`` when exhausted."""
-        while True:
-            if self.pending:
-                event = self.pending.popleft()
-                if event[0] == SOLUTION:
-                    self.emitted += 1
-                return event
-            if self.phase == 2:
-                return None
-            if self.phase == 0:
-                self._start()
-            else:
-                self._step()
-
-    def _node_action(self) -> Tuple[str, object]:
-        """Classify the current node: output a leaf or pick a branch
-        terminal (Lemma 35)."""
-        state = self.state_tree
+    def _node_test(self) -> Tuple[str, object]:
+        """Output a leaf or pick a branch terminal (Lemma 35)."""
+        state = self.partial
         if not state.uncovered:
-            return ("leaf", frozenset(state.arcs))
+            return ("leaf", frozenset(state.edges))
         if not self.improved:
-            for w in self.ordered:
-                if w in state.uncovered:
-                    return ("branch", w)
-            raise AssertionError("unreachable")
+            return ("branch", next(w for w in self.ordered if w in state.uncovered))
         if self.fast:
             dprime, vmap = contracted_kernel_directed(
                 self._d, state.vertices, meter=self.meter
@@ -419,151 +324,24 @@ class DirectedSteinerSearch:
             dprime, tstar_arcs, tstar_vertices, pos, self.meter
         )
         if u is None:
-            return ("leaf", frozenset(state.arcs | tstar_arcs))
+            return ("leaf", frozenset(state.edges | tstar_arcs))
         return ("branch", _terminal_below(u, tstar_children, state.uncovered))
 
-    def _open_paths(self, sources: Tuple[Vertex, ...], branch: Vertex):
+    def _open(self, branch: Vertex):
         """A suspendable ``V(T)``-``branch`` path search on the backend."""
+        sources = tuple(self.partial.vertices)
         if self.fast:
-            return fast_set_path_search_directed(
+            paths = fast_set_path_search_directed(
                 self._d, sources, (branch,), meter=self.meter
             )
-        return SetPathSearchDirected(self._d, sources, (branch,), meter=self.meter)
+        else:
+            paths = SetPathSearchDirected(self._d, sources, (branch,), meter=self.meter)
+        return paths, (sources, branch)
 
-    def _start(self) -> None:
-        self.phase = 1
-        if self._dead:
-            self.phase = 2
-            return
-        self.pending.append((DISCOVER, self.node_counter, 0))
-        kind, payload = self._node_action()
-        if kind == "leaf":
-            self.pending.append((SOLUTION, payload))
-            self.pending.append((EXAMINE, self.node_counter, 0))
-            self.phase = 2
-            return
-        sources = tuple(self.state_tree.vertices)
-        self.stack.append(
-            _TreeFrame(
-                self._open_paths(sources, payload),
-                None,
-                self.node_counter,
-                0,
-                sources,
-                payload,
-            )
-        )
-
-    def _step(self) -> None:
-        """One enumeration-tree traversal step (the old loop body)."""
-        if not self.stack:
-            self.phase = 2
-            return
-        frame = self.stack[-1]
-        path = frame.paths.next_path()
-        if path is None:
-            self.pending.append((EXAMINE, frame.node_id, frame.depth))
-            self.stack.pop()
-            if frame.record is not None:
-                self.state_tree.undo(frame.record)
-            return
-        record = self.state_tree.apply(path)
-        self.node_counter += 1
-        self.pending.append((DISCOVER, self.node_counter, frame.depth + 1))
-        kind, payload = self._node_action()
-        if kind == "leaf":
-            self.pending.append((SOLUTION, payload))
-            self.pending.append((EXAMINE, self.node_counter, frame.depth + 1))
-            self.state_tree.undo(record)
-            return
-        sources = tuple(self.state_tree.vertices)
-        self.stack.append(
-            _TreeFrame(
-                self._open_paths(sources, payload),
-                record,
-                self.node_counter,
-                frame.depth + 1,
-                sources,
-                payload,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # snapshot plumbing
-    # ------------------------------------------------------------------
-    @property
-    def frame_count(self) -> int:
-        """Search-stack depth (tree frames + their path-machine frames)."""
-        return len(self.stack) + sum(
-            len(f.paths.stack)
-            if isinstance(f.paths, FastPathSearch)
-            else len(f.paths.machine.stack)
-            for f in self.stack
-        )
-
-    def state(self) -> Dict[str, Any]:
-        """Plain-data search state (static analysis is recomputed)."""
-        return {
-            "terminals": list(self.input_terminals),
-            "root": self.input_root,
-            "improved": self.improved,
-            "backend": self.backend,
-            "node_counter": self.node_counter,
-            "phase": self.phase,
-            "emitted": self.emitted,
-            "pending": list(self.pending),
-            "frames": [
-                {
-                    "paths": frame.paths.state(),
-                    "record": frame.record,
-                    "node_id": frame.node_id,
-                    "depth": frame.depth,
-                    "sources": tuple(frame.sources),
-                    "branch": frame.branch,
-                }
-                for frame in self.stack
-            ],
-        }
-
-    def _restore_paths(self, paths_state: Dict[str, Any]):
+    def _thaw_paths(self, fstate: Dict):
         if self.fast:
-            return FastPathSearch.restore(self._d, paths_state, self.meter)
-        return SetPathSearchDirected.restore(self._d, paths_state, self.meter)
-
-    @classmethod
-    def restore(cls, digraph: DiGraph, state: Dict[str, Any], meter=None):
-        """Rebuild a machine over ``digraph`` from a :meth:`state` dict.
-
-        ``digraph`` must be (a deterministic reconstruction of) the
-        instance the state was captured on; enumerator-level snapshots
-        bind that with the instance fingerprint.
-        """
-        machine = cls(
-            digraph,
-            state["terminals"],
-            state["root"],
-            meter=meter,
-            improved=state["improved"],
-            backend=state["backend"],
-        )
-        machine.node_counter = state["node_counter"]
-        machine.phase = state["phase"]
-        machine.emitted = state["emitted"]
-        machine.pending = deque(state["pending"])
-        for fstate in state["frames"]:
-            if fstate["record"] is not None:
-                machine.state_tree.apply_record(fstate["record"])
-            machine.stack.append(
-                _TreeFrame(
-                    machine._restore_paths(fstate["paths"]),
-                    fstate["record"],
-                    fstate["node_id"],
-                    fstate["depth"],
-                    tuple(fstate["sources"]),
-                    fstate["branch"],
-                )
-            )
-        return machine
+            return FastPathSearch.restore(self._d, fstate["paths"], self.meter)
+        return SetPathSearchDirected.restore(self._d, fstate["paths"], self.meter)
 
 
 def directed_steiner_events(
@@ -585,14 +363,11 @@ def directed_steiner_events(
     :class:`DirectedSteinerSearch` machine, the suspendable form of this
     traversal.
     """
-    machine = DirectedSteinerSearch(
-        digraph, terminals, root, meter=meter, improved=improved, backend=backend
+    yield from drain(
+        DirectedSteinerSearch(
+            digraph, terminals, root, meter=meter, improved=improved, backend=backend
+        )
     )
-    while True:
-        event = machine.advance()
-        if event is None:
-            return
-        yield event
 
 
 def enumerate_minimal_directed_steiner_trees(
@@ -613,22 +388,18 @@ def enumerate_minimal_directed_steiner_trees(
     >>> sorted(sorted(s) for s in enumerate_minimal_directed_steiner_trees(d, ["w"], "r"))
     [[0, 1], [2]]
     """
-    for event in directed_steiner_events(
-        digraph, terminals, root, meter=meter, improved=True, backend=backend
-    ):
-        if event[0] == SOLUTION:
-            yield event[1]
+    return solutions_only(
+        directed_steiner_events(digraph, terminals, root, meter=meter, backend=backend)
+    )
 
 
 def enumerate_minimal_directed_steiner_trees_simple(
     digraph: DiGraph, terminals: Sequence[Vertex], root: Vertex, meter=None
 ) -> Iterator[Solution]:
     """Unimproved branching (Theorem 34 bound): O(nm) delay."""
-    for event in directed_steiner_events(
-        digraph, terminals, root, meter=meter, improved=False
-    ):
-        if event[0] == SOLUTION:
-            yield event[1]
+    return solutions_only(
+        directed_steiner_events(digraph, terminals, root, meter=meter, improved=False)
+    )
 
 
 def enumerate_minimal_directed_steiner_trees_linear_delay(
@@ -640,11 +411,8 @@ def enumerate_minimal_directed_steiner_trees_linear_delay(
     backend: str = "object",
 ) -> Iterator[Solution]:
     """Theorem 36 second half: O(n+m) delay via the output-queue method."""
-    events = directed_steiner_events(
-        digraph, terminals, root, meter=meter, improved=True, backend=backend
-    )
-    kwargs = {} if window is None else {"window": window}
-    return regulate(events, prime=digraph.num_vertices, **kwargs)
+    events = directed_steiner_events(digraph, terminals, root, meter=meter, backend=backend)
+    return regulate(events, digraph.num_vertices, DEFAULT_WINDOW if window is None else window)
 
 
 def count_minimal_directed_steiner_trees(

@@ -20,23 +20,13 @@ O(m)-delay with the output-queue regulator (Theorem 25's second half).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.backend import check_backend, compile_undirected, map_query_vertex
-from repro.enumeration.events import DISCOVER, EXAMINE, SOLUTION, Event
-from repro.enumeration.queue_method import regulate
+from repro.core.suspend import drain
+from repro.core.tree_search import TreeSearch
+from repro.enumeration.events import Event, solutions_only
+from repro.enumeration.queue_method import DEFAULT_WINDOW, regulate
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.bridges import find_bridges
 from repro.graphs.contraction import contract_edges
@@ -95,15 +85,16 @@ def _pairs_connected_in_graph(
 
 
 class _ForestState:
-    """The partial forest ``F`` plus a component id map refreshed per node."""
+    """The partial forest ``F``; an undo record is the tuple of edges a
+    path added."""
 
     __slots__ = ("edges",)
 
     def __init__(self) -> None:
         self.edges: Set[int] = set()
 
-    def apply(self, eids: Sequence[int]) -> Tuple[int, ...]:
-        fresh = tuple(e for e in eids if e not in self.edges)
+    def apply(self, path) -> Tuple[int, ...]:
+        fresh = tuple(e for e in path.arcs if e not in self.edges)
         self.edges.update(fresh)
         return fresh
 
@@ -167,38 +158,20 @@ def _unique_completion(
     return frozenset(marked)
 
 
-class _ForestFrame:
-    """One enumeration-tree activation: a path machine plus undo data.
-
-    The contracted substrate the path machine runs on is *not* stored:
-    it is a deterministic function of the forest edges applied so far,
-    so :meth:`SteinerForestSearch.restore` rebuilds it frame by frame
-    while replaying the undo records.
-    """
-
-    __slots__ = ("paths", "record", "node_id", "depth", "pair")
-
-    def __init__(self, paths, record, node_id, depth, pair):
-        self.paths = paths  # suspendable st-path search on the contraction
-        self.record = record  # forest undo record (None at the root)
-        self.node_id = node_id
-        self.depth = depth
-        self.pair = pair  # the pending pair this frame branches on
-
-
-class SteinerForestSearch:
+class SteinerForestSearch(TreeSearch):
     """Suspendable machine of the Steiner-forest enumeration.
 
-    The forest counterpart of
-    :class:`repro.core.steiner_tree.SteinerTreeSearch`: one
-    :meth:`advance` call returns the next traversal event or ``None``,
-    for both backends and both branching rules, and :meth:`state` /
-    :meth:`restore` freeze / thaw the search mid-enumeration.  Each
-    frame's child paths run on the multigraph ``G/E(F)`` contracted at
-    that node; a restored machine replays the per-frame undo records and
-    rebuilds each contraction (a pure function of the applied edges)
-    before thawing the frame's path machine against it.
+    The :class:`repro.core.tree_search.TreeSearch` traversal with the
+    Lemma 24 node test, for both backends and both branching rules.  A
+    branch is a pending pair ``(a, b)``; its frame enumerates ``a``-``b``
+    paths in the multigraph ``G/E(F)`` contracted at that node and
+    records the pair.  The contraction is not stored: it is a pure
+    function of the forest edges applied so far, so a restored machine
+    rebuilds it frame by frame while replaying the undo records.
     """
+
+    query_fields = ("families",)
+    frame_fields = ("pair",)
 
     def __init__(
         self,
@@ -212,9 +185,9 @@ class SteinerForestSearch:
         self.meter = meter
         self.improved = improved
         self.backend = backend
-        self.input_families: List[List[Vertex]] = [list(f) for f in families]
+        query = {"families": [list(f) for f in families]}
         self.fast = backend == "fast"
-        pairs = normalize_families(graph, self.input_families)
+        pairs = normalize_families(graph, query["families"])
         if self.fast:
             fg, index = compile_undirected(graph)
             self._g = fg  # FastGraph implements the Graph protocol
@@ -232,33 +205,12 @@ class SteinerForestSearch:
             self._dead = any(labels[a] != labels[b] for a, b in pairs)
         else:
             self._dead = not _pairs_connected_in_graph(self._g, pairs, meter)
-        self.state_forest = _ForestState()
-        self.node_counter = 0
-        self.stack: List[_ForestFrame] = []
-        self.pending: deque = deque()
-        self.phase = 0  # 0 = not started, 1 = running, 2 = exhausted
-        self.emitted = 0  # solutions produced (header bookkeeping)
+        self._begin(query, _ForestState())
 
-    # ------------------------------------------------------------------
-    def advance(self) -> Optional[Event]:
-        """The next traversal event, or ``None`` when exhausted."""
-        while True:
-            if self.pending:
-                event = self.pending.popleft()
-                if event[0] == SOLUTION:
-                    self.emitted += 1
-                return event
-            if self.phase == 2:
-                return None
-            if self.phase == 0:
-                self._start()
-            else:
-                self._step()
-
-    def _node_action(self) -> Tuple[str, object]:
+    def _node_test(self) -> Tuple[str, object]:
         """Leaf/branch decision for the current partial forest (Lemma 24)."""
         meter = self.meter
-        state = self.state_forest
+        state = self.partial
         pairs = self.pairs
         if self.fast:
             fg = self._g
@@ -359,151 +311,23 @@ class SteinerForestSearch:
             _unique_completion(graph, state.edges, bridges, pairs, meter),
         )
 
-    def _open_paths(self, payload):
+    def _open(self, branch):
         """A suspendable ``a``-``b`` path search on the contraction."""
-        a, b, csub, vmap = payload
+        a, b, csub, vmap = branch
         if self.fast:
-            return fast_st_path_search(csub, vmap[a], vmap[b], meter=self.meter)
-        return StPathSearch(csub, vmap[a], vmap[b], meter=self.meter)
+            paths = fast_st_path_search(csub, vmap[a], vmap[b], meter=self.meter)
+        else:
+            paths = StPathSearch(csub, vmap[a], vmap[b], meter=self.meter)
+        return paths, ((a, b),)
 
-    def _start(self) -> None:
-        self.phase = 1
-        if self._dead:
-            self.phase = 2
-            return
-        self.pending.append((DISCOVER, self.node_counter, 0))
-        kind, payload = self._node_action()
-        if kind == "leaf":
-            self.pending.append((SOLUTION, payload))
-            self.pending.append((EXAMINE, self.node_counter, 0))
-            self.phase = 2
-            return
-        self.stack.append(
-            _ForestFrame(
-                self._open_paths(payload),
-                None,
-                self.node_counter,
-                0,
-                (payload[0], payload[1]),
-            )
-        )
-
-    def _step(self) -> None:
-        """One enumeration-tree traversal step (the old loop body)."""
-        if not self.stack:
-            self.phase = 2
-            return
-        frame = self.stack[-1]
-        path = frame.paths.next_path()
-        if path is None:
-            self.pending.append((EXAMINE, frame.node_id, frame.depth))
-            self.stack.pop()
-            if frame.record is not None:
-                self.state_forest.undo(frame.record)
-            return
-        record = self.state_forest.apply(path.arcs)
-        self.node_counter += 1
-        self.pending.append((DISCOVER, self.node_counter, frame.depth + 1))
-        kind, payload = self._node_action()
-        if kind == "leaf":
-            self.pending.append((SOLUTION, payload))
-            self.pending.append((EXAMINE, self.node_counter, frame.depth + 1))
-            self.state_forest.undo(record)
-            return
-        self.stack.append(
-            _ForestFrame(
-                self._open_paths(payload),
-                record,
-                self.node_counter,
-                frame.depth + 1,
-                (payload[0], payload[1]),
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # snapshot plumbing
-    # ------------------------------------------------------------------
-    @property
-    def frame_count(self) -> int:
-        """Search-stack depth (tree frames + their path-machine frames)."""
-        return len(self.stack) + sum(
-            len(f.paths.stack)
-            if isinstance(f.paths, FastPathSearch)
-            else len(f.paths.machine.stack)
-            for f in self.stack
-        )
-
-    def state(self) -> Dict[str, Any]:
-        """Plain-data search state (contractions are recomputed)."""
-        return {
-            "families": [list(f) for f in self.input_families],
-            "improved": self.improved,
-            "backend": self.backend,
-            "node_counter": self.node_counter,
-            "phase": self.phase,
-            "emitted": self.emitted,
-            "pending": list(self.pending),
-            "frames": [
-                {
-                    "paths": frame.paths.state(),
-                    "record": frame.record,
-                    "node_id": frame.node_id,
-                    "depth": frame.depth,
-                    "pair": tuple(frame.pair),
-                }
-                for frame in self.stack
-            ],
-        }
-
-    def _contracted_substrate(self):
-        """The contraction of the current forest edges (restore path)."""
+    def _thaw_paths(self, fstate: Dict):
+        """The frame's path machine on a freshly rebuilt contraction."""
+        edges = self.partial.edges
         if self.fast:
-            ck, _vmap = contracted_kernel(
-                self._g, self.state_forest.edges, meter=self.meter
-            )
-            return ck
-        return contract_edges(self._g, self.state_forest.edges).graph
-
-    def _restore_paths(self, csub, paths_state: Dict[str, Any]):
-        if self.fast:
-            return FastPathSearch.restore(csub, paths_state, self.meter)
-        return StPathSearch.restore(csub, paths_state, self.meter)
-
-    @classmethod
-    def restore(cls, graph: Graph, state: Dict[str, Any], meter=None):
-        """Rebuild a machine over ``graph`` from a :meth:`state` dict.
-
-        ``graph`` must be (a deterministic reconstruction of) the
-        instance the state was captured on; enumerator-level snapshots
-        bind that with the instance fingerprint.  Contractions are pure
-        functions of the replayed forest edges, so each frame's path
-        machine thaws against a freshly rebuilt substrate.
-        """
-        machine = cls(
-            graph,
-            state["families"],
-            meter=meter,
-            improved=state["improved"],
-            backend=state["backend"],
-        )
-        machine.node_counter = state["node_counter"]
-        machine.phase = state["phase"]
-        machine.emitted = state["emitted"]
-        machine.pending = deque(state["pending"])
-        for fstate in state["frames"]:
-            if fstate["record"] is not None:
-                machine.state_forest.apply_record(fstate["record"])
-            csub = machine._contracted_substrate()
-            machine.stack.append(
-                _ForestFrame(
-                    machine._restore_paths(csub, fstate["paths"]),
-                    fstate["record"],
-                    fstate["node_id"],
-                    fstate["depth"],
-                    tuple(fstate["pair"]),
-                )
-            )
-        return machine
+            csub, _vmap = contracted_kernel(self._g, edges, meter=self.meter)
+            return FastPathSearch.restore(csub, fstate["paths"], self.meter)
+        csub = contract_edges(self._g, edges).graph
+        return StPathSearch.restore(csub, fstate["paths"], self.meter)
 
 
 def steiner_forest_events(
@@ -524,14 +348,9 @@ def steiner_forest_events(
     way.  Both backends drain a :class:`SteinerForestSearch` machine,
     the suspendable form of this traversal.
     """
-    machine = SteinerForestSearch(
-        graph, families, meter=meter, improved=improved, backend=backend
+    yield from drain(
+        SteinerForestSearch(graph, families, meter=meter, improved=improved, backend=backend)
     )
-    while True:
-        event = machine.advance()
-        if event is None:
-            return
-        yield event
 
 
 def enumerate_minimal_steiner_forests(
@@ -551,11 +370,9 @@ def enumerate_minimal_steiner_forests(
     >>> sorted(sorted(s) for s in enumerate_minimal_steiner_forests(g, [["a", "b"]]))
     [[0], [1, 2]]
     """
-    for event in steiner_forest_events(
-        graph, families, meter=meter, improved=True, backend=backend
-    ):
-        if event[0] == SOLUTION:
-            yield event[1]
+    return solutions_only(
+        steiner_forest_events(graph, families, meter=meter, backend=backend)
+    )
 
 
 def enumerate_minimal_steiner_forests_simple(
@@ -565,11 +382,9 @@ def enumerate_minimal_steiner_forests_simple(
     backend: str = "object",
 ) -> Iterator[Solution]:
     """Unimproved branching (Theorem 23 bound): O(t(n+m)) delay."""
-    for event in steiner_forest_events(
-        graph, families, meter=meter, improved=False, backend=backend
-    ):
-        if event[0] == SOLUTION:
-            yield event[1]
+    return solutions_only(
+        steiner_forest_events(graph, families, meter=meter, improved=False, backend=backend)
+    )
 
 
 def enumerate_minimal_steiner_forests_linear_delay(
@@ -580,11 +395,8 @@ def enumerate_minimal_steiner_forests_linear_delay(
     backend: str = "object",
 ) -> Iterator[Solution]:
     """Theorem 25 second half: O(m) delay via the output-queue regulator."""
-    events = steiner_forest_events(
-        graph, families, meter=meter, improved=True, backend=backend
-    )
-    kwargs = {} if window is None else {"window": window}
-    return regulate(events, prime=graph.num_vertices, **kwargs)
+    events = steiner_forest_events(graph, families, meter=meter, backend=backend)
+    return regulate(events, graph.num_vertices, DEFAULT_WINDOW if window is None else window)
 
 
 def count_minimal_steiner_forests(

@@ -28,23 +28,13 @@ the paper composes the two algorithms.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.backend import check_backend, compile_undirected, map_query_vertices
-from repro.enumeration.events import DISCOVER, EXAMINE, SOLUTION, Event
-from repro.enumeration.queue_method import regulate
+from repro.core.suspend import drain
+from repro.core.tree_search import PartialTree, TreeSearch, ordered_terminals
+from repro.enumeration.events import Event, solutions_only
+from repro.enumeration.queue_method import DEFAULT_WINDOW, regulate
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.bridges import find_bridges
 from repro.graphs.fastgraph import (
@@ -63,78 +53,9 @@ Vertex = Hashable
 Solution = FrozenSet[int]
 
 
-def _validate_instance(graph: Graph, terminals: Sequence[Vertex]) -> List[Vertex]:
-    """Deduplicate terminals and check they exist; raise on empty input."""
-    seen: Set[Vertex] = set()
-    ordered: List[Vertex] = []
-    for w in terminals:
-        if w not in graph:
-            raise InvalidInstanceError(f"terminal {w!r} is not in the graph")
-        if w not in seen:
-            seen.add(w)
-            ordered.append(w)
-    if not ordered:
-        raise InvalidInstanceError("at least one terminal is required")
-    return ordered
-
-
-def _terminals_connected(graph: Graph, terminals: Sequence[Vertex], meter) -> bool:
-    comp = component_of(graph, terminals[0], meter=meter)
-    return all(w in comp for w in terminals)
-
-
-class _PartialTree:
-    """Shared mutable state: the partial Steiner tree ``T`` of the node
-    currently being visited, with O(path length) apply/undo.
-
-    ``vertices`` is an insertion-ordered dict (used as an ordered set):
-    its iteration order — the order in which vertices were attached to
-    ``T`` — is the order handed to the path enumerators as the source
-    set.  That makes every order-sensitive decision a deterministic
-    function of the search path itself, which is what lets a restored
-    snapshot (which replays the surviving attach records) reproduce the
-    uninterrupted run's remaining stream byte-for-byte; a plain
-    ``set``'s iteration order would depend on its full mutation history,
-    including branches long since undone.
-    """
-
-    __slots__ = ("edges", "vertices", "uncovered")
-
-    def __init__(self, start: Vertex, terminals: Sequence[Vertex]):
-        self.edges: Set[int] = set()
-        self.vertices: Dict[Vertex, None] = {start: None}
-        self.uncovered: Set[Vertex] = set(terminals) - {start}
-
-    def apply(self, path) -> Tuple[Tuple[int, ...], Tuple[Vertex, ...], Tuple[Vertex, ...]]:
-        """Attach a ``V(T)``-``w`` path; return undo records."""
-        new_edges = tuple(path.arcs)
-        new_vertices = tuple(path.vertices[1:])  # vertices[0] is in V(T)
-        covered = tuple(v for v in new_vertices if v in self.uncovered)
-        self.edges.update(new_edges)
-        for v in new_vertices:
-            self.vertices[v] = None
-        self.uncovered.difference_update(covered)
-        return new_edges, new_vertices, covered
-
-    def apply_record(self, record) -> None:
-        """Re-apply a stored undo record (snapshot restore path)."""
-        new_edges, new_vertices, covered = record
-        self.edges.update(new_edges)
-        for v in new_vertices:
-            self.vertices[v] = None
-        self.uncovered.difference_update(covered)
-
-    def undo(self, record) -> None:
-        new_edges, new_vertices, covered = record
-        self.edges.difference_update(new_edges)
-        for v in new_vertices:
-            del self.vertices[v]
-        self.uncovered.update(covered)
-
-
 def _completion_branch_terminal(
     graph: Graph,
-    state: _PartialTree,
+    state: PartialTree,
     terminals: Sequence[Vertex],
     bridges: Set[int],
     meter,
@@ -184,7 +105,7 @@ def _completion_branch_terminal(
 
 def _fast_completion_branch_terminal(
     fg: FastGraph,
-    state: "_PartialTree",
+    state: PartialTree,
     terminals: Sequence[int],
     bridges: Set[int],
     meter,
@@ -251,36 +172,18 @@ def _fast_completion_branch_terminal(
     return None, frozenset(completion)
 
 
-class _TreeFrame:
-    """One enumeration-tree activation: a path machine plus undo data."""
-
-    __slots__ = ("paths", "record", "node_id", "depth", "sources", "branch")
-
-    def __init__(self, paths, record, node_id, depth, sources, branch):
-        self.paths = paths  # suspendable path search (``next_path()``)
-        self.record = record  # partial-tree undo record (None at the root)
-        self.node_id = node_id
-        self.depth = depth
-        self.sources = sources  # ordered V(T) at frame creation
-        self.branch = branch  # the branch terminal this frame expands
-
-
-class SteinerTreeSearch:
+class SteinerTreeSearch(TreeSearch):
     """Suspendable machine of the minimal-Steiner-tree enumeration.
 
-    One :meth:`advance` call returns the next traversal event
-    (``discover`` / ``solution`` / ``examine``) or ``None`` when the
-    enumeration is exhausted, for both the ``object`` and ``fast``
-    backends and both branching rules (``improved`` per Theorem 17,
-    plain Algorithm 2 otherwise).  :meth:`state` captures the complete
-    search state as plain data — the frame stack (each frame holding its
-    path machine's state, its undo record and its ordered source set),
-    the pending event queue and the node counter — and :meth:`restore`
-    rebuilds the machine mid-enumeration so that the remaining stream is
-    byte-identical to the uninterrupted run's tail.  Static analysis
-    (backend compilation, bridges, connectivity) is recomputed from the
-    instance on restore, never serialized.
+    The :class:`repro.core.tree_search.TreeSearch` traversal for both
+    the ``object`` and ``fast`` backends and both branching rules
+    (``improved`` per Theorem 17, plain Algorithm 2 otherwise).  A
+    branch is an uncovered terminal ``w``; its frame enumerates the
+    ``V(T)``-``w`` paths and records the ordered source set and ``w``.
     """
+
+    query_fields = ("terminals",)
+    frame_fields = ("sources", "branch")
 
     def __init__(
         self,
@@ -295,21 +198,20 @@ class SteinerTreeSearch:
         self.meter = meter
         self.improved = improved
         self.backend = backend
-        self.input_terminals: List[Vertex] = list(terminals)
-        ordered = _validate_instance(graph, self.input_terminals)
+        query = {"terminals": list(terminals)}
+        ordered = ordered_terminals(graph, query["terminals"])
+        if not ordered:
+            raise InvalidInstanceError("at least one terminal is required")
         self.fast = backend == "fast"
-        self._dead = False
         if self.fast:
             self.fg, index = compile_undirected(graph)
             ordered = map_query_vertices(index, ordered)
             labels = fast_component_labels(self.fg, meter=meter)
-            root_label = labels[ordered[0]]
-            if any(labels[w] != root_label for w in ordered):
-                self._dead = True
+            self._dead = any(labels[w] != labels[ordered[0]] for w in ordered)
         else:
             self.fg = None
-            if not _terminals_connected(graph, ordered, meter):
-                self._dead = True
+            reach = component_of(graph, ordered[0], meter=meter)
+            self._dead = not all(w in reach for w in ordered)
         self.ordered = ordered
         self.bridges: FrozenSet[int] = frozenset()
         if improved and not self._dead and len(ordered) > 1:
@@ -318,205 +220,39 @@ class SteinerTreeSearch:
                 if self.fast
                 else find_bridges(graph, meter=meter)
             )
-        self.state_tree = _PartialTree(ordered[0], ordered)
-        self.node_counter = 0
-        self.stack: List[_TreeFrame] = []
-        self.pending: deque = deque()
-        self.phase = 0  # 0 = not started, 1 = running, 2 = exhausted
-        self.emitted = 0  # solutions produced (header bookkeeping)
+        self._begin(query, PartialTree(ordered[:1], ordered[1:]))
 
-    # ------------------------------------------------------------------
-    def advance(self) -> Optional[Event]:
-        """The next traversal event, or ``None`` when exhausted."""
-        while True:
-            if self.pending:
-                event = self.pending.popleft()
-                if event[0] == SOLUTION:
-                    self.emitted += 1
-                return event
-            if self.phase == 2:
-                return None
-            if self.phase == 0:
-                self._start()
-            else:
-                self._step()
-
-    def _node_action(self) -> Tuple[str, object]:
-        """Classify the current node: output a leaf or pick a branch
-        terminal."""
-        state = self.state_tree
-        if self.improved:
-            if not state.uncovered:
-                return ("leaf", frozenset(state.edges))
-            if self.fast:
-                w, completion = _fast_completion_branch_terminal(
-                    self.fg,
-                    state,
-                    self.ordered,
-                    self.bridges,
-                    self.meter,
-                )
-            else:
-                w, completion = _completion_branch_terminal(
-                    self.graph, state, self.ordered, self.bridges, self.meter
-                )
-            if w is None:
-                return ("leaf", completion)
-            return ("branch", w)
+    def _node_test(self) -> Tuple[str, object]:
+        """Output a leaf or pick a branch terminal (Lemma 16)."""
+        state = self.partial
         if not state.uncovered:
             return ("leaf", frozenset(state.edges))
-        # Plain Algorithm 2: first uncovered terminal in the fixed order.
-        for w in self.ordered:
-            if w in state.uncovered:
-                return ("branch", w)
-        raise AssertionError("unreachable")
+        if not self.improved:
+            # Plain Algorithm 2: first uncovered terminal in the fixed order.
+            return ("branch", next(w for w in self.ordered if w in state.uncovered))
+        if self.fast:
+            w, completion = _fast_completion_branch_terminal(
+                self.fg, state, self.ordered, self.bridges, self.meter
+            )
+        else:
+            w, completion = _completion_branch_terminal(
+                self.graph, state, self.ordered, self.bridges, self.meter
+            )
+        return ("leaf", completion) if w is None else ("branch", w)
 
-    def _open_paths(self, sources: Tuple[Vertex, ...], branch: Vertex):
+    def _open(self, branch: Vertex):
         """A suspendable ``V(T)``-``branch`` path search on the backend."""
+        sources = tuple(self.partial.vertices)
         if self.fast:
-            return fast_set_path_search(
-                self.fg, sources, (branch,), meter=self.meter
-            )
-        return SetPathSearch(self.graph, sources, (branch,), meter=self.meter)
+            paths = fast_set_path_search(self.fg, sources, (branch,), meter=self.meter)
+        else:
+            paths = SetPathSearch(self.graph, sources, (branch,), meter=self.meter)
+        return paths, (sources, branch)
 
-    def _start(self) -> None:
-        self.phase = 1
-        if self._dead:
-            self.phase = 2
-            return
-        if len(self.ordered) == 1:
-            self.pending.append((DISCOVER, 0, 0))
-            self.pending.append((SOLUTION, frozenset()))
-            self.pending.append((EXAMINE, 0, 0))
-            self.phase = 2
-            return
-        self.pending.append((DISCOVER, self.node_counter, 0))
-        kind, payload = self._node_action()
-        if kind == "leaf":
-            self.pending.append((SOLUTION, payload))
-            self.pending.append((EXAMINE, self.node_counter, 0))
-            self.phase = 2
-            return
-        sources = tuple(self.state_tree.vertices)
-        self.stack.append(
-            _TreeFrame(
-                self._open_paths(sources, payload),
-                None,
-                self.node_counter,
-                0,
-                sources,
-                payload,
-            )
-        )
-
-    def _step(self) -> None:
-        """One enumeration-tree traversal step (the old loop body)."""
-        if not self.stack:
-            self.phase = 2
-            return
-        frame = self.stack[-1]
-        path = frame.paths.next_path()
-        if path is None:
-            self.pending.append((EXAMINE, frame.node_id, frame.depth))
-            self.stack.pop()
-            if frame.record is not None:
-                self.state_tree.undo(frame.record)
-            return
-        record = self.state_tree.apply(path)
-        self.node_counter += 1
-        self.pending.append((DISCOVER, self.node_counter, frame.depth + 1))
-        kind, payload = self._node_action()
-        if kind == "leaf":
-            self.pending.append((SOLUTION, payload))
-            self.pending.append((EXAMINE, self.node_counter, frame.depth + 1))
-            self.state_tree.undo(record)
-            return
-        sources = tuple(self.state_tree.vertices)
-        self.stack.append(
-            _TreeFrame(
-                self._open_paths(sources, payload),
-                record,
-                self.node_counter,
-                frame.depth + 1,
-                sources,
-                payload,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # snapshot plumbing
-    # ------------------------------------------------------------------
-    @property
-    def frame_count(self) -> int:
-        """Search-stack depth (tree frames + their path-machine frames)."""
-        return len(self.stack) + sum(
-            len(f.paths.stack)
-            if isinstance(f.paths, FastPathSearch)
-            else len(f.paths.machine.stack)
-            for f in self.stack
-        )
-
-    def state(self) -> Dict[str, Any]:
-        """Plain-data search state (static analysis is recomputed)."""
-        return {
-            "terminals": list(self.input_terminals),
-            "improved": self.improved,
-            "backend": self.backend,
-            "node_counter": self.node_counter,
-            "phase": self.phase,
-            "emitted": self.emitted,
-            "pending": list(self.pending),
-            "frames": [
-                {
-                    "paths": frame.paths.state(),
-                    "record": frame.record,
-                    "node_id": frame.node_id,
-                    "depth": frame.depth,
-                    "sources": tuple(frame.sources),
-                    "branch": frame.branch,
-                }
-                for frame in self.stack
-            ],
-        }
-
-    def _restore_paths(self, paths_state: Dict[str, Any]):
+    def _thaw_paths(self, fstate: Dict):
         if self.fast:
-            return FastPathSearch.restore(self.fg, paths_state, self.meter)
-        return SetPathSearch.restore(self.graph, paths_state, self.meter)
-
-    @classmethod
-    def restore(cls, graph: Graph, state: Dict[str, Any], meter=None):
-        """Rebuild a machine over ``graph`` from a :meth:`state` dict.
-
-        ``graph`` must be (a deterministic reconstruction of) the
-        instance the state was captured on; enumerator-level snapshots
-        bind that with the instance fingerprint.
-        """
-        machine = cls(
-            graph,
-            state["terminals"],
-            meter=meter,
-            improved=state["improved"],
-            backend=state["backend"],
-        )
-        machine.node_counter = state["node_counter"]
-        machine.phase = state["phase"]
-        machine.emitted = state["emitted"]
-        machine.pending = deque(state["pending"])
-        for fstate in state["frames"]:
-            if fstate["record"] is not None:
-                machine.state_tree.apply_record(fstate["record"])
-            machine.stack.append(
-                _TreeFrame(
-                    machine._restore_paths(fstate["paths"]),
-                    fstate["record"],
-                    fstate["node_id"],
-                    fstate["depth"],
-                    tuple(fstate["sources"]),
-                    fstate["branch"],
-                )
-            )
-        return machine
+            return FastPathSearch.restore(self.fg, fstate["paths"], self.meter)
+        return SetPathSearch.restore(self.graph, fstate["paths"], self.meter)
 
 
 def steiner_tree_events(
@@ -536,14 +272,9 @@ def steiner_tree_events(
     drain a :class:`SteinerTreeSearch` machine, which is the suspendable
     form of this traversal.
     """
-    machine = SteinerTreeSearch(
-        graph, terminals, meter=meter, improved=improved, backend=backend
+    yield from drain(
+        SteinerTreeSearch(graph, terminals, meter=meter, improved=improved, backend=backend)
     )
-    while True:
-        event = machine.advance()
-        if event is None:
-            return
-        yield event
 
 
 def enumerate_minimal_steiner_trees(
@@ -561,11 +292,9 @@ def enumerate_minimal_steiner_trees(
     >>> sols
     [[0, 1], [2]]
     """
-    for event in steiner_tree_events(
-        graph, terminals, meter=meter, improved=True, backend=backend
-    ):
-        if event[0] == SOLUTION:
-            yield event[1]
+    return solutions_only(
+        steiner_tree_events(graph, terminals, meter=meter, backend=backend)
+    )
 
 
 def enumerate_minimal_steiner_trees_simple(
@@ -577,11 +306,9 @@ def enumerate_minimal_steiner_trees_simple(
     the prior-work-shaped baseline (its per-solution cost carries the
     |W|-factor that Kimelfeld–Sagiv-style enumeration pays).
     """
-    for event in steiner_tree_events(
-        graph, terminals, meter=meter, improved=False, backend=backend
-    ):
-        if event[0] == SOLUTION:
-            yield event[1]
+    return solutions_only(
+        steiner_tree_events(graph, terminals, meter=meter, improved=False, backend=backend)
+    )
 
 
 def enumerate_minimal_steiner_trees_linear_delay(
@@ -598,11 +325,8 @@ def enumerate_minimal_steiner_trees_linear_delay(
     solution per bounded window of traversal events thereafter.  Space is
     O(n²) for the queue; the solution *set* is unchanged.
     """
-    events = steiner_tree_events(
-        graph, terminals, meter=meter, improved=True, backend=backend
-    )
-    kwargs = {} if window is None else {"window": window}
-    return regulate(events, prime=graph.num_vertices, **kwargs)
+    events = steiner_tree_events(graph, terminals, meter=meter, backend=backend)
+    return regulate(events, graph.num_vertices, DEFAULT_WINDOW if window is None else window)
 
 
 def count_minimal_steiner_trees(graph: Graph, terminals: Sequence[Vertex]) -> int:

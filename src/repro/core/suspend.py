@@ -57,8 +57,10 @@ import json
 import pickle
 import sys
 import zlib
+from collections import deque
 from typing import Any, Dict, Optional, Tuple
 
+from repro.enumeration.queue_method import OutputQueue
 from repro.exceptions import ReproError
 from repro.graphs.fastgraph import resolve_backend
 
@@ -202,54 +204,16 @@ class _DrainIterator:
         return item
 
 
-class RegulatedSearch:
+class RegulatedSearch(OutputQueue):
     """Suspendable form of the output-queue regulator (Theorem 20).
 
-    Wraps an *event-level* search machine and re-times its stream the
-    way :func:`repro.enumeration.queue_method.regulate` does: buffer the
-    first ``prime`` solutions, then release one buffered solution per
-    ``window`` traversal events.  The buffer, priming flag and window
-    counter are part of the machine state, so the linear-delay variants
-    suspend and resume exactly like the raw enumerators.
+    Wraps an *event-level* search machine and re-times its stream by the
+    one copy of the release rule,
+    :class:`repro.enumeration.queue_method.OutputQueue`.  The buffer,
+    priming flag and window counter are part of the machine state, so
+    the linear-delay variants suspend and resume exactly like the raw
+    enumerators.
     """
-
-    def __init__(self, machine, prime: int, window: int = 4) -> None:
-        from repro.enumeration.events import SOLUTION
-
-        self._solution = SOLUTION
-        self.machine = machine
-        self.prime = max(1, int(prime))
-        self.window = max(1, int(window))
-        self.buffer: list = []
-        self.primed = False
-        self.events_since_release = 0
-        self.drained = False
-
-    def advance(self):
-        """The next regulated solution, or ``None`` when exhausted."""
-        while True:
-            if self.drained:
-                if self.buffer:
-                    return self.buffer.pop(0)
-                return None
-            event = self.machine.advance()
-            if event is None:
-                self.drained = True
-                continue
-            if event[0] == self._solution:
-                self.buffer.append(event[1])
-                if not self.primed and len(self.buffer) >= self.prime:
-                    self.primed = True
-                    self.events_since_release = 0
-                continue
-            self.events_since_release += 1
-            if (
-                self.primed
-                and self.buffer
-                and self.events_since_release >= self.window
-            ):
-                self.events_since_release = 0
-                return self.buffer.pop(0)
 
     # -- snapshot plumbing ---------------------------------------------
     def state(self) -> Dict[str, Any]:
@@ -269,7 +233,7 @@ class RegulatedSearch:
         by the caller before this is invoked)."""
         self.prime = state["prime"]
         self.window = state["window"]
-        self.buffer = list(state["buffer"])
+        self.buffer = deque(state["buffer"])
         self.primed = state["primed"]
         self.events_since_release = state["events_since_release"]
         self.drained = state["drained"]

@@ -37,23 +37,13 @@ O(n+m) delay with the output-queue regulator (Theorem 31).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.backend import check_backend, compile_undirected, map_query_vertices
-from repro.enumeration.events import DISCOVER, EXAMINE, SOLUTION, Event
-from repro.enumeration.queue_method import regulate
+from repro.core.suspend import drain
+from repro.core.tree_search import Frame, PartialTree, TreeSearch, ordered_terminals
+from repro.enumeration.events import DISCOVER, EXAMINE, SOLUTION, Event, solutions_only
+from repro.enumeration.queue_method import DEFAULT_WINDOW, regulate
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.bridges import find_bridges
 from repro.graphs.fastgraph import (
@@ -73,22 +63,6 @@ from repro.paths.read_tarjan import SetPathSearch, StPathSearch
 
 Vertex = Hashable
 Solution = FrozenSet[int]
-
-
-def _validate(graph: Graph, terminals: Sequence[Vertex]) -> List[Vertex]:
-    seen: Set[Vertex] = set()
-    ordered: List[Vertex] = []
-    for w in terminals:
-        if w not in graph:
-            raise InvalidInstanceError(f"terminal {w!r} is not in the graph")
-        if w not in seen:
-            seen.add(w)
-            ordered.append(w)
-    if len(ordered) < 2:
-        raise InvalidInstanceError(
-            "terminal Steiner trees need at least two terminals"
-        )
-    return ordered
 
 
 class _Component:
@@ -170,50 +144,8 @@ def valid_components(
     return result
 
 
-class _PartialTree:
-    """Partial terminal Steiner tree with ordered vertex attachment.
-
-    ``vertices`` is an insertion-ordered dict used as an ordered set —
-    see :class:`repro.core.steiner_tree._PartialTree` for why attachment
-    order (not hash-table history) must drive the path enumerators'
-    source ordering for snapshots to restore byte-identically.
-    """
-
-    __slots__ = ("edges", "vertices", "uncovered")
-
-    def __init__(self, terminals: Sequence[Vertex]):
-        self.edges: Set[int] = set()
-        self.vertices: Dict[Vertex, None] = {}
-        self.uncovered: Set[Vertex] = set(terminals)
-
-    def apply_path(self, path_vertices, path_eids):
-        new_edges = tuple(path_eids)
-        new_vertices = tuple(v for v in path_vertices if v not in self.vertices)
-        covered = tuple(v for v in new_vertices if v in self.uncovered)
-        self.edges.update(new_edges)
-        for v in new_vertices:
-            self.vertices[v] = None
-        self.uncovered.difference_update(covered)
-        return new_edges, new_vertices, covered
-
-    def apply_record(self, record):
-        """Re-apply a stored undo record (snapshot restore path)."""
-        new_edges, new_vertices, covered = record
-        self.edges.update(new_edges)
-        for v in new_vertices:
-            self.vertices[v] = None
-        self.uncovered.difference_update(covered)
-
-    def undo(self, record):
-        new_edges, new_vertices, covered = record
-        self.edges.difference_update(new_edges)
-        for v in new_vertices:
-            del self.vertices[v]
-        self.uncovered.update(covered)
-
-
 def _completion_and_flags(
-    comp: _Component, state: _PartialTree, terminals, meter
+    comp: _Component, state: PartialTree, terminals, meter
 ) -> Tuple[Set[int], Dict[Vertex, bool]]:
     """Lemma 28 completion restricted to ``C`` + bridge flags.
 
@@ -258,7 +190,7 @@ def _uf_find(parent: Dict[int, int], x: int) -> int:
 
 
 def _fast_completion_and_flags(
-    comp: _Component, state: _PartialTree, n_space: int, meter
+    comp: _Component, state: PartialTree, n_space: int, meter
 ):
     """Kernel version of :func:`_completion_and_flags`.
 
@@ -309,7 +241,7 @@ def _fast_completion_and_flags(
 
 def _fast_leaf_completion(
     comp: _Component,
-    state: _PartialTree,
+    state: PartialTree,
     terminals,
     spanning: Set[int],
     n_space: int,
@@ -339,7 +271,7 @@ def _fast_leaf_completion(
 
 
 def _leaf_completion(
-    comp: _Component, state: _PartialTree, terminals, spanning: Set[int], meter
+    comp: _Component, state: PartialTree, terminals, spanning: Set[int], meter
 ) -> Solution:
     """Assemble the unique minimal terminal Steiner tree at a leaf node."""
     edges = set(spanning)
@@ -363,33 +295,23 @@ def _leaf_completion(
     return frozenset(pruned)
 
 
-class _TsFrame:
-    """One enumeration-tree activation: a path machine plus undo data."""
-
-    __slots__ = ("paths", "record", "node_id", "depth", "kind", "branch", "sources")
-
-    def __init__(self, paths, record, node_id, depth, kind, branch, sources):
-        self.paths = paths  # suspendable path search (``next_path()``)
-        self.record = record  # partial-tree undo record (None at a root)
-        self.node_id = node_id
-        self.depth = depth
-        self.kind = kind  # "root" (w0-w1 paths) or "child" (V(T)-w paths)
-        self.branch = branch  # branch terminal for "child" frames
-        self.sources = sources  # ordered V(T) ∩ C at frame creation
-
-
-class TerminalSteinerSearch:
+class TerminalSteinerSearch(TreeSearch):
     """Suspendable machine of the terminal-Steiner-tree enumeration.
 
-    The machine form of :func:`terminal_steiner_events`: per valid
-    component it grows a partial tree by suspendable path searches, so
-    the complete search state — current component index, frame stack
-    (each frame holding its path machine's state and undo record) and
-    pending event queue — serializes as plain data via :meth:`state` and
-    restores mid-enumeration via :meth:`restore` with a byte-identical
-    remaining stream.  Component analysis, kernels and sub-graph copies
-    are recomputed from the instance on restore.
+    The :class:`repro.core.tree_search.TreeSearch` traversal run once
+    per valid component ``C``: the root's children are the
+    ``w0``-``w1`` paths inside ``G[C ∪ {w0, w1}]`` over every component
+    in turn (a ``"root"`` frame per component, node 0 examined once
+    after the last), and a branch on an uncovered terminal ``w``
+    enumerates the ``(V(T) ∩ C)``-``w`` paths inside ``G[C ∪ {w}]`` (a
+    ``"child"`` frame).  ``|W| = 2`` runs a single s-t path machine
+    instead.  The state adds the component index, and the two-terminal
+    machine's state under ``"two"``; component analysis, kernels and
+    sub-graph copies are recomputed from the instance on restore.
     """
+
+    query_fields = ("terminals",)
+    frame_fields = ("kind", "branch", "sources")
 
     def __init__(
         self,
@@ -404,14 +326,18 @@ class TerminalSteinerSearch:
         self.improved = improved
         self.backend = backend
         self.fast = backend == "fast"
-        self.input_terminals: List[Vertex] = list(terminals)
+        query = {"terminals": list(terminals)}
         if self.fast:
             fg, index = compile_undirected(graph)
             self.graph = fg  # FastGraph implements the Graph protocol
             terminals = map_query_vertices(index, terminals)
         else:
             self.graph = graph
-        self.ordered = _validate(self.graph, terminals)
+        self.ordered = ordered_terminals(self.graph, terminals)
+        if len(self.ordered) < 2:
+            raise InvalidInstanceError(
+                "terminal Steiner trees need at least two terminals"
+            )
         self.two = len(self.ordered) == 2
         if self.two:
             self.components: List[_Component] = []
@@ -421,31 +347,8 @@ class TerminalSteinerSearch:
                 for comp in valid_components(self.graph, self.ordered, meter=meter)
             ]
         self.comp_index = 0
-        self.state_tree: Optional[_PartialTree] = None
         self.two_machine = None
-        self.node_counter = 0
-        self.stack: List[_TsFrame] = []
-        self.pending: deque = deque()
-        self.phase = 0  # 0 = not started, 1 = running, 2 = exhausted
-        self.emitted = 0
-
-    # ------------------------------------------------------------------
-    def advance(self) -> Optional[Event]:
-        """The next traversal event, or ``None`` when exhausted."""
-        while True:
-            if self.pending:
-                event = self.pending.popleft()
-                if event[0] == SOLUTION:
-                    self.emitted += 1
-                return event
-            if self.phase == 2:
-                return None
-            if self.phase == 0:
-                self._start()
-            elif self.two:
-                self._step_two()
-            else:
-                self._step()
+        self._begin(query, None)
 
     # -- |W| = 2: s-t path enumeration (paper, §5.1) -------------------
     def _open_two(self):
@@ -469,7 +372,6 @@ class TerminalSteinerSearch:
 
     # -- |W| >= 3: per-component partial-tree growth -------------------
     def _start(self) -> None:
-        self.phase = 1
         if self.two:
             self.pending.append((DISCOVER, 0, 0))
             self.two_machine = self._open_two()
@@ -480,24 +382,44 @@ class TerminalSteinerSearch:
         self.pending.append((DISCOVER, 0, 0))
         self._enter_component()
 
+    def _step(self) -> None:
+        if self.two:
+            self._step_two()
+        else:
+            super()._step()
+
+    def _finish(self) -> None:
+        """A component is done: enter the next, or examine node 0."""
+        self.comp_index += 1
+        if self.comp_index < len(self.components):
+            self._enter_component()
+        else:
+            self.pending.append((EXAMINE, 0, 0))
+            self.phase = 2
+
+    def _retire(self, frame: Frame) -> None:
+        # A component's root frame holds part of node 0's children; node 0
+        # is examined once, after the last component.
+        if frame.depth > 0:
+            super()._retire(frame)
+        else:
+            self.stack.pop()
+
     def _enter_component(self) -> None:
         comp = self.components[self.comp_index]
-        self.state_tree = _PartialTree(self.ordered)
-        self.stack = [
-            _TsFrame(self._open_root(comp), None, self.node_counter, 0, "root", None, ())
-        ]
+        self.partial = PartialTree((), self.ordered)
+        root = self._open_root(comp)
+        self.stack = [Frame(root, None, self.node_counter, 0, ("root", None, ()))]
 
-    def _node_action(self, comp: _Component) -> Tuple[str, object]:
-        state = self.state_tree
+    def _node_test(self) -> Tuple[str, object]:
+        comp = self.components[self.comp_index]
+        state = self.partial
         ordered = self.ordered
         meter = self.meter
         if not state.uncovered:
             return ("leaf", frozenset(state.edges))
         if not self.improved:
-            for w in ordered:
-                if w in state.uncovered:
-                    return ("branch", w)
-            raise AssertionError("unreachable")
+            return ("branch", next(w for w in ordered if w in state.uncovered))
         if self.fast:
             spanning, flag_of = _fast_completion_and_flags(
                 comp, state, self.graph.n_space, meter
@@ -523,43 +445,35 @@ class TerminalSteinerSearch:
             )
         return ("leaf", _leaf_completion(comp, state, ordered, spanning, meter))
 
-    def _child_sub(self, comp: _Component, w: Vertex) -> Graph:
-        """``G[C ∪ {w}]`` (object backend): the child-path substrate."""
+    def _substrate(self, comp: _Component, terminals) -> Graph:
+        """``G[C ∪ terminals]`` (object backend): a path substrate."""
         sub = Graph()
         for v in comp.vertices:
             sub.add_vertex(v)
         for edge in comp.graph_c.edges():
             sub.add_edge(edge.u, edge.v, eid=edge.eid)
-        sub.add_vertex(w)
-        for eid, other in comp.terminal_edges[w]:
-            sub.add_edge(w, other, eid=eid)
-        return sub
-
-    def _root_sub(self, comp: _Component) -> Graph:
-        """``G[C ∪ {w0, w1}]`` (object backend): the root-path substrate."""
-        w0, w1 = self.ordered[0], self.ordered[1]
-        sub = Graph()
-        for v in comp.vertices:
-            sub.add_vertex(v)
-        for edge in comp.graph_c.edges():
-            sub.add_edge(edge.u, edge.v, eid=edge.eid)
-        for w in (w0, w1):
+        for w in terminals:
             sub.add_vertex(w)
             for eid, other in comp.terminal_edges[w]:
                 sub.add_edge(w, other, eid=eid)
         return sub
 
-    def _open_child(self, comp: _Component, sources: Tuple[Vertex, ...], w: Vertex):
-        """Paths from (V(T) ∩ C) to ``w`` inside ``G[C ∪ {w}]``."""
+    def _open(self, branch: Vertex):
+        """Paths from (V(T) ∩ C) to ``branch`` inside ``G[C ∪ {branch}]``."""
+        comp = self.components[self.comp_index]
+        sources = tuple(v for v in self.partial.vertices if v in comp.vertices)
         if self.fast:
-            return fast_set_path_search(
+            paths = fast_set_path_search(
                 comp.kernel(self.graph.n_space),
                 sources,
-                (w,),
+                (branch,),
                 meter=self.meter,
-                excluded=[t for t in self.ordered if t != w],
+                excluded=[t for t in self.ordered if t != branch],
             )
-        return SetPathSearch(self._child_sub(comp, w), sources, (w,), meter=self.meter)
+        else:
+            sub = self._substrate(comp, (branch,))
+            paths = SetPathSearch(sub, sources, (branch,), meter=self.meter)
+        return paths, ("child", branch, sources)
 
     def _open_root(self, comp: _Component):
         """Root children for a component: w0-w1 paths in G[C ∪ {w0, w1}]."""
@@ -572,51 +486,7 @@ class TerminalSteinerSearch:
                 meter=self.meter,
                 excluded=[t for t in self.ordered if t != w0 and t != w1],
             )
-        return StPathSearch(self._root_sub(comp), w0, w1, meter=self.meter)
-
-    def _step(self) -> None:
-        """One enumeration-tree traversal step (the old loop body)."""
-        if not self.stack:
-            self.comp_index += 1
-            if self.comp_index < len(self.components):
-                self._enter_component()
-            else:
-                self.pending.append((EXAMINE, 0, 0))
-                self.phase = 2
-            return
-        comp = self.components[self.comp_index]
-        frame = self.stack[-1]
-        path = frame.paths.next_path()
-        if path is None:
-            if frame.depth > 0:
-                self.pending.append((EXAMINE, frame.node_id, frame.depth))
-            self.stack.pop()
-            if frame.record is not None:
-                self.state_tree.undo(frame.record)
-            return
-        record = self.state_tree.apply_path(path.vertices, path.arcs)
-        self.node_counter += 1
-        self.pending.append((DISCOVER, self.node_counter, frame.depth + 1))
-        kind, payload = self._node_action(comp)
-        if kind == "leaf":
-            self.pending.append((SOLUTION, payload))
-            self.pending.append((EXAMINE, self.node_counter, frame.depth + 1))
-            self.state_tree.undo(record)
-            return
-        sources = tuple(
-            v for v in self.state_tree.vertices if v in comp.vertices
-        )
-        self.stack.append(
-            _TsFrame(
-                self._open_child(comp, sources, payload),
-                record,
-                self.node_counter,
-                frame.depth + 1,
-                "child",
-                payload,
-                sources,
-            )
-        )
+        return StPathSearch(self._substrate(comp, (w0, w1)), w0, w1, meter=self.meter)
 
     # ------------------------------------------------------------------
     # snapshot plumbing
@@ -628,90 +498,36 @@ class TerminalSteinerSearch:
             return 1 if self.two_machine is not None else 0
         return len(self.stack)
 
-    def state(self) -> Dict[str, Any]:
+    def _walk_state(self) -> Dict:
+        return {"comp_index": self.comp_index}
+
+    def state(self) -> Dict:
         """Plain-data search state (components are recomputed on restore)."""
-        payload: Dict[str, Any] = {
-            "terminals": list(self.input_terminals),
-            "improved": self.improved,
-            "backend": self.backend,
-            "node_counter": self.node_counter,
-            "phase": self.phase,
-            "emitted": self.emitted,
-            "pending": list(self.pending),
-            "comp_index": self.comp_index,
-            "frames": [
-                {
-                    "paths": frame.paths.state(),
-                    "record": frame.record,
-                    "node_id": frame.node_id,
-                    "depth": frame.depth,
-                    "kind": frame.kind,
-                    "branch": frame.branch,
-                    "sources": tuple(frame.sources),
-                }
-                for frame in self.stack
-            ],
-        }
+        payload = super().state()
         if self.two_machine is not None:
             payload["two"] = self.two_machine.state()
         return payload
 
-    def _restore_paths(self, fstate: Dict[str, Any], comp: _Component):
+    def _replay(self, state: Dict) -> None:
+        self.comp_index = state["comp_index"]
+        if "two" in state:
+            thaw = FastPathSearch.restore if self.fast else StPathSearch.restore
+            self.two_machine = thaw(self.graph, state["two"], self.meter)
+        if not self.two and self.phase == 1 and self.comp_index < len(self.components):
+            self.partial = PartialTree((), self.ordered)
+            super()._replay(state)
+
+    def _thaw_paths(self, fstate: Dict):
+        comp = self.components[self.comp_index]
         if self.fast:
             return FastPathSearch.restore(
                 comp.kernel(self.graph.n_space), fstate["paths"], self.meter
             )
         if fstate["kind"] == "root":
-            return StPathSearch.restore(self._root_sub(comp), fstate["paths"], self.meter)
-        return SetPathSearch.restore(
-            self._child_sub(comp, fstate["branch"]), fstate["paths"], self.meter
-        )
-
-    @classmethod
-    def restore(cls, graph: Graph, state: Dict[str, Any], meter=None):
-        """Rebuild a machine over ``graph`` from a :meth:`state` dict."""
-        machine = cls(
-            graph,
-            state["terminals"],
-            meter=meter,
-            improved=state["improved"],
-            backend=state["backend"],
-        )
-        machine.node_counter = state["node_counter"]
-        machine.phase = state["phase"]
-        machine.emitted = state["emitted"]
-        machine.pending = deque(state["pending"])
-        machine.comp_index = state["comp_index"]
-        if "two" in state:
-            inner = state["two"]
-            if machine.fast:
-                machine.two_machine = FastPathSearch.restore(
-                    machine.graph, inner, meter
-                )
-            else:
-                machine.two_machine = StPathSearch.restore(
-                    machine.graph, inner, meter
-                )
-        if not machine.two and machine.phase == 1 and machine.comp_index < len(
-            machine.components
-        ):
-            comp = machine.components[machine.comp_index]
-            machine.state_tree = _PartialTree(machine.ordered)
-            for fstate in state["frames"]:
-                if fstate["record"] is not None:
-                    machine.state_tree.apply_record(fstate["record"])
-                machine.stack.append(
-                    _TsFrame(
-                        machine._restore_paths(fstate, comp),
-                        fstate["record"],
-                        fstate["node_id"],
-                        fstate["depth"],
-                        fstate["kind"],
-                        fstate["branch"],
-                        tuple(fstate["sources"]),
-                    )
-                )
-        return machine
+            sub = self._substrate(comp, self.ordered[:2])
+            return StPathSearch.restore(sub, fstate["paths"], self.meter)
+        sub = self._substrate(comp, (fstate["branch"],))
+        return SetPathSearch.restore(sub, fstate["paths"], self.meter)
 
 
 def terminal_steiner_events(
@@ -731,14 +547,11 @@ def terminal_steiner_events(
     :class:`TerminalSteinerSearch` machine, the suspendable form of this
     traversal.
     """
-    machine = TerminalSteinerSearch(
-        graph, terminals, meter=meter, improved=improved, backend=backend
+    yield from drain(
+        TerminalSteinerSearch(
+            graph, terminals, meter=meter, improved=improved, backend=backend
+        )
     )
-    while True:
-        event = machine.advance()
-        if event is None:
-            return
-        yield event
 
 
 def enumerate_minimal_terminal_steiner_trees(
@@ -755,22 +568,18 @@ def enumerate_minimal_terminal_steiner_trees(
     >>> sorted(sorted(s) for s in enumerate_minimal_terminal_steiner_trees(g, ["w1", "w2"]))
     [[0, 1], [0, 2, 3]]
     """
-    for event in terminal_steiner_events(
-        graph, terminals, meter=meter, improved=True, backend=backend
-    ):
-        if event[0] == SOLUTION:
-            yield event[1]
+    return solutions_only(
+        terminal_steiner_events(graph, terminals, meter=meter, backend=backend)
+    )
 
 
 def enumerate_minimal_terminal_steiner_trees_simple(
     graph: Graph, terminals: Sequence[Vertex], meter=None, backend: str = "object"
 ) -> Iterator[Solution]:
     """Unimproved branching (Theorem 29 bound): O(nm) delay."""
-    for event in terminal_steiner_events(
-        graph, terminals, meter=meter, improved=False, backend=backend
-    ):
-        if event[0] == SOLUTION:
-            yield event[1]
+    return solutions_only(
+        terminal_steiner_events(graph, terminals, meter=meter, improved=False, backend=backend)
+    )
 
 
 def enumerate_minimal_terminal_steiner_trees_linear_delay(
@@ -781,11 +590,8 @@ def enumerate_minimal_terminal_steiner_trees_linear_delay(
     backend: str = "object",
 ) -> Iterator[Solution]:
     """Theorem 31 second half: O(n+m) delay via the output-queue method."""
-    events = terminal_steiner_events(
-        graph, terminals, meter=meter, improved=True, backend=backend
-    )
-    kwargs = {} if window is None else {"window": window}
-    return regulate(events, prime=graph.num_vertices, **kwargs)
+    events = terminal_steiner_events(graph, terminals, meter=meter, backend=backend)
+    return regulate(events, graph.num_vertices, DEFAULT_WINDOW if window is None else window)
 
 
 def count_minimal_terminal_steiner_trees(

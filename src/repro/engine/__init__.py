@@ -8,8 +8,9 @@ enumeration requests fast".
   covering all six Steiner enumerators plus paths and K-fragments, with
   clean deadline/budget stops and JSONL (de)serialization.
 * :mod:`repro.engine.cache` — :class:`InstanceCache`: canonical
-  (relabeling-stable) instance hashing, LRU in memory, optional disk
-  spill.
+  (relabeling-stable) instance hashing and an in-memory LRU
+  (:class:`repro.serve.store.TieredCache` puts a JSON disk tier
+  behind it).
 * :mod:`repro.engine.pool` — :func:`run_batch`: multiprocessing fan-out
   with deterministic, worker-count-independent output, plus sound
   sharding of a single large Steiner-tree job along the paper's own

@@ -1,4 +1,4 @@
-"""Instance cache: canonical hashing + LRU result store with disk spill.
+"""Instance cache: canonical hashing + LRU result store.
 
 Two jobs that describe the *same* instance should pay for enumeration
 once.  "Same" is stronger than textual equality: a relabeled copy of a
@@ -37,17 +37,16 @@ cursor prefixes are served only to the identical instance (splicing a
 donor-ordered prefix onto a different job's live stream would duplicate
 and drop solutions).
 
-Entries evicted from the LRU can spill to a directory as pickles and
-are transparently reloaded on the next miss.
+Entries evicted from the LRU are dropped.
+:class:`repro.serve.store.TieredCache` puts a
+:class:`repro.serve.store.ResultStore` (plain JSON files: nothing read
+back can execute code) behind it as a disk tier.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import os
-import pickle
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -457,10 +456,7 @@ class InstanceCache:
     ----------
     maxsize:
         In-memory entry cap; least-recently-used entries beyond it are
-        evicted (to disk when ``spill_dir`` is set, otherwise dropped).
-    spill_dir:
-        Directory for evicted entries.  Created on demand; entries are
-        pickled one file per key and reloaded transparently on a miss.
+        evicted.
 
     Examples
     --------
@@ -473,11 +469,10 @@ class InstanceCache:
     ('x-y y-z',)
     """
 
-    def __init__(self, maxsize: int = 256, spill_dir: Optional[str] = None) -> None:
+    def __init__(self, maxsize: int = 256) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
-        self.spill_dir = spill_dir
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         #: Memoized :func:`instance_key`, bounded alongside the entry LRU
@@ -584,7 +579,7 @@ class InstanceCache:
         self._shrink()
 
     def clear(self) -> None:
-        """Drop all in-memory entries (spilled files are left on disk)."""
+        """Drop all entries."""
         self._entries.clear()
 
     def __len__(self) -> int:
@@ -603,47 +598,15 @@ class InstanceCache:
         )
 
     # ------------------------------------------------------------------
-    # LRU + spill machinery
+    # LRU machinery
     # ------------------------------------------------------------------
     def _load(self, key: str) -> Optional[_Entry]:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
-            return entry
-        if self.spill_dir is None:
-            return None
-        path = self._spill_path(key)
-        if not os.path.exists(path):
-            return None
-        with open(path, "rb") as handle:
-            entry = pickle.load(handle)
-        self.stats.disk_hits += 1
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        self._shrink(exclude=key)
         return entry
 
-    def _shrink(self, exclude: Optional[str] = None) -> None:
+    def _shrink(self) -> None:
         while len(self._entries) > self.maxsize:
-            key = next(iter(self._entries))
-            if key == exclude:  # pragma: no cover - maxsize >= 1 guards this
-                break
-            entry = self._entries.pop(key)
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
-            if self.spill_dir is not None:
-                self._spill(key, entry)
-
-    def _spill(self, key: str, entry: _Entry) -> None:
-        os.makedirs(self.spill_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.spill_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entry, handle)
-            os.replace(tmp, self._spill_path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def _spill_path(self, key: str) -> str:
-        return os.path.join(self.spill_dir, f"{key}.pkl")

@@ -766,6 +766,11 @@ class SetPathSearch:
                     path.vertices[1:-1], tuple(a // 2 for a in path.arcs[1:-1])
                 )
 
+    @property
+    def frame_count(self) -> int:
+        """Search-stack depth."""
+        return len(self.machine.stack)
+
     def state(self) -> Dict[str, Any]:
         """Plain-data state: source/target orderings + machine state."""
         return {
@@ -911,6 +916,11 @@ class SetPathSearchDirected:
             if event[0] == SOLUTION:
                 path = event[1]
                 return Path(path.vertices[1:-1], path.arcs[1:-1])
+
+    @property
+    def frame_count(self) -> int:
+        """Search-stack depth."""
+        return len(self.machine.stack)
 
     def state(self) -> Dict[str, Any]:
         """Plain-data state: source/target orderings + machine state."""

@@ -706,19 +706,10 @@ class FleetRouter:
         tenant: Optional[Tenant],
     ) -> int:
         started = time.perf_counter()
-        if method == "POST":
-            try:
-                spec = json.loads(body.decode() or "{}")
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                return await self._simple(
-                    writer, 400, {"event": "error", "error": "request body is not JSON"}
-                )
-            if not isinstance(spec, dict):
-                return await self._simple(
-                    writer, 400, {"event": "error", "error": "request body must be a JSON object"}
-                )
-        else:
-            spec = dict(params)
+        try:
+            spec = EnumerationServer._parse_answer_request(method, params, body)
+        except InvalidInstanceError as exc:
+            return await self._simple(writer, 400, {"event": "error", "error": str(exc)})
         dataset = str(spec.get("dataset", ""))
         record = self.registry.describe(dataset) if dataset else None
         key = record.digest if record is not None else f"dataset:{dataset}"

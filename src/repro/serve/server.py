@@ -138,6 +138,17 @@ class _StreamState:
         return checkpoint_record(self.job, self.total, digest, snapshot)
 
 
+def _json_object(body: bytes) -> Dict[str, Any]:
+    """A request body that must be one JSON object."""
+    try:
+        payload = json.loads(body.decode() or "{}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInstanceError(f"request body is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InvalidInstanceError("request body must be a JSON object")
+    return payload
+
+
 class EnumerationServer:
     """The asyncio streaming service over a persistent worker pool.
 
@@ -596,21 +607,8 @@ class EnumerationServer:
         compute_seconds = 0.0
         try:
             try:
-                if method == "POST":
-                    spec = json.loads(body.decode() or "{}")
-                    if not isinstance(spec, dict):
-                        raise InvalidInstanceError(
-                            "request body must be a JSON object"
-                        )
-                else:
-                    spec = dict(params)
-                    if "q" in spec and "keywords" not in spec:
-                        spec["keywords"] = [
-                            kw for kw in str(spec.pop("q")).split(",") if kw
-                        ]
-                keywords = spec.get("keywords") or []
-                if isinstance(keywords, str):
-                    keywords = [kw for kw in keywords.split(",") if kw]
+                spec = self._parse_answer_request(method, params, body)
+                keywords = spec["keywords"]
                 assert self._gate is not None and self._answer_executor is not None
                 # /answer burns real enumeration CPU, so it takes a
                 # worker-pool slot exactly like a live /enumerate stream
@@ -696,6 +694,27 @@ class EnumerationServer:
         payload["errors"] = self.stats.errors
         return payload
 
+    @staticmethod
+    def _parse_answer_request(
+        method: str, params: Dict[str, str], body: bytes
+    ) -> Dict[str, Any]:
+        """An ``/answer`` request as a spec whose ``keywords`` is a list.
+
+        A POST carries a JSON object, a GET its query parameters.  Either
+        names the keywords as ``keywords`` (a list, or one comma-separated
+        string) or as ``q`` (comma-separated).  The fleet router parses
+        with this too and forwards the spec, so both tiers accept the
+        same requests.
+        """
+        spec = _json_object(body) if method == "POST" else dict(params)
+        if "keywords" not in spec and "q" in spec:
+            spec["keywords"] = spec.pop("q")
+        keywords = spec.get("keywords") or []
+        if isinstance(keywords, str):
+            keywords = [kw for kw in keywords.split(",") if kw]
+        spec["keywords"] = keywords
+        return spec
+
     # ------------------------------------------------------------------
     # the /enumerate stream
     # ------------------------------------------------------------------
@@ -703,12 +722,7 @@ class EnumerationServer:
     def _parse_enumerate_body(
         body: bytes,
     ) -> Tuple[Dict[str, Any], Optional[str], Optional[int], Optional[int]]:
-        try:
-            payload = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InvalidInstanceError(f"request body is not JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise InvalidInstanceError("request body must be a JSON object")
+        payload = _json_object(body)
         if "job" in payload:
             spec = payload["job"]
             stream_id = payload.get("stream_id")

@@ -322,10 +322,10 @@ class TieredCache:
 
     ``lookup``/``prefix`` consult the in-memory :class:`InstanceCache`
     first and fall back to the :class:`ResultStore`; disk hits are
-    promoted into memory.  ``store`` writes through to both tiers.  The
-    serving layer and ``repro batch --store`` use this so repeated
-    queries are memory-fast while every completed enumeration survives
-    restarts.
+    promoted into memory.  ``store`` writes through to both tiers.
+    ``repro serve --store DIR`` and ``repro batch --spill-dir DIR`` use
+    this so repeated queries are memory-fast while every completed
+    enumeration survives eviction and restarts.
     """
 
     def __init__(self, cache: Optional[InstanceCache], store: Optional[ResultStore]) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -25,8 +26,23 @@ from repro.engine.jobs import EnumerationJob, load_jobs_jsonl, run_job
 from repro.engine.pool import run_batch, run_steiner_shard, shard_anchor
 from repro.engine.service import BatchRunner, serve
 from repro.exceptions import InvalidInstanceError
+from repro.serve.store import ResultStore, TieredCache
 
 from conftest import random_simple_graph
+
+#: Calls made by unpickling a :class:`_Planted` payload (must stay empty).
+_PLANTED_LOADS: list = []
+
+
+def _record_planted_load() -> None:
+    _PLANTED_LOADS.append(True)
+
+
+class _Planted:
+    """A pickle payload that runs code when it is loaded."""
+
+    def __reduce__(self):
+        return (_record_planted_load, ())
 
 
 def _random_edges(rng: random.Random, n: int, p: float):
@@ -426,17 +442,38 @@ class TestCache:
         assert hit is not None
         assert set(hit.lines) == set(run_job(unlimited).lines)
 
-    def test_lru_eviction_and_disk_spill(self, tmp_path):
-        cache = InstanceCache(maxsize=2, spill_dir=str(tmp_path))
+    def test_lru_eviction_and_disk_tier(self, tmp_path):
+        memory = InstanceCache(maxsize=2)
+        cache = TieredCache(memory, ResultStore(str(tmp_path)))
         jobs = mixed_batch()
         results = {j.job_id: run_job(j) for j in jobs[:3]}
         for job in jobs[:3]:
             cache.store(job, results[job.job_id])
-        assert len(cache) == 2 and cache.stats.evictions == 1
+        assert len(memory) == 2 and memory.stats.evictions == 1
         # The evicted entry comes back from disk with identical lines.
         for job in jobs[:3]:
             assert cache.lookup(job).lines == results[job.job_id].lines
-        assert cache.stats.disk_hits >= 1
+        assert cache.as_dict()["tiered"]["disk_hits"] >= 1
+
+    def test_planted_pickle_is_never_unpickled(self, tmp_path):
+        """A ``<key>.pkl`` in the disk tier's directory is not a cache
+        entry: nothing read back from disk may execute code."""
+        from repro.cli import main
+
+        job = mixed_batch()[0]
+        key = InstanceCache().key_of(job)[0]
+        planted = pickle.dumps(_Planted())
+        for directory in (tmp_path, tmp_path / "entries"):
+            directory.mkdir(exist_ok=True)
+            (directory / f"{key}.pkl").write_bytes(planted)
+        cache = TieredCache(InstanceCache(maxsize=1), ResultStore(str(tmp_path)))
+        assert cache.lookup(job) is None and cache.prefix(job) is None
+        jobs_file = tmp_path / "jobs.jsonl"
+        jobs_file.write_text(json.dumps(job.to_dict()) + "\n")
+        out = io.StringIO()
+        assert main(["batch", str(jobs_file), "--spill-dir", str(tmp_path)], out=out) == 0
+        assert json.loads(out.getvalue())["lines"] == list(run_job(job).lines)
+        assert _PLANTED_LOADS == []
 
     def test_random_relabeled_instances_roundtrip(self):
         # Property-style: random graphs, shuffled labels, every kind of
@@ -646,6 +683,29 @@ class TestService:
             outputs.append(out.getvalue())
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == len(jobs)
+
+    def test_cli_batch_spill_dir_is_a_json_tier(self, tmp_path):
+        """``--spill-dir`` puts a JSON result store behind the LRU, on
+        the plain and the ``--checkpoints`` paths alike."""
+        from repro.cli import main
+
+        jobs = mixed_batch()
+        path = tmp_path / "jobs.jsonl"
+        path.write_text("\n".join(json.dumps(j.to_dict()) for j in jobs) + "\n")
+        expected = [list(run_job(j).lines) for j in jobs]
+        for extra in ([], ["--checkpoints", str(tmp_path / "ck"), "--text"]):
+            spill = tmp_path / f"spill{len(extra)}"
+            for _run in range(2):  # the second run is served from disk
+                out = io.StringIO()
+                argv = ["batch", str(path), "--spill-dir", str(spill), "--cache-size", "1"]
+                assert main(argv + extra, out=out) == 0
+                if extra:
+                    assert out.getvalue().splitlines() == sum(expected, [])
+                else:
+                    lines = [json.loads(r)["lines"] for r in out.getvalue().splitlines()]
+                    assert lines == expected
+            stored = sorted(p.name for p in (spill / "entries").iterdir())
+            assert stored and all(name.endswith(".json") for name in stored)
 
     def test_cli_batch_text_mode(self, tmp_path):
         from repro.cli import main

@@ -227,6 +227,35 @@ class TestDatasetsAndAnswer:
         digest = router.registry.describe("grid").digest
         assert router.ring.route(digest) in ("embedded-0", "embedded-1")
 
+    def test_answer_get_form_through_router(self, fleet):
+        """``GET /answer?q=...`` answers through the router as it does
+        on a replica: both parse the request the same way."""
+        import http.client
+
+        _router, thread, servers = fleet
+        ServeClient(port=thread.port).register_dataset(
+            "g",
+            edges=[["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
+            node_keywords=[("a", ["alpha"]), ("c", ["beta"])],
+        )
+
+        def get(port, query):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                conn.request("GET", "/answer?" + query)
+                resp = conn.getresponse()
+                return resp.status, json.loads(resp.read())
+            finally:
+                conn.close()
+
+        direct = get(servers[0].port, "dataset=g&q=alpha,beta&k=2")
+        assert direct[0] == 200
+        for query in ("dataset=g&q=alpha,beta&k=2", "dataset=g&keywords=alpha,beta&k=2"):
+            status, doc = get(thread.port, query)
+            assert status == 200, doc
+            assert doc["keywords"] == ["alpha", "beta"]
+            assert doc["answers"] == direct[1]["answers"]
+
     def test_dataset_remove_broadcasts(self, fleet):
         router, thread, servers = fleet
         client = ServeClient(port=thread.port)
