@@ -58,10 +58,10 @@ from repro.serve.fleet import (
     FleetRouter,
     HashRing,
     ReplicaProcess,
-    RouterThread,
     join_router,
     routing_key,
 )
+from repro.serve.server import ServerThread
 
 REPLICAS = int(os.environ.get("BENCH_FLEET_REPLICAS", "4"))
 JOBS = int(os.environ.get("BENCH_FLEET_JOBS", "8"))
@@ -140,7 +140,7 @@ def balanced_tails(names: List[str], per_replica: int) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# fleet harness: a RouterThread + N real replica child processes
+# fleet harness: a router thread + N real replica child processes
 # ----------------------------------------------------------------------
 class Fleet:
     def __init__(
@@ -157,7 +157,7 @@ class Fleet:
             health_interval=0.2,
             sndbuf=SNDBUF,
         )
-        self.thread = RouterThread(self.router).start()
+        self.thread = ServerThread(self.router).start()
         self.procs: Dict[str, ReplicaProcess] = {}
         self._spawned = 0
         for _ in range(replicas):

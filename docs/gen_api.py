@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 PAGES = {
     "repro": (
         "repro (top level)",
-        ["repro", "repro.exceptions", "repro.cli"],
+        ["repro", "repro.exceptions", "repro.jsonfile", "repro.cli"],
     ),
     "repro.graphs": (
         "repro.graphs — graph substrate",
@@ -129,6 +129,7 @@ PAGES = {
         [
             "repro.serve",
             "repro.serve.server",
+            "repro.serve.httpd",
             "repro.serve.store",
             "repro.serve.workers",
             "repro.serve.arena",

@@ -834,7 +834,8 @@ def _run_fleet(args, out) -> int:
     import os
     import time as _time
 
-    from repro.serve.fleet import FleetRouter, ReplicaProcess, RouterThread
+    from repro.serve.fleet import FleetRouter, ReplicaProcess
+    from repro.serve.httpd import ServerThread
 
     _interrupt_on_sigterm()
     registry = args.registry or os.path.join(args.store, "datasets")
@@ -851,7 +852,7 @@ def _run_fleet(args, out) -> int:
         burst=args.burst,
         sndbuf=args.sndbuf,
     )
-    thread = RouterThread(router).start()
+    thread = ServerThread(router).start()
     url = f"http://{args.host}:{thread.port}"
     print(f"router on {args.host}:{thread.port}", file=sys.stderr, flush=True)
 

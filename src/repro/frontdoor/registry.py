@@ -23,10 +23,8 @@ get their data graphs (and last compiled queries) rebuilt at startup.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
-import tempfile
 import threading
 import time
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -34,6 +32,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.engine.cache import instance_key
 from repro.engine.jobs import EnumerationJob
 from repro.exceptions import ReproError
+from repro.jsonfile import read_json, write_atomic
 
 _SCHEMA = 1
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -95,6 +94,34 @@ def dataset_digest(
     return hashlib.sha256((digest + repr(canon)).encode()).hexdigest()
 
 
+def _pair(item: Any) -> bool:
+    return isinstance(item, (list, tuple)) and len(item) == 2
+
+
+def _check_shapes(edges: Any, vertices: Any, node_keywords: Any) -> None:
+    """Refuse a payload that would unpack into a different graph.
+
+    Strings and objects iterate too: unchecked, the edge ``"ab"`` would
+    become a-b and the keyword list ``"alpha"`` five one-letter keywords.
+    """
+    if not isinstance(edges, (list, tuple)) or not all(_pair(e) for e in edges):
+        raise DatasetError("'edges' must be a list of [u, v] pairs")
+    if not isinstance(vertices, (list, tuple)):
+        raise DatasetError("'vertices' must be a list")
+    if node_keywords is not None and not (
+        isinstance(node_keywords, (list, tuple))
+        and all(
+            _pair(pair)
+            and isinstance(pair[1], (list, tuple))
+            and all(isinstance(kw, str) for kw in pair[1])
+            for pair in node_keywords
+        )
+    ):
+        raise DatasetError(
+            "'node_keywords' must be a list of [node, [keyword, ...]] pairs"
+        )
+
+
 class DatasetRegistry:
     """Content-addressed named graph store.
 
@@ -139,20 +166,6 @@ class DatasetRegistry:
         digest = hashlib.sha256(name.encode()).hexdigest()[:40]
         return os.path.join(self._names_dir(), f"{digest}.json")
 
-    @staticmethod
-    def _write_atomic(path: str, payload: Dict[str, Any]) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
     def _load(self) -> None:
         if self.root is None:
             return
@@ -163,29 +176,14 @@ class DatasetRegistry:
         for entry in listing:
             if not entry.endswith(".json"):
                 continue
-            try:
-                with open(os.path.join(self._names_dir(), entry)) as handle:
-                    record = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if record.get("schema") != _SCHEMA:
-                continue
-            self._names[record["name"]] = record
+            record = read_json(os.path.join(self._names_dir(), entry))
+            if record and record.get("schema") == _SCHEMA:
+                self._names[record["name"]] = record
         for digest in {r["digest"] for r in self._names.values()}:
-            path = os.path.join(self._payloads_dir(), f"{digest}.json")
-            try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if payload.get("schema") == _SCHEMA:
+            payload = read_json(os.path.join(self._payloads_dir(), f"{digest}.json"))
+            if payload and payload.get("schema") == _SCHEMA:
                 self._payloads[digest] = payload
-        usage_path = os.path.join(self.root, "usage.json")
-        try:
-            with open(usage_path) as handle:
-                usage = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            usage = None
+        usage = read_json(os.path.join(self.root, "usage.json"))
         if usage and usage.get("schema") == _SCHEMA:
             self._uses = {str(k): int(v) for k, v in usage.get("uses", {}).items()}
             self._last_keywords = {
@@ -195,7 +193,7 @@ class DatasetRegistry:
     def _persist_usage(self) -> None:
         if self.root is None:
             return
-        self._write_atomic(
+        write_atomic(
             os.path.join(self.root, "usage.json"),
             {
                 "schema": _SCHEMA,
@@ -219,13 +217,17 @@ class DatasetRegistry:
         ``deduped`` is True when an isomorphic payload was already
         stored (the name points at the existing payload).  Re-adding an
         existing name is idempotent for the same graph and a
-        :class:`DatasetError` for a different one.
+        :class:`DatasetError` for a different one.  So is a payload of
+        the wrong shape: ``edges`` must be a list of ``[u, v]`` pairs,
+        ``vertices`` a list and ``node_keywords`` a list of
+        ``[node, [keyword, ...]]`` pairs.
         """
         if not _NAME_RE.match(name or ""):
             raise DatasetError(
                 f"invalid dataset name {name!r} (want [A-Za-z0-9._-], "
                 "max 64 chars, leading alphanumeric)"
             )
+        _check_shapes(edges, vertices, node_keywords)
         edge_tuple = tuple((u, v) for u, v in edges)
         if not edge_tuple and not vertices:
             raise DatasetError("dataset needs at least one edge or vertex")
@@ -250,7 +252,7 @@ class DatasetRegistry:
                 }
                 self._payloads[digest] = payload
                 if self.root is not None:
-                    self._write_atomic(
+                    write_atomic(
                         os.path.join(self._payloads_dir(), f"{digest}.json"),
                         payload,
                     )
@@ -265,7 +267,7 @@ class DatasetRegistry:
             }
             self._names[name] = record
             if self.root is not None:
-                self._write_atomic(self._name_path(name), record)
+                write_atomic(self._name_path(name), record)
             return self._record(record), deduped
 
     def _record(self, raw: Dict[str, Any]) -> DatasetRecord:

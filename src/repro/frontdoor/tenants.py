@@ -20,16 +20,15 @@ quota unit admit exactly one.  Violations raise:
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import secrets
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import InvalidInstanceError, ReproError
+from repro.jsonfile import read_json, write_atomic
 
 _SCHEMA = 1
 
@@ -149,32 +148,10 @@ class TenantRegistry:
         assert self.root is not None
         return os.path.join(self.root, name)
 
-    @staticmethod
-    def _write_atomic(path: str, payload: Dict[str, Any]) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    @staticmethod
-    def _read_json(path: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(path) as handle:
-                return json.load(handle)
-        except (FileNotFoundError, OSError, json.JSONDecodeError):
-            return None
-
     def _load(self) -> None:
         if self.root is None:
             return
-        record = self._read_json(self._path("tenants.json"))
+        record = read_json(self._path("tenants.json"))
         if record and record.get("schema") == _SCHEMA:
             for raw in record.get("tenants", []):
                 tenant = Tenant(
@@ -187,7 +164,7 @@ class TenantRegistry:
                 )
                 self._tenants[tenant.name] = tenant
                 self._by_key[tenant.key] = tenant.name
-        usage = self._read_json(self._path("usage.json"))
+        usage = read_json(self._path("usage.json"))
         if usage and usage.get("schema") == _SCHEMA:
             for name, events in usage.get("events", {}).items():
                 self._events[name] = [list(map(float, e)) for e in events]
@@ -195,7 +172,7 @@ class TenantRegistry:
     def _persist_tenants(self) -> None:
         if self.root is None:
             return
-        self._write_atomic(
+        write_atomic(
             self._path("tenants.json"),
             {
                 "schema": _SCHEMA,
@@ -242,7 +219,7 @@ class TenantRegistry:
         with self._io_lock:
             if seq <= self._usage_written:
                 return
-            self._write_atomic(
+            write_atomic(
                 self._path("usage.json"), {"schema": _SCHEMA, "events": events}
             )
             self._usage_written = seq

@@ -16,6 +16,10 @@ This package turns :mod:`repro.engine` into a network service:
   delimited JSON events with per-client backpressure, replays
   warm-store hits without re-enumerating, and checkpoints interrupted
   streams for resumption.
+* :class:`~repro.serve.httpd.FrontDoor` (:mod:`repro.serve.httpd`) — the
+  HTTP front door the server and the fleet router share: listener,
+  auth and quotas, route table, access log and dataset endpoints.
+  :class:`ServerThread` runs either tier on a background event loop.
 * :class:`ServeClient` (:mod:`repro.serve.client`) — a blocking
   stdlib-only client used by ``repro client``, the tests, and the
   benchmarks.
@@ -25,7 +29,8 @@ wire protocol reference.
 """
 
 from repro.serve.client import ServeClient
-from repro.serve.server import EnumerationServer, ServerThread
+from repro.serve.httpd import ServerThread
+from repro.serve.server import EnumerationServer
 from repro.serve.store import ResultStore, TieredCache
 from repro.serve.workers import WorkerPool
 

@@ -23,7 +23,7 @@ from repro.serve.fleet.replicas import (
     join_router,
     leave_router,
 )
-from repro.serve.fleet.router import FleetRouter, RouterThread
+from repro.serve.fleet.router import FleetRouter
 
 __all__ = [
     "AdmissionController",
@@ -32,7 +32,6 @@ __all__ = [
     "RateLimitExceeded",
     "ReplicaExited",
     "ReplicaProcess",
-    "RouterThread",
     "join_router",
     "leave_router",
     "routing_key",

@@ -30,15 +30,15 @@ import asyncio
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.exceptions import ReproError
+from repro.frontdoor.tenants import QuotaExceeded
 
 
-class RateLimitExceeded(ReproError):
-    """The client's token bucket is empty; retry after ``retry_after``."""
+class RateLimitExceeded(QuotaExceeded):
+    """The client's token bucket is empty; retry after ``retry_after``.
 
-    def __init__(self, message: str, retry_after: float) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
+    A :class:`QuotaExceeded`, so the front door answers it with the
+    same ``429`` and ``Retry-After``.
+    """
 
 
 class _Bucket:

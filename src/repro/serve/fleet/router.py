@@ -38,16 +38,14 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import math
-import threading
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import InvalidInstanceError, ReproError
-from repro.frontdoor.metrics import MetricsRegistry
-from repro.frontdoor.registry import DatasetError, DatasetRegistry
-from repro.frontdoor.tenants import AuthError, QuotaExceeded, Tenant, TenantRegistry
+from repro.frontdoor.registry import DatasetRegistry
+from repro.frontdoor.tenants import TenantRegistry
 from repro.serve.fleet.admission import AdmissionController, RateLimitExceeded
 from repro.serve.fleet.hashring import HashRing, routing_key
 from repro.serve.fleet.proxy import (
@@ -57,15 +55,20 @@ from repro.serve.fleet.proxy import (
     read_sized_body,
     send_request,
 )
+from repro.serve.httpd import (
+    Disconnect,
+    FrontDoor,
+    Request,
+    api_key,
+    refuse,
+    respond,
+)
 from repro.serve.protocol import (
     FINAL_CHUNK,
     ProtocolError,
-    clamp_connection_buffers,
     encode_event,
     json_response,
-    read_request,
     response_head,
-    split_target,
 )
 from repro.serve.server import EnumerationServer
 
@@ -110,16 +113,14 @@ class RouterStats:
         return dataclasses.asdict(self)
 
 
-class _Disconnect(Exception):
-    """The downstream client went away mid-stream."""
-
-
-class _NoCapacity(ReproError):
-    """No healthy replica is available to own the stream."""
-
-
-class FleetRouter:
+class FleetRouter(FrontDoor):
     """Consistent-hash router over a fleet of enumeration replicas.
+
+    The listener, auth, quotas, the access log and the dataset endpoints
+    come from :class:`~repro.serve.httpd.FrontDoor`; the router adds the
+    per-client rate limit to admission, replays dataset changes on every
+    replica, and serves ``/enumerate`` and ``/answer`` by proxy plus
+    ``/healthz``, ``/stats``, ``/metrics`` and ``/fleet*`` itself.
 
     Parameters
     ----------
@@ -170,26 +171,9 @@ class FleetRouter:
         migration_budget: Optional[int] = None,
         sndbuf: Optional[int] = None,
     ) -> None:
-        if sndbuf is not None and sndbuf < 4096:
-            raise ValueError("sndbuf must be >= 4096 bytes (or None)")
-        self.sndbuf = sndbuf
-        self.host = host
-        self._requested_port = port
+        super().__init__(host, port, registry, tenants, require_auth, sndbuf)
         self.ring = HashRing(vnodes=vnodes)
         self.replicas: Dict[str, ReplicaInfo] = {}
-        if isinstance(registry, str):
-            self.registry: DatasetRegistry = DatasetRegistry(registry)
-        elif registry is not None:
-            self.registry = registry
-        else:
-            self.registry = DatasetRegistry(None)
-        if isinstance(tenants, str):
-            self.tenants: Optional[TenantRegistry] = TenantRegistry(tenants)
-        else:
-            self.tenants = tenants
-        if require_auth and self.tenants is None:
-            self.tenants = TenantRegistry(None)
-        self.require_auth = require_auth
         self.admission = AdmissionController(
             max_streams=max_streams,
             per_client_streams=per_client_streams,
@@ -199,47 +183,39 @@ class FleetRouter:
         self.health_interval = health_interval
         self.migration_budget = migration_budget
         self.stats = RouterStats()
-        self.metrics = MetricsRegistry()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
         self._stream_seq = 0
-        self._executor = None  # lazy ThreadPoolExecutor for tenant disk writes
+        self.route("/healthz", GET=self._healthz)
+        self.route("/fleet", GET=lambda r: respond(r.writer, 200, self._fleet_payload()))
+        self.route("/fleet/join", POST=self._join)
+        self.route("/fleet/leave", POST=self._leave)
+        self.route("/stats", GET=self._stats)
+        self.route(
+            "/metrics", GET=lambda r: respond(r.writer, 200, self._metrics_payload())
+        )
+        self.route("/enumerate", POST=self._proxy_enumerate)
+        self.route("/answer", GET=self._proxy_answer, POST=self._proxy_answer)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     @property
-    def port(self) -> int:
-        """The bound port (meaningful after :meth:`start`)."""
-        if self._server is not None and self._server.sockets:
-            return self._server.sockets[0].getsockname()[1]
-        return self._requested_port
-
-    @property
     def url(self) -> str:
         """The router's base URL (for ``repro serve --join``)."""
         return f"http://{self.host}:{self.port}"
 
-    async def start(self) -> None:
-        """Bind the listener and start the health prober."""
-        if self._server is not None:
-            raise RuntimeError("router already started")
-        from concurrent.futures import ThreadPoolExecutor
-
+    async def _open(self) -> None:
+        """Start the executor for tenant disk writes and the health prober."""
         self._executor = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-router"
-        )
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
         )
         if self.health_interval > 0:
             self._health_task = asyncio.get_running_loop().create_task(
                 self._health_loop()
             )
 
-    async def stop(self) -> None:
-        """Close the listener and drain in-flight proxied streams."""
+    async def _close(self) -> None:
+        """Stop the health prober."""
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -247,25 +223,6 @@ class FleetRouter:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._conn_tasks:
-            await asyncio.wait(set(self._conn_tasks), timeout=10)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
-
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        try:
-            await self._server.serve_forever()
-        finally:
-            await self.stop()
 
     # ------------------------------------------------------------------
     # replica membership
@@ -336,236 +293,66 @@ class FleetRouter:
                     self.remove_replica(info.name)
 
     # ------------------------------------------------------------------
-    # connection handling (mirrors EnumerationServer)
+    # admission
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        if self.sndbuf is not None:
-            clamp_connection_buffers(writer, sndbuf=self.sndbuf)
-        try:
-            await self._handle_request(reader, writer)
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-
     @staticmethod
-    def _client_key(headers: Dict[str, str], writer, tenant: Optional[Tenant]) -> str:
+    def _client_key(request: Request) -> str:
         """The admission-control identity of one request's sender."""
-        if tenant is not None:
-            return f"tenant:{tenant.name}"
-        key = EnumerationServer._api_key(headers)
+        if request.tenant is not None:
+            return f"tenant:{request.tenant.name}"
+        key = api_key(request.headers)
         if key is not None:
             return f"key:{key}"
-        peer = writer.get_extra_info("peername")
+        peer = request.writer.get_extra_info("peername")
         return f"addr:{peer[0]}" if peer else "addr:unknown"
 
-    async def _handle_request(self, reader, writer) -> None:
-        started = time.perf_counter()
-        method, path, tenant_name, status = "-", "-", None, 0
+    async def admit(self, request: Request) -> None:
+        """Charge the tenant's quota, then spend the client's rate token.
+
+        An empty token bucket raises :class:`RateLimitExceeded`, which
+        the front door answers like any quota refusal: ``429`` with
+        ``Retry-After``.
+        """
+        await super().admit(request)
         try:
-            try:
-                request = await asyncio.wait_for(read_request(reader), timeout=30)
-            except ProtocolError as exc:
-                status = 400
-                writer.write(json_response(400, {"event": "error", "error": str(exc)}))
-                await writer.drain()
-                return
-            except (asyncio.IncompleteReadError, asyncio.TimeoutError, OSError):
-                return
-            if request is None:
-                return
-            method, target, headers, body = request
-            path, params = split_target(target)
-            self.stats.requests += 1
-            try:
-                tenant = await self._authorize(method, path, headers)
-                client = self._client_key(headers, writer, tenant)
-                if EnumerationServer._charged(method, path):
-                    self.admission.check_rate(client)
-            except AuthError as exc:
-                status = 401
-                self.metrics.inc("auth_failures")
-                writer.write(json_response(401, {"event": "error", "error": str(exc)}))
-                await writer.drain()
-                return
-            except (QuotaExceeded, RateLimitExceeded) as exc:
-                status = 429
-                if isinstance(exc, RateLimitExceeded):
-                    self.stats.rate_limited += 1
-                self.metrics.inc("quota_rejections")
-                writer.write(
-                    json_response(
-                        429,
-                        {
-                            "event": "error",
-                            "error": str(exc),
-                            "retry_after": round(exc.retry_after, 3),
-                        },
-                        headers={"Retry-After": str(max(1, math.ceil(exc.retry_after)))},
-                    )
-                )
-                await writer.drain()
-                return
-            tenant_name = tenant.name if tenant is not None else None
-            status = await self._route(
-                method, path, params, body, writer, tenant, client
-            )
-        except (ConnectionError, _Disconnect, OSError):
-            status = status or 499
-        finally:
-            if path != "-":
-                self.metrics.access(
-                    method,
-                    path,
-                    status,
-                    time.perf_counter() - started,
-                    tenant=tenant_name,
-                )
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _authorize(
-        self, method: str, path: str, headers: Dict[str, str]
-    ) -> Optional[Tenant]:
-        if self.tenants is None or path == "/healthz":
-            return None
-        key = EnumerationServer._api_key(headers)
-        if key is None and not self.require_auth:
-            return None
-        tenant = self.tenants.authenticate(key)
-        if EnumerationServer._charged(method, path):
-            await asyncio.get_running_loop().run_in_executor(
-                self._executor, self.tenants.admit, tenant
-            )
-        return tenant
-
-    async def _record_usage(
-        self,
-        tenant: Optional[Tenant],
-        solutions: int = 0,
-        compute_seconds: float = 0.0,
-    ) -> None:
-        if tenant is None or self.tenants is None or self._executor is None:
-            return
-        if not solutions and not compute_seconds:
-            return
-        registry = self.tenants
-        await asyncio.get_running_loop().run_in_executor(
-            self._executor,
-            lambda: registry.record(
-                tenant, solutions=solutions, compute_seconds=compute_seconds
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        params: Dict[str, str],
-        body: bytes,
-        writer,
-        tenant: Optional[Tenant],
-        client: str,
-    ) -> int:
-        if path == "/healthz" and method == "GET":
-            return await self._simple(
-                writer,
-                200,
-                {"ok": True, "role": "router", "replicas": len(self.healthy_replicas())},
-            )
-        if path == "/fleet" and method == "GET":
-            return await self._simple(writer, 200, self._fleet_payload())
-        if path == "/fleet/join" and method == "POST":
-            return await self._join(body, writer)
-        if path == "/fleet/leave" and method == "POST":
-            return await self._leave(body, writer)
-        if path == "/stats" and method == "GET":
-            return await self._simple(writer, 200, await self._stats_payload())
-        if path == "/metrics" and method == "GET":
-            return await self._simple(writer, 200, self._metrics_payload())
-        if path == "/enumerate":
-            if method != "POST":
-                return await self._simple(
-                    writer, 405, {"event": "error", "error": "POST required"}
-                )
-            return await self._proxy_enumerate(body, writer, tenant, client)
-        if path == "/datasets" and method == "POST":
-            return await self._register_dataset(body, writer)
-        if path == "/datasets" and method == "GET":
-            return await self._simple(
-                writer,
-                200,
-                {"ok": True, "datasets": [r._asdict() for r in self.registry.list()]},
-            )
-        if path.startswith("/datasets/") and method == "DELETE":
-            return await self._remove_dataset(path[len("/datasets/"):], writer)
-        if path == "/answer" and method in ("GET", "POST"):
-            return await self._proxy_answer(method, params, body, writer, tenant)
-        return await self._simple(
-            writer, 404, {"event": "error", "error": f"no route {path}"}
-        )
-
-    async def _simple(
-        self,
-        writer,
-        status: int,
-        payload: Dict[str, Any],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> int:
-        writer.write(json_response(status, payload, headers))
-        await writer.drain()
-        return status
+            self.admission.check_rate(self._client_key(request))
+        except RateLimitExceeded:
+            self.stats.rate_limited += 1
+            raise
 
     # ------------------------------------------------------------------
     # fleet membership endpoints
     # ------------------------------------------------------------------
-    async def _join(self, body: bytes, writer) -> int:
+    async def _join(self, request: Request) -> int:
         try:
-            spec = json.loads(body.decode() or "{}")
+            spec = json.loads(request.body.decode() or "{}")
             name = str(spec["name"])
             host = str(spec.get("host", "127.0.0.1"))
             port = int(spec["port"])
         except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
-            return await self._simple(
-                writer, 400, {"event": "error", "error": f"bad join payload: {exc}"}
-            )
+            return await refuse(request.writer, 400, f"bad join payload: {exc}")
         probe = ReplicaInfo(name=name, host=host, port=port)
         if not await self._probe(probe):
-            return await self._simple(
-                writer,
-                409,
-                {"event": "error", "error": f"replica {name!r} failed its health probe"},
+            return await refuse(
+                request.writer, 409, f"replica {name!r} failed its health probe"
             )
         self.add_replica(name, host, port)
         self.metrics.inc("replicas_joined")
-        return await self._simple(
-            writer,
+        return await respond(
+            request.writer,
             200,
             {"ok": True, "name": name, "replicas": len(self.healthy_replicas())},
         )
 
-    async def _leave(self, body: bytes, writer) -> int:
+    async def _leave(self, request: Request) -> int:
         try:
-            spec = json.loads(body.decode() or "{}")
+            spec = json.loads(request.body.decode() or "{}")
             name = str(spec["name"])
         except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
-            return await self._simple(
-                writer, 400, {"event": "error", "error": f"bad leave payload: {exc}"}
-            )
-        removed = self.remove_replica(name)
-        if not removed:
-            return await self._simple(
-                writer, 404, {"event": "error", "error": f"unknown replica {name!r}"}
-            )
-        return await self._simple(writer, 200, {"ok": True, "removed": name})
+            return await refuse(request.writer, 400, f"bad leave payload: {exc}")
+        if not self.remove_replica(name):
+            return await refuse(request.writer, 404, f"unknown replica {name!r}")
+        return await respond(request.writer, 200, {"ok": True, "removed": name})
 
     def _fleet_payload(self) -> Dict[str, Any]:
         return {
@@ -597,6 +384,16 @@ class FleetRouter:
 
         await asyncio.gather(*(one(info) for info in replicas))
         return docs
+
+    async def _healthz(self, request: Request) -> int:
+        return await respond(
+            request.writer,
+            200,
+            {"ok": True, "role": "router", "replicas": len(self.healthy_replicas())},
+        )
+
+    async def _stats(self, request: Request) -> int:
+        return await respond(request.writer, 200, await self._stats_payload())
 
     async def _stats_payload(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"ok": True, "role": "router"}
@@ -632,10 +429,10 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # dataset fan-out
     # ------------------------------------------------------------------
-    async def _broadcast(
+    async def datasets_changed(
         self, method: str, path: str, payload: Optional[Dict[str, Any]]
     ) -> None:
-        """Apply a mutation on every healthy replica (best effort).
+        """Replay a dataset mutation on every healthy replica (best effort).
 
         Replicas share the registry directory on disk, but each caches
         records in memory — the broadcast keeps the live processes
@@ -653,63 +450,18 @@ class FleetRouter:
 
         await asyncio.gather(*(one(info) for info in self.healthy_replicas()))
 
-    async def _register_dataset(self, body: bytes, writer) -> int:
-        try:
-            spec = json.loads(body.decode() or "{}")
-            if not isinstance(spec, dict):
-                raise DatasetError("request body must be a JSON object")
-            record, deduped = self.registry.add(
-                str(spec.get("name", "")),
-                spec.get("edges") or [],
-                vertices=spec.get("vertices") or [],
-                node_keywords=spec.get("node_keywords") or None,
-            )
-        except (json.JSONDecodeError, UnicodeDecodeError, TypeError, ValueError) as exc:
-            return await self._simple(
-                writer, 400, {"event": "error", "error": f"bad dataset payload: {exc}"}
-            )
-        except ReproError as exc:
-            return await self._simple(writer, 400, {"event": "error", "error": str(exc)})
-        await self._broadcast("POST", "/datasets", spec)
-        self.metrics.inc("datasets_deduped" if deduped else "datasets_registered")
-        return await self._simple(
-            writer,
-            200,
-            {
-                "ok": True,
-                "name": record.name,
-                "digest": record.digest,
-                "deduped": deduped,
-                "num_vertices": record.num_vertices,
-                "num_edges": record.num_edges,
-            },
-        )
-
-    async def _remove_dataset(self, name: str, writer) -> int:
-        removed = self.registry.remove(name)
-        if not removed:
-            return await self._simple(
-                writer, 404, {"event": "error", "error": f"unknown dataset {name!r}"}
-            )
-        await self._broadcast("DELETE", f"/datasets/{name}", None)
-        return await self._simple(writer, 200, {"ok": True, "removed": name})
-
     # ------------------------------------------------------------------
     # /answer: dataset-affine proxy with failover
     # ------------------------------------------------------------------
-    async def _proxy_answer(
-        self,
-        method: str,
-        params: Dict[str, str],
-        body: bytes,
-        writer,
-        tenant: Optional[Tenant],
-    ) -> int:
+    async def _proxy_answer(self, request: Request) -> int:
+        writer = request.writer
         started = time.perf_counter()
         try:
-            spec = EnumerationServer._parse_answer_request(method, params, body)
+            spec = EnumerationServer._parse_answer_request(
+                request.method, request.params, request.body
+            )
         except InvalidInstanceError as exc:
-            return await self._simple(writer, 400, {"event": "error", "error": str(exc)})
+            return await refuse(writer, 400, str(exc))
         dataset = str(spec.get("dataset", ""))
         record = self.registry.describe(dataset) if dataset else None
         key = record.digest if record is not None else f"dataset:{dataset}"
@@ -738,28 +490,24 @@ class FleetRouter:
                 provenance = payload.get("provenance") or {}
                 compute = float(provenance.get("elapsed_ms", 0.0) or 0.0) / 1000.0
                 self.metrics.observe("answer", time.perf_counter() - started)
-                return await self._simple(writer, status, payload)
-            return await self._simple(
-                writer,
-                503,
-                {"event": "error", "error": "no healthy replica can answer"},
-            )
+                return await respond(writer, status, payload)
+            return await refuse(writer, 503, "no healthy replica can answer")
         finally:
-            await self._record_usage(tenant, solutions=solutions, compute_seconds=compute)
+            await self.record_usage(
+                request.tenant, solutions=solutions, compute_seconds=compute
+            )
 
     # ------------------------------------------------------------------
     # /enumerate: the migrating stream proxy
     # ------------------------------------------------------------------
-    async def _proxy_enumerate(
-        self, body: bytes, writer, tenant: Optional[Tenant], client: str
-    ) -> int:
+    async def _proxy_enumerate(self, request: Request) -> int:
         try:
             spec, stream_id, chunk, offset = EnumerationServer._parse_enumerate_body(
-                body
+                request.body
             )
         except (InvalidInstanceError, ReproError) as exc:
             self.stats.errors += 1
-            return await self._simple(writer, 400, {"event": "error", "error": str(exc)})
+            return await refuse(request.writer, 400, str(exc))
         key = routing_key(spec, self.registry)
         if stream_id is None:
             self._stream_seq += 1
@@ -768,14 +516,14 @@ class FleetRouter:
         delivered = 0
         compute = 0.0
         try:
-            async with self.admission.stream_slot(client):
+            async with self.admission.stream_slot(self._client_key(request)):
                 delivered, compute, status = await self._drive_stream(
-                    spec, stream_id, chunk, offset, key, writer
+                    spec, stream_id, chunk, offset, key, request.writer
                 )
             return status
         finally:
-            await self._record_usage(
-                tenant, solutions=delivered, compute_seconds=compute
+            await self.record_usage(
+                request.tenant, solutions=delivered, compute_seconds=compute
             )
 
     async def _drive_stream(
@@ -801,12 +549,12 @@ class FleetRouter:
 
         async def forward(data: bytes) -> None:
             if writer.is_closing():
-                raise _Disconnect
+                raise Disconnect
             writer.write(data)
             try:
                 await writer.drain()
             except (ConnectionError, OSError) as exc:
-                raise _Disconnect from exc
+                raise Disconnect from exc
 
         while True:
             budget = (
@@ -830,8 +578,7 @@ class FleetRouter:
                         compute,
                         200,
                     )
-                await self._simple(writer, 503, {"event": "error", "error": reason})
-                return 0, compute, 503
+                return 0, compute, await refuse(writer, 503, reason)
             attempts += 1
             info.streams += 1
             payload: Dict[str, Any] = {"job": spec, "stream_id": stream_id}
@@ -952,67 +699,3 @@ class FleetRouter:
                 if up_writer is not None:
                     up_writer.close()
 
-
-class RouterThread:
-    """Run a :class:`FleetRouter` on a background event loop (embedding).
-
-    The tests, the chaos harness and the benchmarks drive routers
-    through this, exactly like
-    :class:`~repro.serve.server.ServerThread` drives a single server.
-    """
-
-    def __init__(self, router: FleetRouter) -> None:
-        self.router = router
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self) -> "RouterThread":
-        """Start the loop thread and block until the socket is bound."""
-        if self._thread is not None:
-            raise RuntimeError("router thread already started")
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._startup_error is not None:
-            raise RuntimeError("router failed to start") from self._startup_error
-        if not self._started.is_set():  # pragma: no cover - startup is fast
-            raise RuntimeError("router did not start within 30s")
-        return self
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            try:
-                await self.router.start()
-            except BaseException as exc:  # pragma: no cover - bind errors
-                self._startup_error = exc
-                self._started.set()
-                raise
-            self._started.set()
-            await self._stop.wait()
-            await self.router.stop()
-
-        asyncio.run(main())
-
-    @property
-    def port(self) -> int:
-        """The router's bound port."""
-        return self.router.port
-
-    def stop(self) -> None:
-        """Stop the router and join the loop thread."""
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

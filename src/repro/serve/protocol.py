@@ -49,6 +49,7 @@ REASONS = {
     409: "Conflict",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 

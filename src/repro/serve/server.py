@@ -42,9 +42,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -57,25 +55,18 @@ from repro.engine.jobs import EnumerationJob, JobResult
 from repro.engine.suspend import snapshot_usable
 from repro.exceptions import CursorStateError, InvalidInstanceError, ReproError
 from repro.frontdoor.answers import AnswerEngine, AnswerTimeout
-from repro.frontdoor.metrics import MetricsRegistry
 from repro.frontdoor.registry import DatasetError, DatasetRegistry
 from repro.frontdoor.scheduling import PriorityGate
-from repro.frontdoor.tenants import (
-    AuthError,
-    QuotaExceeded,
-    Tenant,
-    TenantRegistry,
+from repro.frontdoor.tenants import TenantRegistry
+from repro.serve.httpd import (
+    Disconnect,
+    FrontDoor,
+    Request,
+    ServerThread as ServerThread,
+    refuse,
+    respond,
 )
-from repro.serve.protocol import (
-    FINAL_CHUNK,
-    ProtocolError,
-    clamp_connection_buffers,
-    encode_event,
-    json_response,
-    read_request,
-    response_head,
-    split_target,
-)
+from repro.serve.protocol import FINAL_CHUNK, encode_event, response_head
 from repro.serve.store import ResultStore, TieredCache
 from repro.serve.workers import DEFAULT_CHUNK, WorkerDied, WorkerPool
 
@@ -99,10 +90,6 @@ class ServerStats:
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for JSON serving."""
         return dataclasses.asdict(self)
-
-
-class _Disconnect(Exception):
-    """The client went away mid-stream."""
 
 
 @dataclass
@@ -149,8 +136,13 @@ def _json_object(body: bytes) -> Dict[str, Any]:
     return payload
 
 
-class EnumerationServer:
+class EnumerationServer(FrontDoor):
     """The asyncio streaming service over a persistent worker pool.
+
+    The listener, auth, quotas, the access log and the dataset endpoints
+    come from :class:`~repro.serve.httpd.FrontDoor`; this tier adds
+    ``/enumerate``, ``/answer``, ``/healthz``, ``/stats`` and
+    ``/metrics``.
 
     Parameters
     ----------
@@ -225,16 +217,19 @@ class EnumerationServer:
             raise ValueError("chunk must be >= 1")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1 (or None)")
-        if sndbuf is not None and sndbuf < 4096:
-            raise ValueError("sndbuf must be >= 4096 bytes (or None)")
-        self.host = host
-        self._requested_port = port
+        self.store: Optional[ResultStore]
+        if isinstance(store, str):
+            self.store = ResultStore(store)
+        else:
+            self.store = store
+        if registry is None and self.store is not None:
+            registry = os.path.join(self.store.root, "datasets")
+        super().__init__(host, port, registry, tenants, require_auth, sndbuf)
         self.workers = workers
         self.chunk = chunk
         self.mp_context = mp_context
         self.max_deadline = max_deadline
         self.checkpoint_every = checkpoint_every
-        self.sndbuf = sndbuf
         self.stats = ServerStats()
         memory: Optional[InstanceCache]
         if cache is False:
@@ -243,51 +238,25 @@ class EnumerationServer:
             memory = InstanceCache()
         else:
             memory = cache  # type: ignore[assignment]
-        self.store: Optional[ResultStore]
-        if isinstance(store, str):
-            self.store = ResultStore(store)
-        else:
-            self.store = store
         self.tier = TieredCache(memory, self.store)
-        if isinstance(registry, str):
-            self.registry = DatasetRegistry(registry)
-        elif registry is not None:
-            self.registry = registry
-        elif self.store is not None:
-            self.registry = DatasetRegistry(os.path.join(self.store.root, "datasets"))
-        else:
-            self.registry = DatasetRegistry(None)
-        if isinstance(tenants, str):
-            self.tenants: Optional[TenantRegistry] = TenantRegistry(tenants)
-        else:
-            self.tenants = tenants
-        if require_auth and self.tenants is None:
-            self.tenants = TenantRegistry(None)
-        self.require_auth = require_auth
         self.warm = warm
         self.answers = AnswerEngine(self.registry)
-        self.metrics = MetricsRegistry()
         self._pool: Optional[WorkerPool] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._answer_executor: Optional[ThreadPoolExecutor] = None
         self._gate: Optional[PriorityGate] = None
-        self._conn_tasks: set = set()
+        self.route("/healthz", GET=lambda r: respond(r.writer, 200, {"ok": True}))
+        self.route("/stats", GET=lambda r: respond(r.writer, 200, self._stats_payload()))
+        self.route(
+            "/metrics", GET=lambda r: respond(r.writer, 200, self._metrics_payload())
+        )
+        self.route("/enumerate", POST=self._enumerate)
+        self.route("/answer", GET=self._answer, POST=self._answer)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def port(self) -> int:
-        """The bound port (meaningful after :meth:`start`)."""
-        if self._server is not None and self._server.sockets:
-            return self._server.sockets[0].getsockname()[1]
-        return self._requested_port
-
-    async def start(self) -> None:
-        """Bind the listening socket and spin up the worker pool."""
-        if self._server is not None:
-            raise RuntimeError("server already started")
+    async def _open(self) -> None:
+        """Spin up the worker pool and the executors."""
         # A disk-backed store doubles as the home of the zero-copy
         # instance arena: every worker — and every fleet replica sharing
         # the store directory — maps one spool copy per dataset.
@@ -312,302 +281,29 @@ class EnumerationServer:
             warmed = self.answers.warm_popular(self.warm)
             if warmed:
                 self.metrics.inc("datasets_warmed", len(warmed))
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
 
-    async def stop(self) -> None:
-        """Close the listener, drain in-flight streams, stop the pool."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._conn_tasks:
-            # Let in-flight streams finish (they checkpoint on the way
-            # out); anything still running after the grace period is
-            # torn down with the pool.
-            await asyncio.wait(set(self._conn_tasks), timeout=10)
+    async def _close(self) -> None:
+        """Stop the worker pool and the answer executor."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
         if self._answer_executor is not None:
             self._answer_executor.shutdown(wait=False)
             self._answer_executor = None
 
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        try:
-            await self._server.serve_forever()
-        finally:
-            await self.stop()
-
     # ------------------------------------------------------------------
-    # connection handling
+    # /answer and the ops documents
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        if self.sndbuf is not None:
-            clamp_connection_buffers(writer, sndbuf=self.sndbuf)
-        try:
-            await self._handle_request(reader, writer)
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-
-    async def _handle_request(self, reader, writer) -> None:
-        started = time.perf_counter()
-        method, path, tenant_name, status = "-", "-", None, 0
-        try:
-            try:
-                request = await asyncio.wait_for(read_request(reader), timeout=30)
-            except ProtocolError as exc:
-                status = 400
-                writer.write(json_response(400, {"event": "error", "error": str(exc)}))
-                await writer.drain()
-                return
-            except (asyncio.IncompleteReadError, asyncio.TimeoutError, OSError):
-                return
-            if request is None:
-                return
-            method, target, headers, body = request
-            path, params = split_target(target)
-            self.stats.requests += 1
-            try:
-                tenant = await self._authorize(method, path, headers)
-            except AuthError as exc:
-                status = 401
-                self.metrics.inc("auth_failures")
-                writer.write(json_response(401, {"event": "error", "error": str(exc)}))
-                await writer.drain()
-                return
-            except QuotaExceeded as exc:
-                status = 429
-                self.metrics.inc("quota_rejections")
-                writer.write(
-                    json_response(
-                        429,
-                        {
-                            "event": "error",
-                            "error": str(exc),
-                            "retry_after": round(exc.retry_after, 3),
-                        },
-                        headers={"Retry-After": str(max(1, math.ceil(exc.retry_after)))},
-                    )
-                )
-                await writer.drain()
-                return
-            tenant_name = tenant.name if tenant is not None else None
-            status = await self._route(
-                method, path, params, body, writer, tenant
-            )
-        except (ConnectionError, _Disconnect, OSError):
-            status = status or 499  # client went away mid-stream
-        finally:
-            if path != "-":
-                self.metrics.access(
-                    method,
-                    path,
-                    status,
-                    time.perf_counter() - started,
-                    tenant=tenant_name,
-                )
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    # ------------------------------------------------------------------
-    # authentication + routing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _api_key(headers: Dict[str, str]) -> Optional[str]:
-        auth = headers.get("authorization", "")
-        if auth.lower().startswith("bearer "):
-            return auth[7:].strip() or None
-        return headers.get("x-api-key") or None
-
-    @staticmethod
-    def _charged(method: str, path: str) -> bool:
-        """Does this request consume request quota?
-
-        Only compute and mutation surfaces are charged: enumeration,
-        answers and dataset writes.  Read-only ops surfaces (/stats,
-        /metrics, GET /datasets, /healthz) stay free.
-        """
-        if path == "/enumerate":
-            return method == "POST"
-        if path == "/answer":
-            return method in ("GET", "POST")
-        if path == "/datasets":
-            return method == "POST"
-        if path.startswith("/datasets/"):
-            return method == "DELETE"
-        return False
-
-    async def _authorize(
-        self, method: str, path: str, headers: Dict[str, str]
-    ) -> Optional[Tenant]:
-        """Authenticate + admit one request; ``None`` for anonymous.
-
-        With ``require_auth`` every route except ``/healthz`` needs a
-        valid key; otherwise keys are checked (and charged) only when
-        presented.  Charged routes run the atomic quota admission —
-        off the event loop, because admission persists usage.json and
-        the loop must keep serving streams during that disk write.
-        """
-        if self.tenants is None or path == "/healthz":
-            return None
-        key = self._api_key(headers)
-        if key is None and not self.require_auth:
-            return None
-        tenant = self.tenants.authenticate(key)
-        if self._charged(method, path):
-            await asyncio.get_running_loop().run_in_executor(
-                self._executor, self.tenants.admit, tenant
-            )
-        return tenant
-
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        params: Dict[str, str],
-        body: bytes,
-        writer,
-        tenant: Optional[Tenant],
-    ) -> int:
-        """Dispatch one request; returns the response status for the log."""
-        if path == "/healthz" and method == "GET":
-            return await self._simple(writer, 200, {"ok": True})
-        if path == "/stats" and method == "GET":
-            return await self._simple(writer, 200, self._stats_payload())
-        if path == "/metrics" and method == "GET":
-            return await self._simple(writer, 200, self._metrics_payload())
-        if path == "/enumerate":
-            if method != "POST":
-                return await self._simple(
-                    writer, 405, {"event": "error", "error": "POST required"}
-                )
-            await self._enumerate(body, writer, tenant)
-            return 200
-        if path == "/datasets":
-            if method == "POST":
-                return await self._register_dataset(body, writer)
-            if method == "GET":
-                return await self._simple(
-                    writer,
-                    200,
-                    {
-                        "ok": True,
-                        "datasets": [r._asdict() for r in self.registry.list()],
-                    },
-                )
-            return await self._simple(
-                writer, 405, {"event": "error", "error": "POST or GET required"}
-            )
-        if path.startswith("/datasets/") and method == "DELETE":
-            name = path[len("/datasets/"):]
-            removed = self.registry.remove(name)
-            if not removed:
-                return await self._simple(
-                    writer, 404, {"event": "error", "error": f"unknown dataset {name!r}"}
-                )
-            return await self._simple(writer, 200, {"ok": True, "removed": name})
-        if path == "/answer" and method in ("GET", "POST"):
-            return await self._answer(method, params, body, writer, tenant)
-        return await self._simple(
-            writer, 404, {"event": "error", "error": f"no route {path}"}
-        )
-
-    async def _simple(
-        self,
-        writer,
-        status: int,
-        payload: Dict[str, Any],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> int:
-        writer.write(json_response(status, payload, headers))
-        await writer.drain()
-        return status
-
-    # ------------------------------------------------------------------
-    # front-door endpoints
-    # ------------------------------------------------------------------
-    async def _register_dataset(self, body: bytes, writer) -> int:
-        started = time.perf_counter()
-        try:
-            spec = json.loads(body.decode() or "{}")
-            if not isinstance(spec, dict):
-                raise DatasetError("request body must be a JSON object")
-            record, deduped = self.registry.add(
-                str(spec.get("name", "")),
-                spec.get("edges") or [],
-                vertices=spec.get("vertices") or [],
-                node_keywords=spec.get("node_keywords") or None,
-            )
-        except (json.JSONDecodeError, UnicodeDecodeError, TypeError, ValueError) as exc:
-            return await self._simple(
-                writer, 400, {"event": "error", "error": f"bad dataset payload: {exc}"}
-            )
-        except ReproError as exc:
-            return await self._simple(writer, 400, {"event": "error", "error": str(exc)})
-        self.metrics.observe("datasets", time.perf_counter() - started)
-        self.metrics.inc("datasets_deduped" if deduped else "datasets_registered")
-        return await self._simple(
-            writer,
-            200,
-            {
-                "ok": True,
-                "name": record.name,
-                "digest": record.digest,
-                "deduped": deduped,
-                "num_vertices": record.num_vertices,
-                "num_edges": record.num_edges,
-            },
-        )
-
-    async def _record_usage(
-        self,
-        tenant: Optional[Tenant],
-        solutions: int = 0,
-        compute_seconds: float = 0.0,
-    ) -> None:
-        """Attach usage to the tenant's window, off the event loop."""
-        if tenant is None or self.tenants is None or self._executor is None:
-            return
-        if not solutions and not compute_seconds:
-            return
-        registry = self.tenants
-        await asyncio.get_running_loop().run_in_executor(
-            self._executor,
-            lambda: registry.record(
-                tenant, solutions=solutions, compute_seconds=compute_seconds
-            ),
-        )
-
-    async def _answer(
-        self,
-        method: str,
-        params: Dict[str, str],
-        body: bytes,
-        writer,
-        tenant: Optional[Tenant],
-    ) -> int:
+    async def _answer(self, request: Request) -> int:
+        writer, tenant = request.writer, request.tenant
         started = time.perf_counter()
         count = 0
         compute_seconds = 0.0
         try:
             try:
-                spec = self._parse_answer_request(method, params, body)
+                spec = self._parse_answer_request(
+                    request.method, request.params, request.body
+                )
                 keywords = spec["keywords"]
                 assert self._gate is not None and self._answer_executor is not None
                 # /answer burns real enumeration CPU, so it takes a
@@ -634,19 +330,9 @@ class EnumerationServer:
                 count = int(payload.get("count", 0))
             except AnswerTimeout as exc:
                 self.metrics.inc("answer_deadlines")
-                return await self._simple(
-                    writer,
-                    503,
-                    {
-                        "event": "error",
-                        "error": str(exc),
-                        "stop_reason": "deadline",
-                    },
-                )
+                return await refuse(writer, 503, str(exc), stop_reason="deadline")
             except DatasetError as exc:
-                return await self._simple(
-                    writer, 404, {"event": "error", "error": str(exc)}
-                )
+                return await refuse(writer, 404, str(exc))
             except (
                 json.JSONDecodeError,
                 UnicodeDecodeError,
@@ -654,15 +340,13 @@ class EnumerationServer:
                 ValueError,
                 ReproError,
             ) as exc:
-                return await self._simple(
-                    writer, 400, {"event": "error", "error": str(exc)}
-                )
+                return await refuse(writer, 400, str(exc))
             self.metrics.observe("answer", time.perf_counter() - started)
-            return await self._simple(writer, 200, payload)
+            return await respond(writer, 200, payload)
         finally:
             # Charge what actually ran — a deadline abort burned CPU
             # too; delivered answers count toward the solutions quota.
-            await self._record_usage(
+            await self.record_usage(
                 tenant, solutions=count, compute_seconds=compute_seconds
             )
 
@@ -772,13 +456,12 @@ class EnumerationServer:
             snapshot = None
         return checkpoint.offset, True, snapshot
 
-    async def _enumerate(
-        self, body: bytes, writer, tenant: Optional[Tenant] = None
-    ) -> None:
+    async def _enumerate(self, request: Request) -> int:
+        writer, tenant = request.writer, request.tenant
         started = time.perf_counter()
         try:
             spec, stream_id, chunk_override, explicit_offset = self._parse_enumerate_body(
-                body
+                request.body
             )
             spec = self.registry.resolve_spec(spec)
             job = EnumerationJob.from_dict(spec)
@@ -808,18 +491,10 @@ class EnumerationServer:
                 resumed = resumed or explicit_offset > 0
         except (InvalidInstanceError, ReproError) as exc:
             self.stats.errors += 1
-            writer.write(json_response(400, {"event": "error", "error": str(exc)}))
-            await writer.drain()
-            return
+            return await refuse(writer, 400, str(exc))
         except Exception as exc:  # noqa: BLE001 — a bad request must not kill the server
             self.stats.errors += 1
-            writer.write(
-                json_response(
-                    500, {"event": "error", "error": f"{type(exc).__name__}: {exc}"}
-                )
-            )
-            await writer.drain()
-            return
+            return await refuse(writer, 500, f"{type(exc).__name__}: {exc}")
         self.stats.streams += 1
         if resumed:
             self.stats.resumed += 1
@@ -837,7 +512,7 @@ class EnumerationServer:
         try:
             try:
                 await self._run_stream(state, chunk, writer)
-            except _Disconnect:
+            except Disconnect:
                 self.stats.cancelled += 1
                 self._finish_stream(state)  # checkpoint what was delivered
                 raise
@@ -850,9 +525,10 @@ class EnumerationServer:
                 await self._write_event(writer, {"event": "error", "error": str(exc)})
                 writer.write(FINAL_CHUNK)
                 await writer.drain()
-                return
+                return 200
             writer.write(FINAL_CHUNK)
             await writer.drain()
+            return 200
         finally:
             elapsed = time.perf_counter() - started
             self.metrics.observe(job.kind, elapsed)
@@ -862,7 +538,7 @@ class EnumerationServer:
             # compute_seconds is accumulated worker-busy time, not wall
             # clock: queueing behind other tenants in the gate or a
             # slow-reading client must not eat the tenant's quota.
-            await self._record_usage(
+            await self.record_usage(
                 tenant,
                 solutions=max(0, state.total - state.offset),
                 compute_seconds=state.compute_seconds,
@@ -947,19 +623,19 @@ class EnumerationServer:
     # ------------------------------------------------------------------
     async def _write_event(self, writer, event: Dict[str, Any]) -> None:
         if writer.is_closing():
-            raise _Disconnect
+            raise Disconnect
         writer.write(encode_event(event))
         try:
             await writer.drain()
         except (ConnectionError, OSError) as exc:
-            raise _Disconnect from exc
+            raise Disconnect from exc
 
     async def _emit_solutions(self, writer, state: _StreamState, positioned) -> None:
         """Write ``(position, line)`` events and advance the stream total."""
         if not positioned:
             return
         if writer.is_closing():
-            raise _Disconnect
+            raise Disconnect
         out = bytearray()
         for position, line in positioned:
             out += encode_event({"event": "solution", "seq": position, "line": line})
@@ -969,7 +645,7 @@ class EnumerationServer:
         try:
             await writer.drain()
         except (ConnectionError, OSError) as exc:
-            raise _Disconnect from exc
+            raise Disconnect from exc
 
     async def _replay_lines(
         self, writer, state: _StreamState, lines, structures, chunk: int
@@ -1044,7 +720,7 @@ class EnumerationServer:
                                 state.last_snapshot_pos = position
                             try:
                                 await self._emit_solutions(writer, state, batch)
-                            except _Disconnect:
+                            except Disconnect:
                                 handle.cancel()
                                 await loop.run_in_executor(
                                     self._executor, handle.drain_to_end
@@ -1108,9 +784,7 @@ class EnumerationServer:
         """
         assert self.store is not None and state.stream_id is not None
         store, stream_id, record = self.store, state.stream_id, state.checkpoint()
-        await asyncio.get_running_loop().run_in_executor(
-            self._executor, store.save_cursor, stream_id, record
-        )
+        await self.offload(store.save_cursor, stream_id, record)
         self.stats.checkpoints += 1
 
     # ------------------------------------------------------------------
@@ -1162,76 +836,3 @@ class EnumerationServer:
             },
         )
 
-
-class ServerThread:
-    """Run an :class:`EnumerationServer` on a background event loop.
-
-    For embedding the service in synchronous programs — the CLI smoke
-    client, the tests and the benchmarks drive the server through this.
-
-    Examples
-    --------
-    ::
-
-        with ServerThread(EnumerationServer(workers=2)) as server:
-            client = ServeClient(port=server.port)
-            ...
-
-    The context exit stops the loop and joins the thread.
-    """
-
-    def __init__(self, server: EnumerationServer) -> None:
-        self.server = server
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self) -> "ServerThread":
-        """Start the loop thread and block until the socket is bound."""
-        if self._thread is not None:
-            raise RuntimeError("server thread already started")
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._startup_error is not None:
-            raise RuntimeError("server failed to start") from self._startup_error
-        if not self._started.is_set():  # pragma: no cover - startup is fast
-            raise RuntimeError("server did not start within 30s")
-        return self
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            try:
-                await self.server.start()
-            except BaseException as exc:  # pragma: no cover - bind errors
-                self._startup_error = exc
-                self._started.set()
-                raise
-            self._started.set()
-            await self._stop.wait()
-            await self.server.stop()
-
-        asyncio.run(main())
-
-    @property
-    def port(self) -> int:
-        """The server's bound port."""
-        return self.server.port
-
-    def stop(self) -> None:
-        """Stop the server and join the loop thread."""
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

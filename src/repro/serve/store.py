@@ -28,7 +28,6 @@ import functools
 import hashlib
 import json
 import os
-import tempfile
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.cache import (
@@ -48,6 +47,7 @@ from repro.engine.jobs import (
     JobResult,
 )
 from repro.exceptions import InvalidInstanceError
+from repro.jsonfile import read_json, write_atomic
 
 _SCHEMA = 1
 
@@ -115,31 +115,10 @@ class ResultStore:
         digest = hashlib.sha256(stream_id.encode()).hexdigest()[:40]
         return os.path.join(self._cursors_dir(), f"{digest}.json")
 
-    @staticmethod
-    def _write_atomic(path: str, payload: Dict[str, Any]) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                # json.dumps, not json.dump: only the one-shot form uses
-                # the C encoder, and this write runs on the event loop.
-                handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
     def _read_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._entry_path(key)
-        try:
-            with open(path) as handle:
-                record = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError):
-            return None  # unreadable entry == miss; a future store rewrites it
-        if record.get("schema") != _SCHEMA:
+        # An unreadable entry is a miss; a future store rewrites it.
+        record = read_json(self._entry_path(key))
+        if record is None or record.get("schema") != _SCHEMA:
             return None
         return record
 
@@ -225,7 +204,7 @@ class ResultStore:
         }
         if canonical:
             record["lines"] = list(result.lines)
-        self._write_atomic(self._entry_path(key), record)
+        write_atomic(self._entry_path(key), record)
         self.stats.stores += 1
 
     def raw_entry(
@@ -255,7 +234,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def save_cursor(self, stream_id: str, state: Dict[str, Any]) -> None:
         """Persist a cursor checkpoint dict under ``stream_id`` (atomic)."""
-        self._write_atomic(
+        write_atomic(
             self._cursor_path(stream_id),
             {"schema": _SCHEMA, "stream_id": stream_id, "state": state},
         )

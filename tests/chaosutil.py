@@ -32,10 +32,10 @@ from repro.serve.client import ServeClient
 from repro.serve.fleet import (
     FleetRouter,
     ReplicaProcess,
-    RouterThread,
     join_router,
     routing_key,
 )
+from repro.serve.server import ServerThread
 
 #: Default seed when ``CHAOS_SEED`` is unset — fixed so plain CI runs
 #: are reproducible; override the env var to replay a failure.
@@ -109,7 +109,7 @@ class FleetHarness:
         self.initial_replicas = replicas
         self.replicas: Dict[str, ReplicaProcess] = {}
         self.router: Optional[FleetRouter] = None
-        self._thread: Optional[RouterThread] = None
+        self._thread: Optional[ServerThread] = None
         self._next_index = 0
 
     # ------------------------------------------------------------------
@@ -118,7 +118,7 @@ class FleetHarness:
     def start(self) -> "FleetHarness":
         """Bring up the router, then the replicas, then join them."""
         self.router = FleetRouter(**self._router_config)
-        self._thread = RouterThread(self.router).start()
+        self._thread = ServerThread(self.router).start()
         for _ in range(self.initial_replicas):
             self.spawn_replica()
         return self
@@ -221,7 +221,7 @@ class FleetHarness:
         assert self._thread is not None
         self._thread.stop()
         self.router = FleetRouter(**self._router_config)
-        self._thread = RouterThread(self.router).start()
+        self._thread = ServerThread(self.router).start()
         for name in self.running_replicas():
             proc = self.replicas[name]
             assert proc.port is not None

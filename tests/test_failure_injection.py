@@ -169,10 +169,11 @@ class TestCompiledStructures:
 def http_surface(request, tmp_path_factory):
     """A live serve port: one bare replica, or the fleet router.
 
-    Both share :func:`repro.serve.protocol.read_request`, but each has
-    its own routing/relay layer, so the battery runs against both.
+    Both run :class:`repro.serve.httpd.FrontDoor`, but the router relays
+    bodies to a replica that parses them again, so the battery runs
+    against both.
     """
-    from repro.serve.fleet import FleetRouter, RouterThread
+    from repro.serve.fleet import FleetRouter
     from repro.serve.server import EnumerationServer, ServerThread
 
     server = ServerThread(EnumerationServer(workers=1)).start()
@@ -182,7 +183,7 @@ def http_surface(request, tmp_path_factory):
         return
     registry = tmp_path_factory.mktemp("http-surface") / "datasets"
     router = FleetRouter(registry=str(registry))
-    thread = RouterThread(router).start()
+    thread = ServerThread(router).start()
     router.add_replica("probe", "127.0.0.1", server.port)
     yield thread.port
     thread.stop()

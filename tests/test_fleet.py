@@ -20,7 +20,6 @@ from repro.serve.fleet import (
     AdmissionController,
     FleetRouter,
     RateLimitExceeded,
-    RouterThread,
     routing_key,
 )
 from repro.serve.server import EnumerationServer, ServerThread
@@ -54,7 +53,7 @@ def fleet(tmp_path):
         for _ in range(2)
     ]
     router = FleetRouter(registry=str(tmp_path / "store" / "datasets"))
-    thread = RouterThread(router).start()
+    thread = ServerThread(router).start()
     for i, server in enumerate(servers):
         router.add_replica(f"embedded-{i}", "127.0.0.1", server.port)
     try:
@@ -129,12 +128,22 @@ class TestRoutingThroughTheFleet:
         assert router.stats.migrations == 0
 
     def test_empty_fleet_is_503(self, tmp_path):
+        import http.client
+
         router = FleetRouter()
-        with RouterThread(router) as thread:
+        with ServerThread(router) as thread:
             client = ServeClient(port=thread.port)
             with pytest.raises(ServeError) as err:
                 events_of(client, JOB)
             assert err.value.status == 503
+            conn = http.client.HTTPConnection("127.0.0.1", thread.port, timeout=30)
+            try:
+                conn.request("POST", "/enumerate", body=json.dumps(JOB).encode())
+                resp = conn.getresponse()
+                assert (resp.status, resp.reason) == (503, "Service Unavailable")
+                assert json.loads(resp.read())["error"] == "no healthy replica available"
+            finally:
+                conn.close()
 
     def test_solutions_spread_across_replicas(self, fleet):
         """Distinct instances land on both replicas (sharding, not
@@ -283,7 +292,7 @@ class TestFleetAuthAndQuota:
         tenants = TenantRegistry(None)
         tenant = tenants.issue("acme", requests=4, window=300.0)
         router = FleetRouter(tenants=tenants, require_auth=True)
-        thread = RouterThread(router).start()
+        thread = ServerThread(router).start()
         router.add_replica("only", "127.0.0.1", server.port)
         try:
             yield router, thread, tenant
