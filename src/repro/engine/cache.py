@@ -49,7 +49,7 @@ import functools
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.capabilities import spec as kind_spec
 from repro.engine.jobs import (
@@ -521,13 +521,20 @@ class InstanceCache:
             return None
         return self._result_from_entry(job, entry, order, apply_limit=False)
 
-    def store(self, job: EnumerationJob, result: JobResult) -> None:
+    def store(
+        self,
+        job: EnumerationJob,
+        result: JobResult,
+        canonicalize: Optional[Callable[[str, Any, List[Any]], tuple]] = None,
+    ) -> None:
         """Record ``result`` for ``job``.
 
         Deadline- and budget-stopped runs are not cached (their cut point
         is timing-dependent, so replaying them would be nondeterministic).
         An existing entry is only replaced by one that knows strictly
-        more solutions.
+        more solutions.  ``canonicalize`` stands in for
+        :func:`to_canonical`; a :class:`~repro.serve.store.TieredCache`
+        passes both tiers one memo, so a write-through canonicalises once.
         """
         if not storable(result):
             return
@@ -543,7 +550,7 @@ class InstanceCache:
                 return
         fingerprint = job_fingerprint(job)
         if order is not None:
-            payload = to_canonical(job.kind, result.structures, order)
+            payload = (canonicalize or to_canonical)(job.kind, result.structures, order)
             entry = _Entry(
                 payload, True, result.exhausted, fingerprint, tuple(result.lines)
             )

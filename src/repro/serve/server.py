@@ -11,15 +11,17 @@ Data path per request::
     client ──HTTP──> server ──pipe──> pooled worker process
            <─NDJSON─        <─chunks─
 
-* **Backpressure** — a worker sends one chunk then blocks for a flow
-  credit; the server grants the credit only after the chunk is written
-  to the socket and ``drain()`` returns.  A slow client therefore
-  suspends its own enumeration (bounded memory per stream: one chunk in
-  the worker, one in the socket buffer) without affecting other
-  clients.
+* **Backpressure** — a worker sends the first solution as a chunk of
+  its own, then ``chunk`` solutions at a time, and blocks for a flow
+  credit while two chunks are unacknowledged; the server grants a
+  credit only after the chunk is written to the socket and ``drain()``
+  returns.  The worker computes the next chunk while the server writes
+  the last, and a slow client still suspends its own enumeration
+  (bounded memory per stream: at most two chunks in flight between the
+  worker and the socket buffer) without affecting other clients.
 * **Cancellation** — a disconnected client turns the pending credit
-  into a ``cancel``; the worker abandons the run and returns to the
-  pool warm.  Deadlines and op budgets ride on the job itself
+  into a ``cancel``; the worker stops within one chunk and returns to
+  the pool warm.  Deadlines and op budgets ride on the job itself
   (:mod:`repro.engine.jobs`) and stop streams server-side.
 * **Warm replay** — completed enumerations land in the
   :class:`~repro.serve.store.ResultStore` (disk) and the
@@ -671,10 +673,19 @@ class EnumerationServer(FrontDoor):
         """Drive one worker stream; crashed workers are replaced in place.
 
         Workers ship a search-state snapshot with every chunk, so when
-        a worker process dies mid-stream the replacement resumes from
-        the last delivered chunk boundary in O(state) — the client sees
-        an uninterrupted solution stream.  Without a snapshot at that
-        boundary the replacement fast-forwards instead.
+        a worker process dies mid-stream the replacement thaws the
+        freshest snapshot held — the last chunk's, else the one the
+        stream resumed from — and fast-forwards any gap to the last
+        delivered position; the client sees an uninterrupted solution
+        stream.  Without any snapshot the replacement fast-forwards
+        from the start.
+
+        Each worker leg is charged the busy time its worker reports
+        with every message (wall time minus the waits for credits and
+        pipe room).  Time queued in the gate or blocked on a
+        slow-reading client burns no worker and is free; only a leg
+        whose worker died before reporting is charged its recv waits
+        instead.
         """
         assert self._pool is not None and self._gate is not None
         assert self._executor is not None
@@ -689,19 +700,16 @@ class EnumerationServer(FrontDoor):
         async with self._gate.slot(state.priority):
             while True:  # one iteration per worker (original + replacements)
                 handle = self._pool.acquire()
+                busy: Optional[float] = None  # the worker's last report
+                waited = 0.0
                 try:
                     handle.start_stream(state.job, position, chunk, snapshot)
                     while True:
-                        # The recv wait is the worker computing its next
-                        # chunk, so its sum approximates worker-busy time
-                        # — the compute-seconds charge.  Time queued in
-                        # the gate or blocked on a slow-reading client
-                        # (drain() below) burns no worker and is free.
                         recv_started = time.perf_counter()
                         msg = await loop.run_in_executor(self._executor, handle.recv)
-                        state.compute_seconds += time.perf_counter() - recv_started
+                        waited += time.perf_counter() - recv_started
                         if msg[0] == "chunk":
-                            lines, structures, snap = msg[1], msg[2], msg[3]
+                            lines, structures, snap, busy = msg[1:]
                             batch = []
                             for line, structure in zip(lines, structures):
                                 if state.contiguous and position == len(
@@ -722,9 +730,11 @@ class EnumerationServer(FrontDoor):
                                 await self._emit_solutions(writer, state, batch)
                             except Disconnect:
                                 handle.cancel()
-                                await loop.run_in_executor(
+                                meta = await loop.run_in_executor(
                                     self._executor, handle.drain_to_end
                                 )
+                                if meta is not None:
+                                    busy = meta["busy"]
                                 raise
                             handle.credit()
                             if (
@@ -732,12 +742,13 @@ class EnumerationServer(FrontDoor):
                                 and position >= next_checkpoint
                             ):
                                 # Credit first: the checkpoint write
-                                # overlaps the worker computing its next
-                                # chunk instead of stalling it.
+                                # overlaps the worker computing ahead
+                                # instead of stalling it.
                                 await self._checkpoint_midstream(state)
                                 next_checkpoint = position + cadence
                         elif msg[0] == "end":
                             meta = msg[1]
+                            busy = meta["busy"]
                             if meta.get("error"):
                                 raise WorkerDied(meta["error"])
                             state.exhausted = bool(meta.get("exhausted"))
@@ -747,26 +758,23 @@ class EnumerationServer(FrontDoor):
                                 state.last_snapshot = snap
                                 state.last_snapshot_pos = position
                             return
-                except WorkerDied as exc:
+                except WorkerDied:
                     if handle.alive or replacements >= 2:
                         # A job-level error (deterministic) or too many
                         # process deaths: surface it.
                         raise
                     replacements += 1
                     self.stats.worker_replacements += 1
-                    # Resume on a fresh worker from the last chunk
-                    # boundary: O(state) via the snapshot when we hold
-                    # one at exactly `position`, else offset replay.
-                    if (
-                        state.last_snapshot is not None
-                        and state.last_snapshot_pos == position
-                    ):
+                    # Retry on a fresh worker from the freshest snapshot
+                    # held; it thaws one behind `position` and
+                    # fast-forwards the gap.
+                    if state.last_snapshot is not None:
                         snapshot = state.last_snapshot
                     else:
-                        snapshot = None
-                    _ = exc  # retry with the replacement worker
+                        snapshot = state.resume_snapshot
                     continue
                 finally:
+                    state.compute_seconds += waited if busy is None else busy
                     if self._pool is not None:
                         self._pool.release(handle)
                     else:  # pragma: no cover - server stopped mid-stream

@@ -28,7 +28,7 @@ import functools
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.cache import (
     CacheStats,
@@ -52,15 +52,9 @@ from repro.jsonfile import read_json, write_atomic
 _SCHEMA = 1
 
 
-def _payload_to_json(payload: tuple, canonical: bool) -> list:
-    """JSON-ready form of an entry payload (nested tuples become lists)."""
-    if not canonical:
-        return list(payload)
-    return [[list(pair) if isinstance(pair, tuple) else pair for pair in s] for s in payload]
-
-
 def _payload_from_json(kind: str, raw: list, canonical: bool) -> tuple:
-    """Rebuild the exact tuple payload stored by :func:`_payload_to_json`."""
+    """Rebuild the exact tuple payload an entry was written from (JSON
+    writes its nested tuples as arrays)."""
     if not canonical:
         return tuple(raw)
     if kind_spec(kind).result_shape in ("edge-set", "arc-set"):
@@ -169,12 +163,19 @@ class ResultStore:
             apply_limit=False,
         )
 
-    def store(self, job: EnumerationJob, result: JobResult) -> None:
+    def store(
+        self,
+        job: EnumerationJob,
+        result: JobResult,
+        canonicalize: Optional[Callable[[str, Any, List[Any]], tuple]] = None,
+    ) -> None:
         """Persist ``result`` for ``job`` (upgrade-only, atomic write).
 
         Deadline/budget-stopped and errored results are rejected (their
         cut point is not deterministic); an existing entry is replaced
         only by one that knows strictly more solutions.
+        ``canonicalize`` stands in for :func:`to_canonical`, as in
+        :meth:`InstanceCache.store`.
         """
         if not storable(result):
             return
@@ -190,20 +191,21 @@ class ResultStore:
                 return
         if order is not None:
             canonical = True
-            payload = to_canonical(job.kind, result.structures, order)
+            payload = (canonicalize or to_canonical)(job.kind, result.structures, order)
         else:
             canonical = False
-            payload = tuple(result.lines)
+            payload = result.lines
+        # json.dumps writes the payload's nested tuples as arrays.
         record = {
             "schema": _SCHEMA,
             "kind": job.kind,
             "canonical": canonical,
             "exhausted": result.exhausted,
             "fingerprint": job_fingerprint(job),
-            "payload": _payload_to_json(payload, canonical),
+            "payload": payload,
         }
         if canonical:
-            record["lines"] = list(result.lines)
+            record["lines"] = result.lines
         write_atomic(self._entry_path(key), record)
         self.stats.stores += 1
 
@@ -342,9 +344,21 @@ class TieredCache:
         return best
 
     def store(self, job: EnumerationJob, result: JobResult) -> None:
-        """Write ``result`` through to every tier."""
+        """Write ``result`` through to every tier.
+
+        The tiers share one key memo and so one canonical order: the
+        first tier that writes canonicalises ``result``, the other
+        reuses its payload.
+        """
+        memo: list = []
+
+        def canonicalize(kind: str, structures: Any, order: List[Any]) -> tuple:
+            if not memo:
+                memo.append(to_canonical(kind, structures, order))
+            return memo[0]
+
         for tier in self._tiers():
-            tier.store(job, result)
+            tier.store(job, result, canonicalize)
 
     @property
     def stats(self) -> CacheStats:

@@ -6,35 +6,45 @@ run-to-completion workers cannot provide.  :class:`WorkerPool` keeps
 ``workers`` long-lived processes, each on a duplex pipe, speaking a
 tiny credit-based protocol:
 
-==========================================  ====================================
+==========================================  ==========================================
 parent → worker                             worker → parent
-==========================================  ====================================
-``("run", spec, offset, chunk, snapshot)``  ``("chunk", lines, structures, snap)``
+==========================================  ==========================================
+``("run", spec, offset, chunk, snapshot)``  ``("chunk", lines, structures, snap, busy)``
 ``("more",)``  (flow credit)                ``("end", meta)``
 ``("cancel",)``                             —
 ``("quit",)``                               —
-==========================================  ====================================
+==========================================  ==========================================
 
-After every ``chunk`` the worker **blocks until it receives a credit**
-(``more``) or a ``cancel`` — at most one chunk is ever in flight per
-stream, which is the bounded per-client queue the server's backpressure
-rests on.  Because the worker is parked at the credit wait whenever the
-consumer is slow, cancellation is prompt: the server answers the
-pending chunk with ``cancel`` instead of ``more`` and the worker
-abandons the enumeration and returns to its idle loop, ready for the
-next job — no process churn.
+The worker sends the first solution of a run as a chunk of its own, so
+a client sees it after one delay instead of ``chunk`` delays, and then
+every ``chunk`` solutions.  The server answers each chunk with a credit
+(``more``) once it has written it.  The worker may run :data:`WINDOW`
+chunks ahead of those credits: after each send it takes the credits
+that already arrived without blocking, and it **blocks for a credit
+only while two chunks are unacknowledged**.  So it computes the next
+chunk while the server writes the last one, and a slow consumer still
+parks it after two chunks — the bounded per-stream queue the server's
+backpressure rests on.  A ``cancel`` (the server's answer to a client
+that went away) is read at the next send or at the credit wait, so it
+stops the run within one chunk of computation; the worker abandons the
+enumeration and returns to its idle loop, ready for the next job — no
+process churn.  ``busy`` (and ``meta["busy"]``) is the worker's wall
+time so far minus the time it spent blocked on the server (waiting for
+a credit, or for room in the pipe): the compute the server charges to
+the stream's tenant.
 
 Resumable streams: the ``run`` message may carry a serialized
 search-state ``snapshot`` (:mod:`repro.engine.suspend`) — the worker
 thaws it and continues in O(state) instead of fast-forwarding, and
-every ``chunk`` (plus the clean-``end`` meta) carries a fresh snapshot
-of the state *after* that chunk, which is what lets the server
-checkpoint streams for O(state) resume and transparently replace a
-crashed worker mid-stream.  Without a snapshot, ``offset``
-fast-forwards past the first ``offset`` solutions of the
-(deterministic) enumeration without rendering them.  The stream runs
-as one :class:`repro.engine.suspend.Segment`, the execution envelope
-shared with :func:`repro.engine.jobs.run_job` and
+every ``chunk``, the one-solution first chunk included, carries a
+fresh snapshot of the state *after* that chunk (the clean-``end`` meta
+reuses the last one), which is what lets the server checkpoint streams
+for O(state) resume and transparently replace a crashed worker
+mid-stream.  Without a snapshot, ``offset`` fast-forwards past the
+first ``offset`` solutions of the (deterministic) enumeration without
+rendering them.  The stream runs as one
+:class:`repro.engine.suspend.Segment`, the execution envelope shared
+with :func:`repro.engine.jobs.run_job` and
 :class:`repro.engine.cursor.EnumerationCursor`; the worker's own rule
 is to degrade a snapshot it cannot use (damaged, written by another
 Python, bound to another job, or past ``offset``) to a restart plus
@@ -42,8 +52,8 @@ fast-forward instead of failing the stream.
 
 A worker that dies mid-stream (OOM-killed, crashed) surfaces as a
 :class:`WorkerDied` to the caller and is replaced by a fresh process;
-the server restarts the stream on the replacement from the last chunk's
-snapshot.
+the server restarts the stream on the replacement from the freshest
+snapshot it holds.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.jobs import EnumerationJob
@@ -58,6 +69,9 @@ from repro.engine.suspend import Segment
 
 #: Default number of solutions per streamed chunk.
 DEFAULT_CHUNK = 64
+
+#: Chunks a worker may send ahead of the server's credits.
+WINDOW = 2
 
 
 def _stream_job(
@@ -69,6 +83,8 @@ def _stream_job(
 ) -> None:
     """Run one streaming enumeration on the worker side of ``conn``."""
     start = time.perf_counter()
+    blocked = 0.0  # seconds spent waiting for credits or pipe room
+    unacked = 0  # chunks sent and not yet credited
     segment: Optional[Segment] = None
     delivered = 0
     error: Optional[str] = None
@@ -77,17 +93,34 @@ def _stream_job(
     buf_structures: list = []
     last_snap: list = [None, -1]  # [blob, stream position] from flush()
 
+    def busy() -> float:
+        return round(time.perf_counter() - start - blocked, 6)
+
     def flush() -> bool:
         """Send the buffered chunk; False when the stream was cancelled."""
+        nonlocal blocked, unacked
         if not buf_lines:
             return True
         snap = segment.snapshot() if error is None else None
         if snap is not None:
             last_snap[0], last_snap[1] = snap, segment.position
-        conn.send(("chunk", list(buf_lines), list(buf_structures), snap))
+        data = ForkingPickler.dumps(("chunk", buf_lines, buf_structures, snap, busy()))
         buf_lines.clear()
         buf_structures.clear()
-        return conn.recv()[0] != "cancel"
+        # A chunk ahead of the server can wait for room in the pipe.
+        waited = time.perf_counter()
+        conn.send_bytes(data)
+        blocked += time.perf_counter() - waited
+        unacked += 1
+        # Take the credits that already arrived; wait only on a full window.
+        while unacked >= WINDOW or conn.poll():
+            waited = time.perf_counter()
+            msg = conn.recv()
+            blocked += time.perf_counter() - waited
+            if msg[0] == "cancel":
+                return False
+            unacked -= 1
+        return True
 
     try:
         if "arena" in spec:
@@ -102,7 +135,9 @@ def _stream_job(
             buf_lines.append(line)
             buf_structures.append(structure)
             delivered += 1
-            if len(buf_lines) >= chunk and not flush():
+            # The first solution goes out alone: time to first solution
+            # is one delay, not `chunk` of them.
+            if (delivered == 1 or len(buf_lines) >= chunk) and not flush():
                 cancelled = True
                 break
     except Exception as exc:  # noqa: BLE001 — a bad job must not kill the worker
@@ -135,6 +170,7 @@ def _stream_job(
                     "stop_reason": stop_reason,
                     "ops": segment.meter.count if segment is not None else 0,
                     "elapsed": round(time.perf_counter() - start, 6),
+                    "busy": busy(),
                     "error": error,
                     "snapshot": final_snap,
                 },
@@ -151,6 +187,12 @@ def _worker_main(conn, server_end) -> None:
     inherits.  Once this worker closes its copy, the server's exit —
     SIGKILL included — reads here as EOF, and the worker exits instead
     of living on as an orphan.
+
+    The loop ignores any other message.  That is what keeps the credits
+    and the cancel of a finished stream out of the next one: a run may
+    send ``end`` with chunks still unacknowledged, and their late
+    ``more`` (or a ``cancel`` that crossed the ``end``) arrive here,
+    before the next ``run``.
     """
     server_end.close()
     while True:
@@ -227,7 +269,12 @@ class WorkerHandle:
         self._send(("cancel",))
 
     def drain_to_end(self) -> Optional[Dict[str, Any]]:
-        """Consume messages until ``end`` so the worker is idle again."""
+        """Consume messages until ``end`` so the worker is idle again.
+
+        The worker reads every message at each send and at the credit
+        wait, so one ``cancel`` ends the run: the chunks before its
+        ``end`` are skipped.
+        """
         while True:
             try:
                 msg = self.conn.recv()
@@ -236,9 +283,6 @@ class WorkerHandle:
                 return None
             if msg[0] == "end":
                 return msg[1]
-            if msg[0] == "chunk":
-                # The worker is waiting for a credit; repeat the cancel.
-                self._send(("cancel",))
 
     def _send(self, msg) -> None:
         try:

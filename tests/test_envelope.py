@@ -24,6 +24,7 @@ from typing import Any, List, NamedTuple, Optional
 import pytest
 
 from conftest import fixture_job
+from repro.core.suspend import read_snapshot_header
 from repro.engine.cursor import EnumerationCursor, checkpoint_record
 from repro.engine.jobs import JOB_KINDS, run_job
 from repro.exceptions import InvalidInstanceError
@@ -180,20 +181,24 @@ def test_envelope_rules_hold_for_every_caller(caller, kind):
 
 
 def test_worker_chunks_carry_snapshots_and_end_reuses_the_last(pool):
-    """One snapshot per chunk; the clean end reuses the final flush's."""
+    """The first solution is a chunk of its own, then chunk-sized ones;
+    every chunk carries a snapshot at its boundary and the clean end
+    reuses the final flush's."""
     job = fixture_job("st-path", limit=4)
     handle = pool.acquire()
     try:
         handle.start_stream(job, 0, 2)
-        snaps = []
+        sizes, snaps = [], []
         while True:
             msg = handle.recv()
             if msg[0] == "end":
                 meta = msg[1]
                 break
+            sizes.append(len(msg[1]))
             snaps.append(msg[3])
             handle.credit()
     finally:
         pool.release(handle)
-    assert len(snaps) == 2 and all(s is not None for s in snaps)
+    assert sizes == [1, 2, 1]
+    assert [read_snapshot_header(s)["emitted"] for s in snaps] == [1, 3, 4]
     assert meta["stop_reason"] == "limit" and meta["snapshot"] == snaps[-1]

@@ -370,3 +370,118 @@ class TestRestartResume:
             if tail:
                 assert tail[0][0] == offset
             assert events[-1]["total"] == len(full)
+
+    def test_crash_before_the_first_chunk_thaws_the_resume_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        """A resumed stream whose worker dies before sending anything is
+        retried from the checkpoint's snapshot, not fast-forwarded from
+        position 0, and still delivers the exact tail."""
+        import os
+        import signal
+
+        from repro.engine.cursor import EnumerationCursor
+        from repro.serve.store import ResultStore
+        from repro.serve.workers import WorkerHandle
+
+        store = str(tmp_path / "store")
+        job = grid_job(job_id="thaw")
+        full = run_job(job).lines
+        cursor = EnumerationCursor(job)
+        head = cursor.take(5)
+        ResultStore(store).save_cursor("thaw-1", cursor.checkpoint())
+        resume = cursor._current_snapshot()
+        assert resume is not None
+
+        dispatched = []
+        start_stream = WorkerHandle.start_stream
+
+        def start_then_kill(handle, job, offset, chunk, snapshot=None):
+            first = not dispatched
+            if first:  # stopped, the worker cannot answer before the kill
+                os.kill(handle.process.pid, signal.SIGSTOP)
+            start_stream(handle, job, offset, chunk, snapshot)
+            dispatched.append((offset, snapshot))
+            if first:
+                os.kill(handle.process.pid, signal.SIGKILL)
+                handle.process.join()
+
+        monkeypatch.setattr(WorkerHandle, "start_stream", start_then_kill)
+        server = EnumerationServer(workers=1, store=store, chunk=2)
+        with ServerThread(server) as thread:
+            events = list(
+                ServeClient(port=thread.port).enumerate(job, stream_id="thaw-1")
+            )
+        assert server.stats.worker_replacements == 1
+        assert dispatched == [(5, resume), (5, resume)]
+        assert events[0]["offset"] == 5
+        tail = [e["line"] for e in events if e["event"] == "solution"]
+        assert tuple(head + tail) == full
+
+
+class TestComputeCharge:
+    def test_stalled_client_is_charged_worker_busy_time(self):
+        """A client that stalls at every chunk boundary is charged the
+        worker's busy time: at least half the in-process enumeration
+        time, and not the stalls.  With two chunks in flight the worker
+        computes during a stall, so the stream's recv waits alone would
+        undercharge it."""
+        import http.client
+        import json
+        import socket
+        import time
+
+        pad = "x" * 30  # ~4 KB lines: each chunk overflows the buffers
+        n, chunk, stall = 8, 64, 0.08
+        edges = []
+        for i in range(n):
+            for j in range(n):
+                if i < n - 1:
+                    edges.append((f"{pad}{i}_{j}", f"{pad}{i + 1}_{j}"))
+                if j < n - 1:
+                    edges.append((f"{pad}{i}_{j}", f"{pad}{i}_{j + 1}"))
+        job = EnumerationJob.steiner_tree(
+            edges, [f"{pad}0_0", f"{pad}{n - 1}_{n - 1}"], limit=1 + 10 * chunk
+        )
+        in_process = []
+        for _ in range(2):
+            started = time.perf_counter()
+            run_job(job)
+            in_process.append(time.perf_counter() - started)
+
+        # A tight send buffer and receive window make the server's
+        # drain() wait on the stalled reader, which parks the worker.
+        server = EnumerationServer(workers=1, sndbuf=4096)
+        with ServerThread(server) as thread:
+            conn = http.client.HTTPConnection("127.0.0.1", thread.port, timeout=60)
+            conn.connect()
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32768)
+            started = time.perf_counter()
+            conn.request(
+                "POST",
+                "/enumerate",
+                body=json.dumps({"job": job.to_dict(), "chunk": chunk}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            stalls, end = 0.0, None
+            while True:
+                raw = response.readline()
+                if not raw:
+                    break
+                if not raw.strip():
+                    continue
+                event = json.loads(raw)
+                if event["event"] == "solution" and event["seq"] % chunk == 0:
+                    time.sleep(stall)  # the last solution of a chunk
+                    stalls += stall
+                elif event["event"] == "end":
+                    end = event
+            wall = time.perf_counter() - started
+            conn.close()
+        assert end is not None and end["count"] == 1 + 10 * chunk
+        charged = end["compute_seconds"]
+        assert charged >= 0.5 * min(in_process), (charged, in_process)
+        # Each stall outlasts two chunks' compute, so at least half of
+        # every stall finds the worker parked on a full window.
+        assert charged < wall - stalls / 2, (charged, wall, stalls)

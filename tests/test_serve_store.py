@@ -23,9 +23,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.cache import InstanceCache
+from conftest import fixture_job
+from repro.engine import cache as cache_module
+from repro.engine.cache import InstanceCache, instance_key, job_fingerprint
 from repro.engine.cursor import EnumerationCursor
-from repro.engine.jobs import EnumerationJob, run_job
+from repro.engine.jobs import JOB_KINDS, EnumerationJob, run_job
+from repro.serve import store as store_module
 from repro.serve.store import ResultStore, TieredCache
 
 
@@ -212,6 +215,63 @@ class TestTieredCache:
         cache.store(job, short)
         store.store(job, longer)
         assert tier.prefix(job).count == 5
+
+    @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
+    def test_write_through_bytes_and_one_canonicalisation(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """A write-through canonicalises once for both tiers and writes
+        the entry file byte for byte as the nested-list JSON form did;
+        two-argument ``store`` calls on either tier still work."""
+        job = fixture_job(kind)
+        result = run_job(job)
+        _key, order = instance_key(job)
+        canonical = order is not None
+        payload = (
+            [
+                [list(p) if isinstance(p, tuple) else p for p in s]
+                for s in cache_module.to_canonical(kind, result.structures, order)
+            ]
+            if canonical
+            else list(result.lines)
+        )
+        record = {
+            "schema": 1,
+            "kind": kind,
+            "canonical": canonical,
+            "exhausted": result.exhausted,
+            "fingerprint": job_fingerprint(job),
+            "payload": payload,
+        }
+        if canonical:
+            record["lines"] = list(result.lines)
+        expected = (json.dumps(record, sort_keys=True) + "\n").encode()
+
+        calls = []
+        original = cache_module.to_canonical
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(cache_module, "to_canonical", counting)
+        monkeypatch.setattr(store_module, "to_canonical", counting)
+        through = ResultStore(str(tmp_path / "through"))
+        memory = InstanceCache()
+        TieredCache(memory, through).store(job, result)
+        assert calls == ([kind] if canonical else [])
+        assert memory.lookup(job).lines == result.lines
+
+        alone = ResultStore(str(tmp_path / "alone"))
+        alone.store(job, result)
+        memory = InstanceCache()
+        memory.store(job, result)
+        assert memory.lookup(job).lines == result.lines
+        for store in (through, alone):
+            (name,) = os.listdir(os.path.join(store.root, "entries"))
+            with open(os.path.join(store.root, "entries", name), "rb") as handle:
+                assert handle.read() == expected
+            assert ResultStore(store.root).lookup(job).lines == result.lines
 
     def test_batchrunner_accepts_tiered_cache(self, tmp_path):
         from repro.engine.service import BatchRunner
