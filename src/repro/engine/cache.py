@@ -24,6 +24,14 @@ correct, just not relabel-stable for that instance).  The budget depends
 only on the instance's symmetry structure, never on its labels, so
 relabeled copies agree on which tier they use.
 
+A graph that has no twins and refines to discrete without any roles has
+no non-trivial automorphism; its refinement order is then canonical by
+itself.  Such a graph's *base form* (that order plus the digest of the
+adjacency under it) is computed once per process, and a query on it
+keys as the base digest plus the query roles along the base order, in
+O(n) instead of a refinement and a certificate per query
+(:func:`canonical_signature`).
+
 Cached solutions are stored as canonical-index structures and translated
 back through the requesting job's own canonical order on a hit, so a hit
 for a relabeled instance is rendered in the *caller's* vertex names.
@@ -70,38 +78,139 @@ class _CanonBudgetExceeded(Exception):
     pass
 
 
-def _job_vertices_and_roles(job: EnumerationJob):
-    """All instance vertices plus a hashable query-role token per vertex."""
-    vertices: List[Any] = []
+#: Graphs whose vertex list, index, adjacency and base form the process
+#: keeps (the least recently used goes first); every query on a served
+#: graph reuses them.
+_GRAPH_MEMO = 8
+
+#: Instances whose fingerprint prefix the process keeps.
+_FINGERPRINT_MEMO = 16
+
+class _GraphForm:
+    """The query-free canonical data of one graph.
+
+    ``vertices`` lists the graph's vertices in first appearance (edge
+    endpoints, then isolated vertices), ``index`` inverts it, and
+    ``out_adj`` / ``in_adj`` (digraphs only) are the adjacency lists
+    over those indices, in edge order.
+    """
+
+    def __init__(self, directed: bool, edges, isolated) -> None:
+        vertices: List[Any] = []
+        index: Dict[Any, int] = {}
+        for u, v in edges:
+            for x in (u, v):
+                if x not in index:
+                    index[x] = len(vertices)
+                    vertices.append(x)
+        for x in isolated:
+            if x not in index:
+                index[x] = len(vertices)
+                vertices.append(x)
+        n = len(vertices)
+        out_adj: List[List[int]] = [[] for _ in range(n)]
+        in_adj: Optional[List[List[int]]] = [[] for _ in range(n)] if directed else None
+        for u, v in edges:
+            iu, iv = index[u], index[v]
+            out_adj[iu].append(iv)
+            if in_adj is not None:
+                in_adj[iv].append(iu)
+            else:
+                out_adj[iv].append(iu)
+        self.directed = directed
+        self.edges = edges
+        self.vertices = vertices
+        self.index = index
+        self.out_adj = out_adj
+        self.in_adj = in_adj
+
+    def edge_pairs(self) -> List[Tuple[int, int]]:
+        """The edges over vertex indices, in edge order."""
+        index = self.index
+        return [(index[u], index[v]) for u, v in self.edges]
+
+    @functools.cached_property
+    def base(self) -> Optional[Tuple[List[int], str]]:
+        """The graph's base form, or ``None`` when it has none.
+
+        A graph has one when it has no twins and colour refinement from
+        the uniform colouring makes it discrete; the form is that
+        colouring's vertex order (a canonical order: refinement commutes
+        with relabelling) and the digest of the adjacency under it.
+        Twins keep one colour under every refinement, so the twin test
+        skips, at the price of one sort per vertex, the graphs that
+        refinement could never make discrete.  Computed on first need.
+        """
+        n, out_adj, in_adj = len(self.vertices), self.out_adj, self.in_adj
+        if _has_twins(n, out_adj, in_adj):
+            return None
+        colors = _refine(n, out_adj, in_adj, [0] * n)
+        if len(set(colors)) < n:
+            return None
+        # Discrete dense colours are the canonical positions.
+        order = [0] * n
+        for v, position in enumerate(colors):
+            order[position] = v
+        return order, _digest(
+            ("base", self.directed, n, _edge_code(self.edge_pairs(), colors, self.directed))
+        )
+
+
+def _has_twins(
+    n: int, out_adj: Sequence[Sequence[int]], in_adj: Optional[Sequence[Sequence[int]]]
+) -> bool:
+    """True when two vertices without a self-loop share their neighbour
+    multiset (out- and in-neighbours on digraphs)."""
     seen = set()
+    for v in range(n):
+        if v in out_adj[v]:
+            continue
+        key = (
+            tuple(sorted(out_adj[v])),
+            tuple(sorted(in_adj[v])) if in_adj is not None else (),
+        )
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
 
-    def add(v):
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
 
-    for u, v in job.edges:
-        add(u)
-        add(v)
-    for v in job.vertices:
-        add(v)
-    roles: Dict[Any, tuple] = {v: () for v in vertices}
+def _edge_code(edge_pairs, pos: Sequence[int], directed: bool) -> tuple:
+    """The sorted edge list under vertex positions ``pos``."""
+    if directed:
+        return tuple(sorted((pos[a], pos[b]) for a, b in edge_pairs))
+    return tuple(
+        sorted((min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in edge_pairs)
+    )
+
+
+#: The memo of :class:`_GraphForm` per graph (``lru_cache`` is
+#: thread-safe: several servers can share one process).
+_graph_forms = functools.lru_cache(maxsize=_GRAPH_MEMO)(_GraphForm)
+
+
+def _graph_form(job: EnumerationJob) -> _GraphForm:
+    """The memoised :class:`_GraphForm` of ``job``'s graph."""
+    try:
+        return _graph_forms(job.is_directed, job.edges, job.vertices)
+    except TypeError:  # an unhashable (unvalidated) job: no memo
+        return _GraphForm(job.is_directed, job.edges, job.vertices)
+
+
+def _role_tokens(job: EnumerationJob) -> Dict[Any, tuple]:
+    """A hashable query-role token for every vertex that has a role,
+    in order of first mention."""
+    roles: Dict[Any, tuple] = {}
     for t in job.terminals:
-        add(t)
-        roles.setdefault(t, ())
-        roles[t] = roles[t] + ("T",)
+        roles[t] = roles.get(t, ()) + ("T",)
     for i, family in enumerate(job.families):
         for t in family:
-            add(t)
-            roles.setdefault(t, ())
-            roles[t] = roles[t] + (("F", i),)
+            roles[t] = roles.get(t, ()) + (("F", i),)
     for name in ("root", "source", "target"):
         v = getattr(job, name)
         if v is not None:
-            add(v)
-            roles.setdefault(v, ())
-            roles[v] = roles[v] + (name,)
-    return vertices, {v: tuple(sorted(map(repr, roles[v]))) for v in vertices}
+            roles[v] = roles.get(v, ()) + (name,)
+    return {v: tuple(sorted(map(repr, role))) for v, role in roles.items()}
 
 
 def _refine(
@@ -140,27 +249,34 @@ def canonical_signature(job: EnumerationJob) -> Optional[Tuple[List[Any], tuple]
     canonical position ``i``, or ``None`` when the kind is not
     relabelable or the symmetry search exceeds its budget.  Two jobs get
     equal certificates iff their role-annotated instances are isomorphic.
+
+    A query on a graph with a base form (:attr:`_GraphForm.base`) whose
+    role vertices all lie in the graph takes the base order, and its
+    certificate is the base digest plus the role tokens along that
+    order: such a graph has no non-trivial automorphism, so every
+    isomorphism between two copies maps one base order onto the other.
+    Every other instance, role-free ones included, takes the search.
     """
     if not kind_spec(job.kind).relabelable:
         return None
-    vertices, roles = _job_vertices_and_roles(job)
+    form = _graph_form(job)
+    roles = _role_tokens(job)
+    if any(v not in form.index for v in roles):
+        # A query vertex outside the graph joins it as an isolated vertex.
+        form = _GraphForm(job.is_directed, job.edges, tuple(job.vertices) + tuple(roles))
+    elif roles:
+        base = form.base
+        if base is not None:
+            order = [form.vertices[v] for v in base[0]]
+            return order, ("base", base[1], tuple(roles.get(v, ()) for v in order))
+    vertices, out_adj, in_adj = form.vertices, form.out_adj, form.in_adj
     n = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    directed = job.is_directed
-    out_adj: List[List[int]] = [[] for _ in range(n)]
-    in_adj: Optional[List[List[int]]] = [[] for _ in range(n)] if directed else None
-    edge_pairs: List[Tuple[int, int]] = []
-    for u, v in job.edges:
-        iu, iv = index[u], index[v]
-        edge_pairs.append((iu, iv))
-        out_adj[iu].append(iv)
-        if directed:
-            in_adj[iv].append(iu)  # type: ignore[index]
-        else:
-            out_adj[iv].append(iu)
+    directed = in_adj is not None
+    tokens = [roles.get(v, ()) for v in vertices]
+    edge_pairs = form.edge_pairs()
 
-    role_palette = {r: i for i, r in enumerate(sorted(set(roles.values())))}
-    role_color = [role_palette[roles[v]] for v in vertices]
+    role_palette = {r: i for i, r in enumerate(sorted(set(tokens)))}
+    role_color = [role_palette[token] for token in tokens]
     budget = [_CANON_BUDGET]
     twin_of: List[int] = []  # filled at the first branch
 
@@ -192,16 +308,8 @@ def canonical_signature(job: EnumerationJob) -> Optional[Tuple[List[Any], tuple]
         pos = [0] * n
         for p, v in enumerate(order):
             pos[v] = p
-        role_seq = tuple(roles[vertices[v]] for v in order)
-        if directed:
-            enc = tuple(sorted((pos[a], pos[b]) for a, b in edge_pairs))
-        else:
-            enc = tuple(
-                sorted(
-                    (min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in edge_pairs
-                )
-            )
-        return (role_seq, enc)
+        role_seq = tuple(tokens[v] for v in order)
+        return (role_seq, _edge_code(edge_pairs, pos, directed))
 
     best: List[Optional[Tuple[tuple, List[int]]]] = [None]
 
@@ -251,6 +359,13 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=_FINGERPRINT_MEMO)
+def _fingerprint_prefix(kind: str, edges, vertices):
+    """SHA-256 state after the instance part of a fingerprint's repr
+    (callers copy it before adding the query part)."""
+    return hashlib.sha256(f"('fp', {kind!r}, {edges!r}, {vertices!r}, ".encode())
+
+
 def job_fingerprint(job: EnumerationJob) -> str:
     """Exact-instance identity (labels, edge order, query params).
 
@@ -259,13 +374,15 @@ def job_fingerprint(job: EnumerationJob) -> str:
     truncation) are gated on fingerprint equality; canonical-key hits
     with a different fingerprint are relabelings whose stream is a
     permutation of the requester's own.
+
+    Computed once per job object (and kept on it) from a hash of the
+    instance part that is computed once per instance.
     """
-    return _digest(
-        (
-            "fp",
-            job.kind,
-            job.edges,
-            job.vertices,
+    fingerprint = job.__dict__.get("_fingerprint")
+    if fingerprint is None:
+        # The digest of repr(("fp", kind, edges, vertices, <query>)),
+        # resumed from a memoised hash of the instance part.
+        query = (
             job.terminals,
             job.families,
             job.root,
@@ -274,7 +391,14 @@ def job_fingerprint(job: EnumerationJob) -> str:
             job.keywords,
             job.node_keywords,
         )
-    )
+        try:
+            digest = _fingerprint_prefix(job.kind, job.edges, job.vertices).copy()
+        except TypeError:  # an unhashable (unvalidated) job: no memo
+            digest = _fingerprint_prefix.__wrapped__(job.kind, job.edges, job.vertices)
+        digest.update((", ".join(map(repr, query)) + ")").encode())
+        fingerprint = digest.hexdigest()
+        object.__setattr__(job, "_fingerprint", fingerprint)
+    return fingerprint
 
 
 def instance_key(job: EnumerationJob) -> Tuple[str, Optional[List[Any]]]:

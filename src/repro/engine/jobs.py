@@ -100,6 +100,22 @@ class _BudgetMeter(CostMeter):
                 raise BudgetExceeded("deadline")
 
 
+def _edge_pairs(edges) -> Tuple[Tuple[Vertex, Vertex], ...]:
+    """``edges`` as a tuple of pairs.
+
+    A tuple of 2-tuples is kept as it is, so every job built on one
+    shared instance (a dataset, an arena spool) shares one edges object
+    and the per-instance memos find it by identity.
+    """
+    if (
+        type(edges) is tuple
+        and {*map(type, edges)} <= {tuple}
+        and {*map(len, edges)} <= {2}
+    ):
+        return edges
+    return tuple((u, v) for u, v in edges)
+
+
 @dataclass(frozen=True)
 class EnumerationJob:
     """One declarative enumeration request.
@@ -339,11 +355,18 @@ class EnumerationJob:
             raise InvalidInstanceError("shards must be >= 1")
         require_backend(self.kind, self.backend)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready dict; omits defaulted fields for compact job files."""
-        spec: Dict[str, Any] = {"kind": self.kind, "edges": [list(e) for e in self.edges]}
-        if self.vertices:
-            spec["vertices"] = list(self.vertices)
+    def to_dict(self, instance: bool = True) -> Dict[str, Any]:
+        """A JSON-ready dict; omits defaulted fields for compact job files.
+
+        ``instance=False`` leaves out the graph (``edges`` and
+        ``vertices``): the query and envelope fields alone, for a caller
+        that ships the graph another way.
+        """
+        spec: Dict[str, Any] = {"kind": self.kind}
+        if instance:
+            spec["edges"] = [list(e) for e in self.edges]
+            if self.vertices:
+                spec["vertices"] = list(self.vertices)
         if self.terminals:
             spec["terminals"] = list(self.terminals)
         if self.families:
@@ -377,7 +400,7 @@ class EnumerationJob:
                 raise InvalidInstanceError(f"unknown job field {key!r}")
             kwargs[name] = value
         try:
-            kwargs["edges"] = tuple((u, v) for u, v in kwargs.get("edges", ()))
+            kwargs["edges"] = _edge_pairs(kwargs.get("edges", ()))
             for key in ("vertices", "terminals", "keywords"):
                 if key in kwargs:
                     kwargs[key] = tuple(kwargs[key])

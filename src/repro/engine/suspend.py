@@ -23,7 +23,9 @@ no clean machine state, and resumes by fast-forward instead.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro.core.directed_steiner import DirectedSteinerSearch
@@ -182,9 +184,64 @@ def _plain(cls, query, structure) -> _Machine:
     )
 
 
-def _st_path_kernel(g, backend):
-    """The fast backend enumerates st-paths on the compiled kernel."""
-    return compile_undirected(g)[0] if backend == "fast" else g
+# ----------------------------------------------------------------------
+# one kernel per graph
+# ----------------------------------------------------------------------
+#: Fast-backend kinds whose machines read their kernel and never change
+#: it: the Steiner-tree traversal and the Read-Tarjan path searches only
+#: read the incidence arrays and the version-keyed derived data.  Their
+#: queries on one graph share one compiled kernel.
+_SHARED_KERNEL_KINDS = frozenset({"steiner-tree", "st-path"})
+
+#: Compiled graphs each thread keeps (least recently used out first).
+_KERNEL_MEMO = 4
+
+
+class _Kernels(threading.local):
+    """Per-thread memo: instance -> ``(kernel, version, labels, index_of)``.
+
+    Per thread because a kernel's sweep buffers (``_scratch``) serve one
+    search call at a time.
+    """
+
+    def __init__(self) -> None:
+        self.entries: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+
+_KERNELS = _Kernels()
+
+
+def _kernel_key(job: EnumerationJob) -> Optional[tuple]:
+    """The memo key of ``job``'s instance, ``None`` when it is not shared."""
+    if job.backend != "fast" or job.kind not in _SHARED_KERNEL_KINDS:
+        return None
+    return (job.edges, job.vertices, job.node_keywords)
+
+
+def _indexed_instance(job: EnumerationJob):
+    """``job.instantiate_indexed()``, except that a shared kind gets its
+    graph's kernel from the memo, compiled on the first query."""
+    key = _kernel_key(job)
+    if key is None:
+        return job.instantiate_indexed()
+    entries = _KERNELS.entries
+    entry = entries.get(key)
+    if entry is not None and entry[0].version == entry[1]:
+        entries.move_to_end(key)
+        return entry[0], entry[2], entry[3]
+    graph, labels, index_of = job.instantiate_indexed()
+    kernel = compile_undirected(graph)[0]
+    entries[key] = (kernel, kernel.version, labels, index_of)
+    while len(entries) > _KERNEL_MEMO:
+        entries.popitem(last=False)
+    return kernel, labels, index_of
+
+
+def _forget_kernel(job: EnumerationJob) -> None:
+    """Drop ``job``'s kernel: a search stopped inside a step with it."""
+    key = _kernel_key(job)
+    if key is not None:
+        _KERNELS.entries.pop(key, None)
 
 
 #: Every job kind's search machine, in one place.
@@ -195,14 +252,15 @@ _MACHINES: Dict[str, _Machine] = {
     "directed-steiner": _steiner(DirectedSteinerSearch, _rooted),
     "induced-steiner": _plain(InducedSteinerSearch, _terminals, _vertex_set),
     "chordless-path": _plain(ChordlessPathSearch, _endpoints, _path),
+    # On the fast backend the instance is the memo's compiled kernel.
     "st-path": _Machine(
         _endpoints,
         lambda g, args, meter, backend: (
             fast_st_path_search if backend == "fast" else StPathSearch
-        )(_st_path_kernel(g, backend), *args, meter=meter),
+        )(g, *args, meter=meter),
         lambda g, state, meter, backend: (
             FastPathSearch if backend == "fast" else StPathSearch
-        ).restore(_st_path_kernel(g, backend), state, meter),
+        ).restore(g, state, meter),
         _next_path,
         _path,
     ),
@@ -233,7 +291,7 @@ class JobSearch:
         self.meter = meter
         self.fingerprint = job_fingerprint(job)
         self.emitted = 0
-        self._instance, self.labels, self._index_of = job.instantiate_indexed()
+        self._instance, self.labels, self._index_of = _indexed_instance(job)
         self._kind = _MACHINES[job.kind]
         return self._kind
 
@@ -341,7 +399,9 @@ class Segment:
       across resumes instead of re-spending its allowance on the
       fast-forward.
     * **Budget abort.**  The budget trips inside a step, so the stop is
-      not clean and keeps no snapshot.
+      not clean and keeps no snapshot.  Such a stop, and an error, also
+      drops the job's shared kernel from the memo: the step may have
+      left its sweep buffers mid-use.
     * **Offset past the end** of the stream raises
       :class:`InvalidInstanceError`.
     * **Foreign snapshot.**  A snapshot bound to another job, or at a
@@ -429,7 +489,12 @@ class Segment:
         except BudgetExceeded as exc:
             self.stop_reason = exc.reason
             self.clean = False
+            _forget_kernel(job)
             return
+        except Exception:
+            self.clean = False
+            _forget_kernel(job)
+            raise
         if search.emitted < offset:
             self.exhausted = False
             raise InvalidInstanceError(

@@ -30,7 +30,7 @@ import time
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.cache import instance_key
-from repro.engine.jobs import EnumerationJob
+from repro.engine.jobs import EnumerationJob, _edge_pairs
 from repro.exceptions import ReproError
 from repro.jsonfile import read_json, write_atomic
 
@@ -71,9 +71,7 @@ def dataset_digest(
     false merge would silently drop annotations).
     """
     probe = EnumerationJob(
-        kind="steiner-tree",
-        edges=tuple((u, v) for u, v in edges),
-        vertices=tuple(vertices),
+        kind="steiner-tree", edges=_edge_pairs(edges), vertices=tuple(vertices)
     )
     digest, order = instance_key(probe)
     if not node_keywords:
@@ -147,6 +145,9 @@ class DatasetRegistry:
         # memory tier (always populated; the disk tier mirrors it)
         self._names: Dict[str, Dict[str, Any]] = {}
         self._payloads: Dict[str, Dict[str, Any]] = {}
+        # payload digest -> the (edges, vertices) tuples every resolved
+        # spec shares; never written to disk
+        self._instances: Dict[str, Tuple[tuple, tuple]] = {}
         self._uses: Dict[str, int] = {}
         self._last_keywords: Dict[str, List[str]] = {}
         self._load()
@@ -242,6 +243,8 @@ class DatasetRegistry:
                 r["digest"] == digest for r in self._names.values()
             )
             if digest not in self._payloads:
+                # The probe's tuple: the canonical memo already knows it.
+                self._instances[digest] = (edge_tuple, tuple(vertices))
                 payload = {
                     "schema": _SCHEMA,
                     "edges": [[u, v] for u, v in edge_tuple],
@@ -294,13 +297,16 @@ class DatasetRegistry:
         Raises :class:`DatasetError` for unknown names (the server maps
         this to a 404).
         """
+        return self._lookup(name)[1]
+
+    def _lookup(self, name: str) -> Tuple[str, Dict[str, Any]]:
         raw = self._names.get(name)
         if raw is None:
             raise DatasetError(f"unknown dataset {name!r}")
         payload = self._payloads.get(raw["digest"])
         if payload is None:
             raise DatasetError(f"dataset {name!r} payload is missing")
-        return payload
+        return raw["digest"], payload
 
     def list(self) -> List[DatasetRecord]:
         """All registered datasets, sorted by name."""
@@ -320,6 +326,7 @@ class DatasetRegistry:
             digest = raw["digest"]
             if not any(r["digest"] == digest for r in self._names.values()):
                 self._payloads.pop(digest, None)
+                self._instances.pop(digest, None)
                 if self.root is not None:
                     try:
                         os.unlink(
@@ -366,6 +373,10 @@ class DatasetRegistry:
         Leaves specs without a ``dataset`` reference untouched.  The
         dataset's edges / vertices / keyword table are injected; a spec
         that also ships its own ``edges`` is rejected as ambiguous.
+        Every spec resolved from one payload gets the same immutable
+        ``edges`` and ``vertices`` tuples, so the engine's per-instance
+        memos (:mod:`repro.engine.cache`, the arena ref, the worker's
+        kernel) recognise the graph without walking it.
         """
         if "dataset" not in spec:
             return spec
@@ -374,14 +385,27 @@ class DatasetRegistry:
             raise DatasetError("'dataset' must be a string name")
         if spec.get("edges"):
             raise DatasetError("give either 'dataset' or 'edges', not both")
-        payload = self.payload(name)
+        digest, payload = self._lookup(name)
+        edges, vertices = self._instance(digest, payload)
         resolved = {k: v for k, v in spec.items() if k != "dataset"}
-        resolved["edges"] = [list(e) for e in payload["edges"]]
-        if payload.get("vertices"):
-            resolved["vertices"] = list(payload["vertices"])
+        resolved["edges"] = edges
+        if vertices:
+            resolved["vertices"] = vertices
         if payload.get("node_keywords") and "node_keywords" not in resolved:
             resolved["node_keywords"] = [
                 [node, list(kws)] for node, kws in payload["node_keywords"]
             ]
         self.record_use(name, resolved.get("keywords") or ())
         return resolved
+
+    def _instance(self, digest: str, payload: Dict[str, Any]) -> Tuple[tuple, tuple]:
+        """The shared ``(edges, vertices)`` tuples of a payload."""
+        instance = self._instances.get(digest)
+        if instance is None:
+            instance = (
+                tuple((u, v) for u, v in payload["edges"]),
+                tuple(payload.get("vertices") or ()),
+            )
+            with self._lock:
+                instance = self._instances.setdefault(digest, instance)
+        return instance

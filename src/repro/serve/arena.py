@@ -36,6 +36,7 @@ worker pays the decode once per dataset, not per stream.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import mmap
 import os
@@ -49,6 +50,9 @@ _INT32_MAX = 2**31 - 1
 
 #: Per-process decode cache: digest -> (edges tuple, vertices tuple).
 _DECODED: Dict[str, Tuple[tuple, tuple]] = {}
+
+#: Instances whose ref an arena remembers (``InstanceArena.ref``).
+REF_MEMO = 16
 
 
 def _pack_int32(values) -> Optional[bytes]:
@@ -66,6 +70,11 @@ class InstanceArena:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self._published: set = set()  # digests known to be on disk
+        #: :meth:`publish`, remembered per instance: the serve workers
+        #: dispatch every query through it, so a repeated graph (the same
+        #: ``edges`` object, as a dataset's queries share) gets its ref
+        #: without being packed or hashed again.
+        self.ref = functools.lru_cache(maxsize=REF_MEMO)(self.publish)
 
     def publish(self, edges, vertices=()) -> Optional[Dict[str, Any]]:
         """Spool ``(edges, vertices)``; return the ref, or ``None``.

@@ -240,17 +240,26 @@ class WorkerHandle:
         """Dispatch a streaming run to this worker.
 
         ``snapshot`` thaws the enumeration at ``offset`` in O(state)
-        instead of fast-forwarding.  With an
-        arena attached, integer-compact instances travel as a spool-file
-        ref instead of an inline edge list — the worker maps the spool
-        read-only, so repeated streams of one dataset share a single
-        physical copy across every worker (and fleet replica) on the
-        machine.
+        instead of fast-forwarding.  With an arena attached,
+        integer-compact instances travel as a spool-file ref instead of
+        an inline edge list — the worker maps the spool read-only, so
+        repeated streams of one dataset share a single physical copy
+        across every worker (and fleet replica) on the machine.  The
+        arena remembers each instance's ref, so a repeated graph costs
+        the query fields alone.  A worker that died while idle raises
+        :class:`WorkerDied`.
         """
-        spec = job.to_dict()
-        if self.arena is not None:
-            spec = self.arena.publish_spec(spec)
-        self.conn.send(("run", spec, offset, chunk, snapshot))
+        ref = self.arena.ref(job.edges, job.vertices) if self.arena is not None else None
+        if ref is None:
+            spec = job.to_dict()
+        else:
+            spec = job.to_dict(instance=False)
+            spec["arena"] = ref
+        try:
+            self.conn.send(("run", spec, offset, chunk, snapshot))
+        except OSError as exc:
+            self.failed = True
+            raise WorkerDied(f"worker pid={self.process.pid} is gone") from exc
 
     def recv(self) -> Tuple[Any, ...]:
         """Receive the next protocol message (raises :class:`WorkerDied`)."""
@@ -351,28 +360,34 @@ class WorkerPool:
         self._closed = False
 
     def acquire(self) -> WorkerHandle:
-        """Take an idle worker (caller must :meth:`release` it)."""
+        """Take an idle worker (caller must :meth:`release` it); one that
+        died while idle is replaced first."""
         if self._closed:
             raise RuntimeError("worker pool is closed")
         if not self._idle:
             raise RuntimeError("no idle worker (acquire/release imbalance)")
-        return self._idle.pop()
+        return self._healthy(self._idle.pop())
 
     def release(self, handle: WorkerHandle) -> None:
         """Return ``handle`` to the pool, replacing it if it failed."""
         if self._closed:
             handle.close()
             return
-        if not handle.alive:
-            try:
-                handle.close()
-            except Exception:  # pragma: no cover - close is best-effort
-                pass
-            if handle in self._all:
-                self._all.remove(handle)
-            handle = WorkerHandle(self._ctx, arena=self.arena)
-            self._all.append(handle)
-        self._idle.append(handle)
+        self._idle.append(self._healthy(handle))
+
+    def _healthy(self, handle: WorkerHandle) -> WorkerHandle:
+        """``handle``, or a fresh worker in its place when it failed."""
+        if handle.alive:
+            return handle
+        try:
+            handle.close()
+        except Exception:  # pragma: no cover - close is best-effort
+            pass
+        if handle in self._all:
+            self._all.remove(handle)
+        handle = WorkerHandle(self._ctx, arena=self.arena)
+        self._all.append(handle)
+        return handle
 
     def _all_handles(self) -> list:
         """Every live handle, busy ones included (introspection/tests)."""

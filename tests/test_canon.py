@@ -15,6 +15,11 @@ request once.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import importlib.util
+import itertools
+import json
+import os
 import random
 from typing import Dict, List, Optional
 
@@ -27,15 +32,48 @@ from repro.engine.cache import (
     _CANON_BUDGET,
     InstanceCache,
     _CanonBudgetExceeded,
-    _job_vertices_and_roles,
     _refine,
     canonical_signature,
     instance_key,
 )
 from repro.engine.jobs import EnumerationJob, run_job
+from repro.frontdoor.registry import DatasetRegistry, dataset_digest
+from repro.jsonfile import write_atomic
 from repro.serve.store import ResultStore, TieredCache
 
 RELABELABLE = sorted(kinds_where(relabelable=True))
+
+
+def _job_vertices_and_roles(job: EnumerationJob):
+    """All instance vertices (edge endpoints, isolated vertices, then
+    query vertices outside the graph) plus a query-role token each."""
+    vertices: list = []
+    seen = set()
+
+    def add(v):
+        if v not in seen:
+            seen.add(v)
+            vertices.append(v)
+
+    for u, v in job.edges:
+        add(u)
+        add(v)
+    for v in job.vertices:
+        add(v)
+    roles: Dict = {v: () for v in vertices}
+    for t in job.terminals:
+        add(t)
+        roles[t] = roles.get(t, ()) + ("T",)
+    for i, family in enumerate(job.families):
+        for t in family:
+            add(t)
+            roles[t] = roles.get(t, ()) + (("F", i),)
+    for name in ("root", "source", "target"):
+        v = getattr(job, name)
+        if v is not None:
+            add(v)
+            roles[v] = roles.get(v, ()) + (name,)
+    return vertices, {v: tuple(sorted(map(repr, roles[v]))) for v in vertices}
 
 
 def reference_signature(job: EnumerationJob):
@@ -340,3 +378,301 @@ def test_tiered_cache_canonicalizes_a_request_once(tmp_path, monkeypatch):
     tier.store(job, run_job(job))
     assert tier.lookup(job) is not None
     assert calls == [job]
+
+
+# ----------------------------------------------------------------------
+# the base family: queries on graphs with no non-trivial automorphism
+# ----------------------------------------------------------------------
+def _uniform_classes(edges, n: int, directed: bool) -> List[List[int]]:
+    """The non-singleton cells of colour refinement from one colour."""
+    out_adj: List[List[int]] = [[] for _ in range(n)]
+    in_adj: Optional[List[List[int]]] = [[] for _ in range(n)] if directed else None
+    for u, v in edges:
+        out_adj[u].append(v)
+        if in_adj is not None:
+            in_adj[v].append(u)
+        else:
+            out_adj[v].append(u)
+    cells: Dict[int, List[int]] = {}
+    for v, c in enumerate(_refine(n, out_adj, in_adj, [0] * n)):
+        cells.setdefault(c, []).append(v)
+    return [cell for cell in cells.values() if len(cell) > 1]
+
+
+@st.composite
+def base_instances(draw):
+    """A small query on a twin-free graph that refines to discrete.
+
+    A random multigraph (self-loops allowed) gets a pendant vertex on
+    the first member of every cell colour refinement leaves, until no
+    cell is left: the graph then has a base form.  Every query vertex
+    lies in the graph.
+    """
+    kind = draw(st.sampled_from(RELABELABLE))
+    directed = kind_spec(kind).directed
+    n = draw(st.integers(min_value=2, max_value=6))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = [
+        (draw(vertex), draw(vertex))
+        for _ in range(draw(st.integers(min_value=1, max_value=9)))
+    ]
+    for _ in range(8):
+        cells = _uniform_classes(edges, n, directed)
+        if not cells:
+            break
+        for cell in cells:
+            edges.append((cell[0], n) if draw(st.booleans()) or not directed else (n, cell[0]))
+            n += 1
+    assume(not _uniform_classes(edges, n, directed))
+    pool = draw(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=4, unique=True)
+    )
+    fields: dict = {"vertices": tuple(range(n))}
+    if kind_spec(kind).result_shape == "path":
+        fields.update(source=pool[0], target=pool[1])
+    elif kind == "steiner-forest":
+        cut = draw(st.integers(min_value=1, max_value=len(pool) - 1))
+        fields["families"] = (tuple(pool[:cut]), tuple(pool[cut:]))
+    else:
+        fields["terminals"] = tuple(pool[1:] if directed else pool)
+        if directed:
+            fields["root"] = pool[0]
+    job = EnumerationJob(kind=kind, edges=tuple(edges), **fields)
+    return relabeled(job, random.Random(draw(st.integers(min_value=0, max_value=2**32))))
+
+
+def _moved_role(job: EnumerationJob, rng: random.Random) -> EnumerationJob:
+    """``job`` with one query vertex moved onto a vertex without a role."""
+    _, roles = _job_vertices_and_roles(job)
+    free = [v for v, role in roles.items() if not role]
+    if not free:
+        return job
+    target = rng.choice(sorted(free, key=repr))
+    if job.source is not None:
+        return dataclasses.replace(job, target=target)
+    if job.families:
+        first = (target,) + job.families[0][1:]
+        return dataclasses.replace(job, families=(first,) + job.families[1:])
+    return dataclasses.replace(job, terminals=(target,) + job.terminals[1:])
+
+
+#: Vertex count up to which the brute-force isomorphism test runs.
+BRUTE_FORCE_MAX = 8
+
+
+def _isomorphic(a: EnumerationJob, b: EnumerationJob) -> bool:
+    """Brute force: is there a role- and edge-preserving bijection?
+
+    Tries every bijection that keeps roles and degrees; only for
+    instances of at most :data:`BRUTE_FORCE_MAX` vertices.
+    """
+    va, ra = _job_vertices_and_roles(a)
+    vb, rb = _job_vertices_and_roles(b)
+    if len(va) != len(vb) or a.kind != b.kind:
+        return False
+
+    def code(job, pos):
+        pairs = [(pos[u], pos[v]) for u, v in job.edges]
+        if not job.is_directed:
+            pairs = [tuple(sorted(p)) for p in pairs]
+        return sorted(pairs)
+
+    def label(job, roles, v):
+        outs = sum(1 for x, _ in job.edges if x == v)
+        ins = sum(1 for _, y in job.edges if y == v)
+        return (roles[v], outs, ins) if job.is_directed else (roles[v], outs + ins)
+
+    target = code(b, {v: i for i, v in enumerate(vb)})
+    la = [label(a, ra, v) for v in va]
+    lb = [label(b, rb, v) for v in vb]
+    if sorted(la) != sorted(lb):
+        return False
+    for image in itertools.permutations(range(len(vb))):
+        if all(lb[image[i]] == la[i] for i in range(len(va))):
+            if code(a, {v: image[i] for i, v in enumerate(va)}) == target:
+                return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_instances(), st.integers(min_value=0, max_value=2**32))
+def test_base_family_keys_are_relabel_stable_and_role_exact(job, seed):
+    rng = random.Random(seed)
+    signature = canonical_signature(job)
+    assert signature is not None and signature[1][0] == "base"
+    copy = relabeled(job, rng)
+    assert instance_key(copy)[0] == instance_key(job)[0]
+    # No automorphism moves a role: any other role placement is
+    # another instance.
+    moved = _moved_role(job, rng)
+    if moved != job:
+        assert instance_key(moved)[0] != instance_key(job)[0]
+    # On instances small enough, keys agree exactly when the instances
+    # are isomorphic.
+    if len(job.vertices) <= BRUTE_FORCE_MAX:
+        other = _moved_role(copy, rng) if rng.random() < 0.5 else copy
+        same = instance_key(other)[0] == instance_key(job)[0]
+        assert same == _isomorphic(job, other)
+
+
+def test_base_family_relabeled_copy_hits_in_its_own_labels(tmp_path):
+    # A random tree on 12 vertices plus chords, 17 edges: asymmetric.
+    rng = random.Random(0)
+    edges = [(v, rng.randrange(v)) for v in range(1, 12)]
+    while len(edges) < 17:
+        u, v = rng.sample(range(12), 2)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    job = EnumerationJob.steiner_tree(edges, [1, 2, 3], backend="fast")
+    assert canonical_signature(job)[1][0] == "base"
+    copy = relabeled(job, random.Random(9))
+    tier = _tiered(tmp_path)
+    tier.store(job, run_job(job))
+    for cache in (tier, _tiered(tmp_path)):  # memory, then a fresh disk tier
+        hit = cache.lookup(copy)
+        assert hit is not None and set(hit.lines) == set(run_job(copy).lines)
+
+
+def test_role_free_probe_and_outside_vertices_keep_the_search():
+    # The path 0-1-2-3-4-5 plus a pendant on 2 refines to discrete.
+    edges = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6))
+    job = EnumerationJob.steiner_tree(edges, [0, 3])
+    assert canonical_signature(job)[1][0] == "base"
+    probe = EnumerationJob(kind="steiner-tree", edges=edges)
+    assert canonical_signature(probe)[1] == reference_signature(probe)[1]
+    outside = EnumerationJob.steiner_tree(edges, [0, 9])
+    assert canonical_signature(outside) == reference_signature(outside)
+
+
+# ----------------------------------------------------------------------
+# values written by the parent of the base family
+# ----------------------------------------------------------------------
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "canon_keys.json")
+
+
+def _fixture() -> dict:
+    with open(FIXTURE) as handle:
+        return json.load(handle)
+
+
+def _servebench_gen():
+    """``servebench/gen.py``, which generates the benchmark's graphs."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "servebench", "gen.py")
+    module_spec = importlib.util.spec_from_file_location("servebench_gen", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def test_keys_outside_the_base_family_are_the_parents():
+    for entry in _fixture()["corpus"]:
+        job = EnumerationJob.from_dict(entry["job"])
+        assert instance_key(job)[0] == entry["key"], entry["job"]
+
+
+def test_fleet_cold_keys_are_the_parents():
+    pinned = _fixture()["fleet_cold"]
+    gen = _servebench_gen()
+    specs = list(itertools.islice(gen.cold_specs(pinned["seed"], 0), pinned["count"]))
+    assert _sha256(specs) == pinned["specs_sha256"], "servebench/gen.py changed"
+    for spec, key in zip(specs, pinned["keys"]):
+        assert instance_key(EnumerationJob.from_dict(spec))[0] == key
+
+
+def test_store_entry_under_an_unchanged_key_is_byte_identical(tmp_path):
+    pinned = _fixture()["store_entry"]
+    job = EnumerationJob.from_dict(pinned["job"])
+    ResultStore(str(tmp_path)).store(job, run_job(job))
+    (entry,) = (tmp_path / "entries").iterdir()
+    assert entry.read_text() == pinned["text"]
+
+
+@pytest.fixture(scope="module")
+def dense_graphs():
+    pinned = _fixture()["serve_dense"]
+    graphs = _servebench_gen().dense_graphs(pinned["count"])
+    assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == pinned[
+        "graphs_sha256"
+    ], "servebench/gen.py changed"
+    return graphs, pinned["digests"]
+
+
+def test_dense_dataset_digests_are_the_parents(dense_graphs):
+    graphs, digests = dense_graphs
+    assert [dataset_digest([tuple(e) for e in g]) for g in graphs] == digests
+
+
+def test_registry_written_by_the_parent_takes_its_dataset_again(tmp_path, dense_graphs):
+    # The files the parent's registry wrote for dataset "dense0".
+    graphs, digests = dense_graphs
+    root = str(tmp_path)
+    name, edges = "dense0", graphs[0]
+    record = {
+        "schema": 1,
+        "name": name,
+        "digest": digests[0],
+        "num_vertices": len({v for e in edges for v in e}),
+        "num_edges": len(edges),
+        "created": 0.0,
+    }
+    payload = {"schema": 1, "edges": edges, "vertices": [], "node_keywords": []}
+    name_file = hashlib.sha256(name.encode()).hexdigest()[:40]
+    write_atomic(os.path.join(root, "names", f"{name_file}.json"), record)
+    write_atomic(os.path.join(root, "payloads", f"{digests[0]}.json"), payload)
+    registry = DatasetRegistry(root)
+    record, deduped = registry.add(name, edges)
+    assert record.digest == digests[0] and deduped
+    # A dense query now keys through the base form.
+    spec = registry.resolve_spec({"kind": "steiner-tree", "dataset": name, "terminals": [0, 1]})
+    assert canonical_signature(EnumerationJob.from_dict(spec))[1][0] == "base"
+
+
+def test_memos_agree_under_concurrent_servers():
+    """Threads keying and fingerprinting queries on a few shared graphs,
+    with the memos smaller than the graph count and a short switch
+    interval, get the single-threaded values."""
+    import sys
+    import threading
+
+    from repro.engine.cache import job_fingerprint
+
+    rng = random.Random(11)
+    graphs = []
+    for g in range(cache_mod._GRAPH_MEMO + 2):
+        edges = [(v, rng.randrange(v)) for v in range(1, 30)]
+        edges += [(rng.randrange(30), rng.randrange(30)) for _ in range(25)]
+        graphs.append(tuple(edges))
+    jobs = [
+        EnumerationJob.steiner_tree(graphs[i % len(graphs)], [i % 7, 20 + i % 9])
+        for i in range(60)
+    ]
+    expected = [
+        (instance_key(job), job_fingerprint(dataclasses.replace(job)))
+        for job in jobs
+    ]
+    failures: list = []
+
+    def worker(offset: int) -> None:
+        for i in range(len(jobs)):
+            j = (i + offset) % len(jobs)
+            job = dataclasses.replace(jobs[j])  # no cached fingerprint
+            if (instance_key(job), job_fingerprint(job)) != expected[j]:
+                failures.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(7 * k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert cache_mod._graph_forms.cache_info().currsize <= cache_mod._GRAPH_MEMO

@@ -313,6 +313,32 @@ class TestRestartResume:
             assert tuple(got) == full
             assert server.stats.worker_replacements >= 1
 
+    def test_worker_killed_while_idle_is_replaced_before_the_stream(self, tmp_path):
+        """SIGKILL the pool's only worker while it idles: the next stream
+        runs whole on a replacement, and the server still stops."""
+        import os
+        import signal
+        import time
+
+        job = grid_job(job_id="idle-kill")
+        server = EnumerationServer(workers=1, store=str(tmp_path / "store"))
+        thread = ServerThread(server).start()
+        try:
+            assert server._pool is not None
+            (idle,) = server._pool._idle
+            os.kill(idle.process.pid, signal.SIGKILL)
+            idle.process.join(5)
+            started = time.monotonic()
+            events = list(ServeClient(port=thread.port, timeout=10).enumerate(job))
+            assert time.monotonic() - started < 5
+        finally:
+            loop_thread = thread._thread
+            thread.stop()
+        assert loop_thread is not None and not loop_thread.is_alive()
+        assert events[-1]["event"] == "end" and events[-1]["exhausted"]
+        lines = tuple(e["line"] for e in events if e["event"] == "solution")
+        assert lines == run_job(job).lines
+
     def test_checkpoint_conflict_is_rejected(self, tmp_path):
         import time
 
