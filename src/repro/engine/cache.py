@@ -634,7 +634,9 @@ class InstanceCache:
         a checkpointed cursor's delivered prefix) and never truncates to
         the job's ``limit``; the result's ``exhausted`` flag says whether
         the stored prefix is the whole enumeration.  Returns ``None``
-        only on a true miss.
+        only on a true miss.  The job's own complete stream comes back as
+        its stored lines, untranslated and without structures: nothing
+        is ever stored over a complete entry.
         """
         key, order = self.key_of(job)
         entry = self._load(key)
@@ -643,6 +645,8 @@ class InstanceCache:
             # it onto this job's live enumeration would duplicate some
             # solutions and drop others, so only exact matches serve.
             return None
+        if entry.exhausted and entry.lines is not None:
+            return entry_result(job, entry.lines, False, True, None, apply_limit=False)
         return self._result_from_entry(job, entry, order, apply_limit=False)
 
     def store(

@@ -1,4 +1,4 @@
-"""Resumable streaming cursors over enumeration jobs, and their checkpoints.
+"""Resumable streams over enumeration jobs, and their checkpoints.
 
 A :class:`EnumerationCursor` turns a job into a pull-based stream: take
 the first ``k`` solutions, :meth:`~EnumerationCursor.checkpoint` (a
@@ -8,21 +8,24 @@ anywhere, and :meth:`~EnumerationCursor.resume` later to receive
 *exactly* the remaining tail — the concatenation of the two passes
 equals one uninterrupted run.
 
+What a resumed stream replays, what it knows of its prefix, what it
+stores back and what its checkpoint says is decided in one place,
+:class:`StreamLedger`.  The cursor and the streaming server
+(:mod:`repro.serve.server`) each keep one per stream and differ only in
+how they run the live leg: the cursor in process, through a strict
+:class:`repro.engine.suspend.Segment`; the server on a pooled worker,
+whose segment degrades a foreign snapshot to a fast-forward.
+
 Resumption cost, in order of preference:
 
-1. **Snapshot resume**: the checkpoint embeds the frozen
-   branch-and-bound stack (:mod:`repro.engine.suspend`), so the resumed
-   cursor continues in O(state) — no re-enumeration, no matter how deep
-   the stream position is.
-2. **Cache replay**: with a cache attached, delivered prefixes are
-   stored on checkpoint, so resuming replays cached solutions and only
-   enumerates what was never produced.
+1. **Cache replay**: a stored entry whose first ``offset`` solutions are
+   the ones already delivered replays its tail with no enumeration.
+2. **Snapshot resume**: the checkpoint embeds the frozen
+   branch-and-bound stack (:mod:`repro.engine.suspend`), so the live leg
+   continues in O(state), no matter how deep the stream position is.
 3. **Fast-forward** (the fallback, and ``resume_mode="replay"``):
    re-run the (deterministic) enumerator and discard ``offset``
    solutions — correct, but O(offset).
-
-Live enumeration runs as one :class:`repro.engine.suspend.Segment`,
-which states the execution envelope (limit, deadline, op budget).
 
 The checkpoint record is built by :func:`checkpoint_record` and read by
 :func:`read_checkpoint` — here and in the serving layer, whose store
@@ -30,8 +33,8 @@ persists the same records.  Every resume is fingerprint-checked: a
 checkpoint replayed against a job whose kind, backend or exact-instance
 fingerprint differs raises :class:`repro.exceptions.CursorStateError`
 instead of silently fast-forwarding the wrong stream, and the prefix
-digest (:func:`prefix_digest`) guards against spec tampering on the
-fast-forward path.
+digest (:func:`prefix_digest`) guards against spec tampering and
+against splicing two solution orders together.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.cache import InstanceCache, job_fingerprint
 from repro.engine.jobs import EnumerationJob, JobResult
 from repro.engine.suspend import Segment
 from repro.exceptions import CursorStateError, InvalidInstanceError
+from repro.jsonfile import write_atomic
 
 #: Valid values for ``resume_mode``.
 RESUME_MODES = ("snapshot", "replay")
@@ -154,6 +158,203 @@ def read_checkpoint(
 
 
 # ----------------------------------------------------------------------
+# the resume policy
+# ----------------------------------------------------------------------
+class StreamPlan(NamedTuple):
+    """How a stream goes on from its resume position (:meth:`StreamLedger.plan`)."""
+
+    source: str  # "replay", "partial-replay" or "live"
+    replay_to: int  # known lines [start, replay_to) replay
+    live_from: Optional[int]  # where the live leg starts; None: no live leg
+    snapshot: Optional[bytes]  # the search state the live leg thaws
+
+
+class StreamLedger:
+    """The resume policy of one stream of ``job``.
+
+    The stream resumes at position ``offset`` (0 when fresh) with the
+    ``snapshot`` and ``digest`` of the checkpoint being resumed there;
+    ``cache`` is any tier with ``lookup``/``prefix``/``store``.  The
+    ledger decides what replays, tracks the known prefix, stores it back
+    and builds the checkpoint record; its caller runs the live leg and
+    reports what it produced.  The rules:
+
+    1. **Replay** (:meth:`plan`).  A stored entry serves the stream from
+       position ``k`` only when its first ``k`` solutions are the ones
+       the client already holds.  At ``k = 0`` that is the entry
+       ``cache.lookup`` accepts (exact, or a relabelled copy when
+       complete), else the job's own ``cache.prefix``.  At ``k > 0`` it
+       is the job's own exact-instance prefix, else an entry ``lookup``
+       returns whose first ``k`` lines hash to ``digest``.  Otherwise
+       the stream runs live from ``k``.
+    2. **Snapshot against a stored prefix.**  With a snapshot no stored
+       line past ``k`` replays and the live leg thaws it at ``k``,
+       unless the entry covers the job's whole stream (to its end or to
+       its limit), whose tail replays.  Without one the stored prefix
+       past ``k`` replays and the live leg fast-forwards past it.
+    3. **Known prefix** (:attr:`lines`).  Positions ``[0, n)`` while they
+       are contiguous: stored lines, fast-forwarded or produced ones
+       (:meth:`know`) and delivered ones (:meth:`deliver`).  When it
+       first covers ``[0, k)`` it must hash to ``digest``, or
+       :class:`InvalidInstanceError`.
+    4. **Store-back** (:meth:`store_back`).  Only a stream that ran a
+       live leg stores its known prefix, complete only when the
+       enumeration ran out.
+    5. **Checkpoint** (:meth:`record`).  The snapshot frozen at exactly
+       the position (:meth:`freeze`), else the resumed one while the
+       stream has not moved; the digest of ``[0, position)`` when all of
+       it is known (none at position 0), else the resumed digest while
+       the stream has not moved.  Each known line is hashed once.
+    """
+
+    def __init__(
+        self,
+        job: EnumerationJob,
+        cache: Optional[InstanceCache] = None,
+        offset: int = 0,
+        snapshot: Optional[bytes] = None,
+        digest: Optional[str] = None,
+    ) -> None:
+        self.job = job
+        self.cache = cache
+        self.start = offset  # the position being resumed
+        self.position = offset  # the stream position reached
+        self.snapshot = snapshot
+        self.digest = digest
+        self.lines: List[str] = []  # the known prefix, [0, len(lines))
+        self.structures: List[Any] = []  # their label-level forms (None: unknown)
+        self.live = False  # set by the caller once its live leg starts
+        self.exhausted = False  # the enumeration ran out
+        self.stop_reason: Optional[str] = None
+        self._frozen: Tuple[int, Optional[bytes]] = (-1, None)
+        self._hasher = hashlib.sha256()
+        self._hashed = 0  # known lines folded into _hasher
+
+    def plan(self) -> StreamPlan:
+        """Choose the stored entry (rule 1) and lay out replay and live leg."""
+        start, limit = self.start, self.job.limit
+        at_limit = limit is not None and start >= limit
+        entry = None if at_limit else self._entry()
+        count, covers = 0, False
+        if entry is not None:
+            count = len(entry.lines)
+            structures = entry.structures
+            if structures is None or len(structures) != count:
+                structures = (None,) * count
+            self.know(0, entry.lines, structures)
+            covers = start <= count and (
+                entry.exhausted or (limit is not None and count >= limit)
+            )
+        if self.snapshot is not None and not covers:
+            count = min(count, start)  # the snapshot continues from `start`
+        replay_to = max(start, count if limit is None else min(count, limit))
+        if limit is not None and replay_to >= limit:
+            self.stop_reason = "limit"
+        elif covers:
+            self.exhausted = True
+        else:
+            source = "partial-replay" if replay_to > start else "live"
+            snapshot = self.snapshot if replay_to == start else None
+            return StreamPlan(source, replay_to, replay_to, snapshot)
+        return StreamPlan("replay", replay_to, None, None)
+
+    def _entry(self) -> Optional[JobResult]:
+        cache, job = self.cache, self.job
+        if cache is None:
+            return None
+        if self.start == 0:
+            found = cache.lookup(job)
+            return found if found is not None else cache.prefix(job)
+        own = cache.prefix(job)
+        if own is not None or self.digest is None:
+            return own
+        donor = cache.lookup(job)
+        if donor is not None and len(donor.lines) >= self.start:
+            if prefix_digest(donor.lines[: self.start]) == self.digest:
+                return donor
+        return None
+
+    # ------------------------------------------------------------------
+    def know(self, position: int, lines: Sequence[str], structures: Sequence[Any]) -> None:
+        """Solutions at ``position`` onward, delivered or not (rule 3)."""
+        known = len(self.lines)
+        if position <= known < position + len(lines):
+            self.lines.extend(lines[known - position :])
+            self.structures.extend(structures[known - position :])
+            if known < self.start <= len(self.lines) and self.digest is not None:
+                if self._digest(self.start) != self.digest:
+                    raise InvalidInstanceError(
+                        "cursor checkpoint does not match this job's solution stream"
+                    )
+
+    def skip(self, position: int, line: str, structure: Any) -> None:
+        """One fast-forwarded solution (a :class:`Segment`'s ``on_skip``)."""
+        self.know(position, (line,), (structure,))
+
+    def deliver(self, lines: Sequence[str], structures: Sequence[Any]) -> None:
+        """Solutions at :attr:`position` onward reached the client."""
+        self.know(self.position, lines, structures)
+        self.position += len(lines)
+
+    def freeze(self, snapshot: Optional[bytes], position: int) -> None:
+        """Keep ``snapshot``, the search state at stream ``position``."""
+        if snapshot is not None:
+            self._frozen = (position, snapshot)
+
+    # ------------------------------------------------------------------
+    def store_back(self) -> None:
+        """Store the known prefix into the cache (rule 4)."""
+        lines, job = self.lines, self.job
+        # A known prefix with a hole (shorter than the position) is not stored.
+        if self.cache is None or not self.live or not lines or len(lines) < self.position:
+            return
+        structures: Optional[Tuple[Any, ...]] = tuple(self.structures)
+        if any(s is None for s in structures):
+            structures = None
+        # A prefix at a known position is deterministic content however
+        # the stream stopped, so it is stored as a "limit" stop.
+        self.cache.store(
+            job,
+            JobResult(
+                job_id=job.job_id,
+                kind=job.kind,
+                lines=tuple(lines),
+                exhausted=self.exhausted,
+                stop_reason=None if self.exhausted else "limit",
+                elapsed=0.0,
+                ops=0,
+                structures=structures,
+            ),
+        )
+
+    def record(self) -> Dict[str, Any]:
+        """The checkpoint record at :attr:`position` (rule 5)."""
+        position = self.position
+        moved = position != self.start
+        digest = None if moved else self.digest
+        if 0 < position <= len(self.lines):
+            digest = self._digest(position)
+        at, snapshot = self._frozen
+        if at != position:
+            snapshot = None if moved else self.snapshot
+        return checkpoint_record(self.job, position, digest, snapshot)
+
+    def _digest(self, count: int) -> str:
+        """:func:`prefix_digest` of the first ``count`` known lines.
+
+        Callers ask for counts that never decrease — the resume
+        position, then stream positions past it — so each line is
+        folded in once.
+        """
+        hasher = self._hasher
+        for line in self.lines[self._hashed : count]:
+            hasher.update(line.encode())
+            hasher.update(b"\n")
+        self._hashed = count
+        return hasher.copy().hexdigest()
+
+
+# ----------------------------------------------------------------------
 # the cursor
 # ----------------------------------------------------------------------
 class EnumerationCursor:
@@ -167,9 +368,10 @@ class EnumerationCursor:
         and ``budget`` allowance under the rules of
         :class:`repro.engine.suspend.Segment`.
     cache:
-        Optional :class:`InstanceCache`.  Delivered prefixes are stored
-        into it on :meth:`checkpoint`/exhaustion so later resumes (and
-        unrelated identical jobs) skip recomputation.
+        Optional :class:`InstanceCache`.  The stream replays from it and
+        stores its known prefix back into it under the rules of
+        :class:`StreamLedger`, so later resumes (and unrelated identical
+        jobs) skip recomputation.
     offset:
         Internal — number of solutions already delivered (set by
         :meth:`resume`).
@@ -209,21 +411,22 @@ class EnumerationCursor:
             )
         self.job = job
         self.cache = cache
-        self.offset = offset  # solutions delivered so far (across resumes)
         self.resume_mode = resume_mode
         self.exhausted = False
-        self.stop_reason: Optional[str] = None
-        # Everything known about positions [0, offset): replayed cache
-        # prefix + fast-forwarded lines + delivered lines, with parallel
-        # label-level structures (None where unknown).  Complete coverage
-        # lets checkpoint() upgrade the cache and digest the full prefix.
-        self._known_lines: List[str] = []
-        self._known_structures: List[Any] = []
-        self._initial_offset = offset
-        self._expected_digest = _expected_digest
-        self._snapshot_blob = snapshot
+        self.ledger = StreamLedger(job, cache, offset, snapshot, _expected_digest)
         self._iterator: Optional[Iterator[Tuple[str, Any]]] = None
         self._segment: Optional[Segment] = None  # the live segment, once started
+
+    @property
+    def offset(self) -> int:
+        """Solutions delivered so far, across resumes."""
+        return self.ledger.position
+
+    @property
+    def stop_reason(self) -> Optional[str]:
+        """Why the stream stopped before the enumeration ran out
+        (``"limit"``, ``"deadline"`` or ``"budget"``), else ``None``."""
+        return self.ledger.stop_reason
 
     # ------------------------------------------------------------------
     def take(self, k: int) -> List[str]:
@@ -234,19 +437,19 @@ class EnumerationCursor:
         if self.exhausted:
             return out
         if self._iterator is None:
-            self._iterator = self._open_stream()
+            self._iterator = self._stream()
+        structures: List[Any] = []
         while len(out) < k:
             try:
                 line, structure = next(self._iterator)
             except StopIteration:
                 self.exhausted = True
-                if self.stop_reason is None:
-                    self._store_prefix()
                 break
             out.append(line)
-            self._known_lines.append(line)
-            self._known_structures.append(structure)
-            self.offset += 1
+            structures.append(structure)
+        self.ledger.deliver(out, structures)
+        if self.exhausted:
+            self.ledger.store_back()
         return out
 
     def drain(self, chunk: int = 256) -> List[str]:
@@ -263,21 +466,20 @@ class EnumerationCursor:
     def checkpoint(self) -> Dict[str, Any]:
         """A JSON-serializable resume token for the current position.
 
-        Also stores the delivered prefix into the attached cache so the
+        Also stores the known prefix into the attached cache so the
         matching :meth:`resume` costs no re-enumeration, and — at a
         clean suspension point — embeds the serialized search state so
         :meth:`resume` is O(state).
         """
-        self._store_prefix()
-        return checkpoint_record(
-            self.job, self.offset, self._prefix_digest(), self._current_snapshot()
-        )
+        self.ledger.store_back()
+        segment = self._segment
+        if segment is not None:
+            self.ledger.freeze(segment.snapshot(), segment.position)
+        return self.ledger.record()
 
     def save(self, path: str) -> None:
-        """Write :meth:`checkpoint` to ``path`` as JSON."""
-        with open(path, "w") as handle:
-            json.dump(self.checkpoint(), handle, sort_keys=True)
-            handle.write("\n")
+        """Write :meth:`checkpoint` to ``path`` as JSON, atomically."""
+        write_atomic(path, self.checkpoint())
 
     @classmethod
     def resume(
@@ -314,125 +516,33 @@ class EnumerationCursor:
         job: Optional[EnumerationJob] = None,
         resume_mode: str = "snapshot",
     ) -> "EnumerationCursor":
-        """Read a JSON checkpoint written by :meth:`save` and resume it."""
-        with open(path) as handle:
-            return cls.resume(
-                json.load(handle), cache=cache, job=job, resume_mode=resume_mode
-            )
+        """Read a JSON checkpoint written by :meth:`save` and resume it.
 
-    # ------------------------------------------------------------------
-    def _open_stream(self) -> Iterator[Tuple[str, Any]]:
-        """Pairs from ``self.offset`` on.
-
-        A complete cached result replays with no enumeration.  Otherwise
-        the snapshot thaws at the offset (O(state)), or the cached prefix
-        replays and a live segment fast-forwards past it.
+        A file that is not JSON (torn, truncated, not UTF-8) raises
+        :class:`InvalidInstanceError`.
         """
-        start, limit = self.offset, self.job.limit
-        lines: Tuple[str, ...] = ()
-        structures: Optional[Tuple[Any, ...]] = None
-        complete = False
-        if self.cache is not None:
-            stored = self.cache.prefix(self.job)
-            if stored is not None:
-                lines, structures, complete = (
-                    stored.lines,
-                    stored.structures,
-                    stored.exhausted,
-                )
-        snapshot = self._snapshot_blob if self.resume_mode == "snapshot" else None
-        if snapshot is not None and not complete:
-            lines = lines[:start]  # the snapshot continues from `start`
-
-        def structure_at(i: int) -> Any:
-            return structures[i] if structures is not None else None
-
-        def known(position: int, line: str, structure: Any) -> None:
-            # Positions below `start` are the delivered prefix: remember
-            # them for later checkpoints and check the digest once whole.
-            if position < start and position == len(self._known_lines):
-                self._known_lines.append(line)
-                self._known_structures.append(structure)
-                if position + 1 == start and self._expected_digest is not None:
-                    if prefix_digest(self._known_lines) != self._expected_digest:
-                        raise InvalidInstanceError(
-                            "cursor checkpoint does not match this job's "
-                            "solution stream"
-                        )
-
-        def stream() -> Iterator[Tuple[str, Any]]:
-            for i in range(min(start, len(lines))):
-                known(i, lines[i], structure_at(i))
-            end = len(lines) if limit is None else min(limit, len(lines))
-            for i in range(start, end):
-                yield lines[i], structure_at(i)
-            position = max(start, end)
-            if limit is not None and position >= limit:
-                self.stop_reason = "limit"
-                return
-            if complete:
-                if start > len(lines):
-                    raise InvalidInstanceError(
-                        "cursor checkpoint offset exceeds the job's solution stream"
-                    )
-                return
-            segment = Segment(
-                self.job,
-                position,
-                snapshot if position == start else None,
-                on_skip=known,
-            )
-            self._segment = segment
-            yield from segment
-            self.stop_reason = segment.stop_reason
-
-        return stream()
+        try:
+            with open(path) as handle:
+                state = json.load(handle)
+        except ValueError as exc:
+            raise InvalidInstanceError(
+                f"unreadable cursor checkpoint {path!r}: {exc}"
+            ) from exc
+        return cls.resume(state, cache=cache, job=job, resume_mode=resume_mode)
 
     # ------------------------------------------------------------------
-    def _current_snapshot(self) -> Optional[bytes]:
-        """The search-state blob for :meth:`checkpoint`, if sound."""
-        segment = self._segment
-        if segment is not None and not segment.clean:
-            return None  # a budget abort left the machine mid-step
-        blob = segment.snapshot() if segment is not None else None
-        if blob is None and self.offset == self._initial_offset:
-            # A resumed cursor that has not advanced (or has replayed
-            # only cached lines) re-issues the snapshot it was resumed
-            # with, so checkpoint-of-a-checkpoint chains stay O(state).
-            blob = self._snapshot_blob
-        return blob
-
-    def _prefix_digest(self) -> Optional[str]:
-        if self.offset and self.offset == len(self._known_lines):
-            return prefix_digest(self._known_lines)
-        if self.offset == self._initial_offset:
-            # A resumed cursor that has not advanced re-issues the digest
-            # it was resumed with, so tamper detection survives
-            # checkpoint-of-a-checkpoint chains.
-            return self._expected_digest
-        return None  # prefix not fully known (resumed without cache/digest)
-
-    def _store_prefix(self) -> None:
-        if self.cache is None or not self._known_lines:
+    def _stream(self) -> Iterator[Tuple[str, Any]]:
+        """Pairs from the resume position on: the planned replay, then
+        the live leg as one strict :class:`Segment`."""
+        ledger = self.ledger
+        plan = ledger.plan()
+        for i in range(ledger.start, plan.replay_to):
+            yield ledger.lines[i], ledger.structures[i]
+        if plan.live_from is None:
             return
-        if self.offset != len(self._known_lines):
-            return  # holes in the prefix: nothing sound to store
-        structures: Optional[Tuple[Any, ...]] = tuple(self._known_structures)
-        if any(s is None for s in structures):
-            structures = None
-        complete = self.exhausted and self.stop_reason is None
-        # The delivered lines are the stream's first `offset` solutions —
-        # a sound prefix to cache no matter *why* the cursor stopped
-        # (store() would reject a raw deadline/budget stop_reason, but a
-        # prefix at a known offset is deterministic content).
-        result = JobResult(
-            job_id=self.job.job_id,
-            kind=self.job.kind,
-            lines=tuple(self._known_lines),
-            exhausted=complete,
-            stop_reason=None if complete else "limit",
-            elapsed=0.0,
-            ops=self._segment.meter.count if self._segment is not None else 0,
-            structures=structures,
-        )
-        self.cache.store(self.job, result)
+        snapshot = plan.snapshot if self.resume_mode == "snapshot" else None
+        segment = Segment(self.job, plan.live_from, snapshot, on_skip=ledger.skip)
+        self._segment = segment
+        ledger.live = True
+        yield from segment
+        ledger.exhausted, ledger.stop_reason = segment.exhausted, segment.stop_reason

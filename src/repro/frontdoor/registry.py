@@ -18,6 +18,9 @@ Layout under ``root`` (all writes atomic; ``root=None`` = memory only)::
 
 Use counts drive the server's cache warming: the most-queried datasets
 get their data graphs (and last compiled queries) rebuilt at startup.
+They are counted in memory and reach ``usage.json`` at most every
+:data:`USAGE_FLUSH_SECONDS`, on :meth:`DatasetRegistry.remove`, and on
+:meth:`DatasetRegistry.flush` (which a stopping server calls).
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from repro.exceptions import ReproError
 from repro.jsonfile import read_json, write_atomic
 
 _SCHEMA = 1
+#: Seconds between ``usage.json`` rewrites while queries are counted.
+USAGE_FLUSH_SECONDS = 1.0
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
@@ -150,6 +155,8 @@ class DatasetRegistry:
         self._instances: Dict[str, Tuple[tuple, tuple]] = {}
         self._uses: Dict[str, int] = {}
         self._last_keywords: Dict[str, List[str]] = {}
+        self._usage_written = float("-inf")  # monotonic time of the last write
+        self._usage_dirty = False  # counts changed since that write
         self._load()
 
     # ------------------------------------------------------------------
@@ -192,6 +199,7 @@ class DatasetRegistry:
             }
 
     def _persist_usage(self) -> None:
+        self._usage_dirty = False
         if self.root is None:
             return
         write_atomic(
@@ -202,6 +210,13 @@ class DatasetRegistry:
                 "keywords": self._last_keywords,
             },
         )
+        self._usage_written = time.monotonic()
+
+    def flush(self) -> None:
+        """Write the use counts to ``usage.json`` if they changed."""
+        with self._lock:
+            if self._usage_dirty:
+                self._persist_usage()
 
     # ------------------------------------------------------------------
     # registration
@@ -346,12 +361,18 @@ class DatasetRegistry:
     # usage + warming hints
     # ------------------------------------------------------------------
     def record_use(self, name: str, keywords: Sequence[str] = ()) -> None:
-        """Count one query against ``name`` (drives cache warming)."""
+        """Count one query against ``name`` (drives cache warming).
+
+        The count is written at most every :data:`USAGE_FLUSH_SECONDS`;
+        :meth:`flush` writes the rest.
+        """
         with self._lock:
             self._uses[name] = self._uses.get(name, 0) + 1
             if keywords:
                 self._last_keywords[name] = list(keywords)
-            self._persist_usage()
+            self._usage_dirty = True
+            if time.monotonic() - self._usage_written >= USAGE_FLUSH_SECONDS:
+                self._persist_usage()
 
     def popular(self, k: int) -> List[str]:
         """The ``k`` most-used dataset names (most queried first)."""

@@ -19,11 +19,13 @@ from typing import Any, Dict, Optional
 def write_atomic(path: str, payload: Dict[str, Any]) -> None:
     """Write ``payload`` to ``path`` as sorted-key JSON plus a newline.
 
-    Creates the parent directory on demand; the file is replaced in one
-    step, so concurrent readers never see a partial document.
+    Creates the parent directory on demand (a bare file name lands in
+    the working directory); the file is replaced in one step, so
+    concurrent readers never see a partial document.
     """
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             # json.dumps, not json.dump: only the one-shot form uses the

@@ -31,7 +31,10 @@ the engine's relabeled normal form, and everything the dataset registry
 serves) are eligible; ``publish`` returns ``None`` for anything else
 and the caller falls back to the inline payload.  Each worker keeps a
 per-process digest-keyed cache of decoded edge tuples, so a long-lived
-worker pays the decode once per dataset, not per stream.
+worker pays the decode once per dataset, not per stream.  The cache is
+an LRU of :data:`DECODED_MAX` instances; spool files are never deleted
+here, because other workers and fleet replicas sharing the store
+directory may still map them.
 """
 
 from __future__ import annotations
@@ -42,14 +45,18 @@ import mmap
 import os
 import struct
 import tempfile
+from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 _MAGIC = b"REPROAR1"
 _HEADER = struct.Struct("<QQ")
 _INT32_MAX = 2**31 - 1
 
+#: Decoded instances a process keeps; the least recently used goes first.
+DECODED_MAX = 32
+
 #: Per-process decode cache: digest -> (edges tuple, vertices tuple).
-_DECODED: Dict[str, Tuple[tuple, tuple]] = {}
+_DECODED: "OrderedDict[str, Tuple[tuple, tuple]]" = OrderedDict()
 
 #: Instances whose ref an arena remembers (``InstanceArena.ref``).
 REF_MEMO = 16
@@ -140,13 +147,15 @@ class InstanceArena:
 def load(ref: Dict[str, Any]) -> Tuple[tuple, tuple]:
     """Decode an arena ref into ``(edges, vertices)`` tuples.
 
-    The file is mapped read-only; decoded tuples are cached per process
-    by digest.  Raises ``ValueError`` on a torn or mismatched spool
-    (the worker surfaces that as a stream error, not a crash).
+    The file is mapped read-only; the last :data:`DECODED_MAX` decoded
+    tuples are cached per process by digest.  Raises ``ValueError`` on a
+    torn or mismatched spool (the worker surfaces that as a stream
+    error, not a crash).
     """
     digest = ref["digest"]
     cached = _DECODED.get(digest)
     if cached is not None:
+        _DECODED.move_to_end(digest)
         return cached
     m = int(ref["edges"])
     k = int(ref["vertices"])
@@ -181,6 +190,8 @@ def load(ref: Dict[str, Any]) -> Tuple[tuple, tuple]:
     vertices = tuple(flat[2 * m :])
     decoded = (edges, vertices)
     _DECODED[digest] = decoded
+    while len(_DECODED) > DECODED_MAX:
+        _DECODED.popitem(last=False)
     return decoded
 
 

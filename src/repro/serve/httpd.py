@@ -221,7 +221,7 @@ class FrontDoor:
 
     async def stop(self) -> None:
         """Close the listener, drain in-flight connections, run the
-        tier's stop steps."""
+        tier's stop steps and write the datasets' pending use counts."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -232,6 +232,7 @@ class FrontDoor:
             # torn down with the tier.
             await asyncio.wait(set(self._conn_tasks), timeout=10)
         await self._close()
+        self.registry.flush()  # the use counts not yet written
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None

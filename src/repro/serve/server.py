@@ -47,13 +47,13 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.capabilities import capability_matrix
 from repro.engine.cache import InstanceCache
-from repro.engine.cursor import checkpoint_record, prefix_digest, read_checkpoint
-from repro.engine.jobs import EnumerationJob, JobResult
+from repro.engine.cursor import StreamLedger, StreamPlan, read_checkpoint
+from repro.engine.jobs import EnumerationJob
 from repro.engine.suspend import snapshot_usable
 from repro.exceptions import CursorStateError, InvalidInstanceError, ReproError
 from repro.frontdoor.answers import AnswerEngine, AnswerTimeout
@@ -96,35 +96,12 @@ class ServerStats:
 
 @dataclass
 class _StreamState:
-    """Bookkeeping for one in-flight enumeration stream."""
+    """One in-flight stream: its ledger plus what serving it needs."""
 
-    job: EnumerationJob
-    offset: int  # resume position (solutions already delivered historically)
+    ledger: StreamLedger  # replay, known prefix, store-back, checkpoints
     stream_id: Optional[str]
-    total: int = 0  # stream position reached (offset + delivered this time)
-    known_lines: List[str] = field(default_factory=list)  # prefix [0, len) when contiguous
-    known_structures: List[Any] = field(default_factory=list)
-    contiguous: bool = True  # known_lines covers [0, total) with no holes
-    exhausted: bool = False
-    stop_reason: Optional[str] = None
-    cached: bool = True  # flips False once a worker enumerates
-    resume_snapshot: Optional[bytes] = None  # thawed from the checkpoint
-    last_snapshot: Optional[bytes] = None  # freshest worker search state
-    last_snapshot_pos: int = -1  # absolute stream position of last_snapshot
     priority: int = 0  # tenant tier priority for worker-slot scheduling
     compute_seconds: float = 0.0  # accumulated worker-busy time (quota charge)
-
-    def checkpoint(self, digest: Optional[str] = None) -> Dict[str, Any]:
-        """The cursor record at ``total``, embedding the search state
-        frozen at exactly that position when one is known."""
-        snapshot = None
-        if self.last_snapshot is not None and self.last_snapshot_pos == self.total:
-            snapshot = self.last_snapshot
-        elif self.resume_snapshot is not None and self.total == self.offset:
-            # No live progress this round: re-issue the inherited
-            # snapshot so checkpoint chains stay O(state).
-            snapshot = self.resume_snapshot
-        return checkpoint_record(self.job, self.total, digest, snapshot)
 
 
 def _json_object(body: bytes) -> Dict[str, Any]:
@@ -436,27 +413,38 @@ class EnumerationServer(FrontDoor):
             return dataclasses.replace(job, deadline=cap)
         return job
 
-    def _resolve_resume(
-        self, job: EnumerationJob, stream_id: Optional[str]
-    ) -> Tuple[int, bool, Optional[bytes]]:
-        """Load the checkpointed offset and search-state snapshot for
-        ``stream_id`` — ``(0, False, None)`` when fresh.  The record is
-        validated by :func:`repro.engine.cursor.read_checkpoint`: a
-        malformed one raises :class:`InvalidInstanceError`, one taken
-        for a different job :class:`CursorStateError`."""
-        if stream_id is None or self.store is None:
-            return 0, False, None
-        record = self.store.load_cursor(stream_id)
-        if record is None:
-            return 0, False, None
-        checkpoint = read_checkpoint(record, job)
-        snapshot = checkpoint.snapshot
-        if snapshot is not None and not snapshot_usable(snapshot, job):
-            # Damaged or cross-version: drop it here (header check only)
-            # so the worker fast-forwards and the next checkpoint does
-            # not re-issue it.
-            snapshot = None
-        return checkpoint.offset, True, snapshot
+    def _resume(
+        self, job: EnumerationJob, stream_id: Optional[str], offset: Optional[int]
+    ) -> Tuple[StreamLedger, StreamPlan, bool]:
+        """The ledger and plan of a stream resumed from ``stream_id``'s
+        checkpoint (fresh without one), and whether it counts as resumed.
+
+        An explicit ``offset`` wins over the checkpoint's: the client
+        knows exactly what it consumed (the server checkpoint can run
+        ahead by in-flight bytes the client never read).  The worker
+        reconciles the checkpoint's snapshot with it, and the
+        checkpoint's digest stays behind unless it was taken there.  The
+        record is validated by :func:`repro.engine.cursor.read_checkpoint`:
+        a malformed one raises :class:`InvalidInstanceError`, one taken
+        for a different job :class:`CursorStateError`.
+        """
+        record = None
+        if stream_id is not None and self.store is not None:
+            record = self.store.load_cursor(stream_id)
+        position, snapshot, digest = 0, None, None
+        if record is not None:
+            checkpoint = read_checkpoint(record, job)
+            position, digest = checkpoint.offset, checkpoint.digest
+            snapshot = checkpoint.snapshot
+            if snapshot is not None and not snapshot_usable(snapshot, job):
+                # Damaged or cross-version: drop it here (header check
+                # only) so the worker fast-forwards and the next
+                # checkpoint does not re-issue it.
+                snapshot = None
+        if offset is not None and offset != position:
+            position, digest = offset, None
+        ledger = StreamLedger(job, self.tier, position, snapshot, digest)
+        return ledger, ledger.plan(), record is not None or position > 0
 
     async def _enumerate(self, request: Request) -> int:
         writer, tenant = request.writer, request.tenant
@@ -469,9 +457,7 @@ class EnumerationServer(FrontDoor):
             job = EnumerationJob.from_dict(spec)
             job = self._apply_deadline_cap(job)
             try:
-                offset, resumed, resume_snapshot = self._resolve_resume(
-                    job, stream_id
-                )
+                ledger, plan, resumed = self._resume(job, stream_id, explicit_offset)
             except (InvalidInstanceError, CursorStateError):
                 if explicit_offset is None:
                     raise
@@ -482,15 +468,7 @@ class EnumerationServer(FrontDoor):
                 # which is what makes store corruption survivable.
                 self.stats.degraded_resumes += 1
                 self.metrics.inc("degraded_resumes")
-                offset, resumed, resume_snapshot = 0, False, None
-            if explicit_offset is not None:
-                # The client knows exactly what it consumed (the server
-                # checkpoint can run ahead by in-flight bytes the client
-                # never read), so an explicit offset wins.  The worker
-                # reconciles the snapshot with the override (it restarts
-                # when the snapshot is past the requested position).
-                offset = explicit_offset
-                resumed = resumed or explicit_offset > 0
+                ledger, plan, resumed = self._resume(job, None, explicit_offset)
         except (InvalidInstanceError, ReproError) as exc:
             self.stats.errors += 1
             return await refuse(writer, 400, str(exc))
@@ -502,18 +480,13 @@ class EnumerationServer(FrontDoor):
             self.stats.resumed += 1
         chunk = chunk_override or self.chunk
         state = _StreamState(
-            job=job,
-            offset=offset,
-            stream_id=stream_id,
-            total=offset,
-            resume_snapshot=resume_snapshot,
-            priority=tenant.priority if tenant is not None else 0,
+            ledger, stream_id, priority=tenant.priority if tenant is not None else 0
         )
 
         writer.write(response_head(200, "application/x-ndjson"))
         try:
             try:
-                await self._run_stream(state, chunk, writer)
+                await self._run_stream(state, plan, chunk, writer)
             except Disconnect:
                 self.stats.cancelled += 1
                 self._finish_stream(state)  # checkpoint what was delivered
@@ -542,81 +515,39 @@ class EnumerationServer(FrontDoor):
             # slow-reading client must not eat the tenant's quota.
             await self.record_usage(
                 tenant,
-                solutions=max(0, state.total - state.offset),
+                solutions=max(0, ledger.position - ledger.start),
                 compute_seconds=state.compute_seconds,
             )
 
-    async def _run_stream(self, state: _StreamState, chunk: int, writer) -> None:
-        job = state.job
-        cap = job.limit  # total stream length bound
-
-        async def accepted(source: str) -> None:
-            await self._write_event(
-                writer,
-                {
-                    "event": "accepted",
-                    "id": job.job_id,
-                    "kind": job.kind,
-                    "offset": state.offset,
-                    "source": source,
-                },
+    async def _run_stream(
+        self, state: _StreamState, plan: StreamPlan, chunk: int, writer
+    ) -> None:
+        ledger = state.ledger
+        job = ledger.job
+        await self._write_event(
+            writer,
+            {
+                "event": "accepted",
+                "id": job.job_id,
+                "kind": job.kind,
+                "offset": ledger.start,
+                "source": plan.source,
+            },
+        )
+        # Replays have no worker pacing to respect; batch writes harder
+        # (drain() still applies socket backpressure per batch).
+        step = max(chunk, 256)
+        for start in range(ledger.start, plan.replay_to, step):
+            stop = min(start + step, plan.replay_to)
+            await self._emit(
+                writer, ledger, ledger.lines[start:stop], ledger.structures[start:stop]
             )
-
-        if cap is not None and state.offset >= cap:
-            # The checkpointed stream already reached this job's limit.
-            await accepted("replay")
-            state.stop_reason = "limit"
-            await self._write_end(writer, state)
-            return
-        # -- tier 1: a complete stored result replays without a worker --
-        full = self.tier.lookup(job)
-        if full is not None:
+        if plan.live_from is None:
             self.stats.replays += 1
-            await accepted("replay")
-            await self._replay_lines(writer, state, full.lines, full.structures, chunk)
-            state.exhausted = full.exhausted
-            state.stop_reason = full.stop_reason
-            self._finish_stream(state)
-            await self._write_end(writer, state)
-            return
-        # -- tier 2: a stored exact-instance prefix replays, then a
-        #    worker continues past it ------------------------------------
-        pref = self.tier.prefix(job)
-        pref_lines: Tuple[str, ...] = pref.lines if pref is not None else ()
-        pref_structures = pref.structures if pref is not None else None
-        if pref_lines:
-            state.known_lines.extend(pref_lines)
-            if pref_structures is not None and len(pref_structures) == len(pref_lines):
-                state.known_structures.extend(pref_structures)
-            else:
-                state.known_structures.extend([None] * len(pref_lines))
-        replay_upto = len(pref_lines)
-        if cap is not None:
-            replay_upto = min(replay_upto, cap)
-        replayed = replay_upto > state.offset
-        live_start = max(state.offset, replay_upto)
-        limit_hit_by_replay = cap is not None and replay_upto >= cap
-        live_needed = not limit_hit_by_replay
-        if replayed:
-            await accepted("partial-replay" if live_needed else "replay")
-            visible = [(i, pref_lines[i]) for i in range(state.offset, replay_upto)]
-            await self._emit_solutions(writer, state, visible)
         else:
-            await accepted("live")
-        if not live_needed:
-            self.stats.replays += 1
-            state.exhausted = False
-            state.stop_reason = "limit"
-            self._finish_stream(state)
-            await self._write_end(writer, state)
-            return
-        if state.offset > len(pref_lines):
-            # Resuming past what the store knows: the worker fast-forwards
-            # and the prefix [len(pref_lines), offset) stays unknown.
-            state.contiguous = False
-        state.cached = False
-        self.stats.live_runs += 1
-        await self._stream_live(writer, state, live_start, chunk)
+            ledger.live = True
+            self.stats.live_runs += 1
+            await self._stream_live(writer, state, plan, chunk)
         self._finish_stream(state)
         await self._write_end(writer, state)
 
@@ -632,43 +563,23 @@ class EnumerationServer(FrontDoor):
         except (ConnectionError, OSError) as exc:
             raise Disconnect from exc
 
-    async def _emit_solutions(self, writer, state: _StreamState, positioned) -> None:
-        """Write ``(position, line)`` events and advance the stream total."""
-        if not positioned:
-            return
+    async def _emit(self, writer, ledger: StreamLedger, lines, structures) -> None:
+        """Write the solution events at the ledger's position and deliver them."""
         if writer.is_closing():
             raise Disconnect
         out = bytearray()
-        for position, line in positioned:
-            out += encode_event({"event": "solution", "seq": position, "line": line})
-            state.total = position + 1
-            self.stats.solutions += 1
+        for seq, line in enumerate(lines, ledger.position):
+            out += encode_event({"event": "solution", "seq": seq, "line": line})
+        ledger.deliver(lines, structures)
+        self.stats.solutions += len(lines)
         writer.write(bytes(out))
         try:
             await writer.drain()
         except (ConnectionError, OSError) as exc:
             raise Disconnect from exc
 
-    async def _replay_lines(
-        self, writer, state: _StreamState, lines, structures, chunk: int
-    ) -> None:
-        state.known_lines = list(lines)
-        if structures is not None and len(structures) == len(lines):
-            state.known_structures = list(structures)
-        else:
-            state.known_structures = [None] * len(lines)
-        # Replays have no worker pacing to respect; batch writes harder
-        # (drain() still applies socket backpressure per batch).
-        step = max(chunk, 256)
-        for start in range(state.offset, len(lines), step):
-            batch = [
-                (i, lines[i]) for i in range(start, min(start + step, len(lines)))
-            ]
-            await self._emit_solutions(writer, state, batch)
-        state.total = max(state.total, len(lines))
-
     async def _stream_live(
-        self, writer, state: _StreamState, live_start: int, chunk: int
+        self, writer, state: _StreamState, plan: StreamPlan, chunk: int
     ) -> None:
         """Drive one worker stream; crashed workers are replaced in place.
 
@@ -690,12 +601,14 @@ class EnumerationServer(FrontDoor):
         assert self._pool is not None and self._gate is not None
         assert self._executor is not None
         loop = asyncio.get_running_loop()
-        position = live_start
+        ledger = state.ledger
+        position = plan.live_from
+        assert position is not None
         cadence = self.checkpoint_every
         if state.stream_id is None or self.store is None:
             cadence = None  # nowhere (or no identity) to checkpoint under
         next_checkpoint = position + cadence if cadence is not None else None
-        snapshot = state.resume_snapshot
+        snapshot = freshest = plan.snapshot
         replacements = 0
         async with self._gate.slot(state.priority):
             while True:  # one iteration per worker (original + replacements)
@@ -703,31 +616,22 @@ class EnumerationServer(FrontDoor):
                 busy: Optional[float] = None  # the worker's last report
                 waited = 0.0
                 try:
-                    handle.start_stream(state.job, position, chunk, snapshot)
+                    handle.start_stream(ledger.job, position, chunk, snapshot)
                     while True:
                         recv_started = time.perf_counter()
                         msg = await loop.run_in_executor(self._executor, handle.recv)
                         waited += time.perf_counter() - recv_started
                         if msg[0] == "chunk":
                             lines, structures, snap, busy = msg[1:]
-                            batch = []
-                            for line, structure in zip(lines, structures):
-                                if state.contiguous and position == len(
-                                    state.known_lines
-                                ):
-                                    state.known_lines.append(line)
-                                    state.known_structures.append(structure)
-                                batch.append((position, line))
-                                position += 1
+                            # Known and frozen now, even if the client
+                            # disconnects mid-write below.
+                            ledger.know(position, lines, structures)
+                            position += len(lines)
+                            ledger.freeze(snap, position)
                             if snap is not None:
-                                # Freeze now: the snapshot matches the
-                                # post-batch position, which is what
-                                # state.total becomes even if the client
-                                # disconnects mid-write below.
-                                state.last_snapshot = snap
-                                state.last_snapshot_pos = position
+                                freshest = snap
                             try:
-                                await self._emit_solutions(writer, state, batch)
+                                await self._emit(writer, ledger, lines, structures)
                             except Disconnect:
                                 handle.cancel()
                                 meta = await loop.run_in_executor(
@@ -751,12 +655,9 @@ class EnumerationServer(FrontDoor):
                             busy = meta["busy"]
                             if meta.get("error"):
                                 raise WorkerDied(meta["error"])
-                            state.exhausted = bool(meta.get("exhausted"))
-                            state.stop_reason = meta.get("stop_reason")
-                            snap = meta.get("snapshot")
-                            if snap is not None:
-                                state.last_snapshot = snap
-                                state.last_snapshot_pos = position
+                            ledger.exhausted = bool(meta.get("exhausted"))
+                            ledger.stop_reason = meta.get("stop_reason")
+                            ledger.freeze(meta.get("snapshot"), position)
                             return
                 except WorkerDied:
                     if handle.alive or replacements >= 2:
@@ -768,10 +669,7 @@ class EnumerationServer(FrontDoor):
                     # Retry on a fresh worker from the freshest snapshot
                     # held; it thaws one behind `position` and
                     # fast-forwards the gap.
-                    if state.last_snapshot is not None:
-                        snapshot = state.last_snapshot
-                    else:
-                        snapshot = state.resume_snapshot
+                    snapshot = freshest
                     continue
                 finally:
                     state.compute_seconds += waited if busy is None else busy
@@ -783,15 +681,15 @@ class EnumerationServer(FrontDoor):
     async def _checkpoint_midstream(self, state: _StreamState) -> None:
         """Persist a cursor at the current chunk boundary (off the loop).
 
-        Cheap on purpose — no prefix digest, no tier store, just the
-        job + offset (+ the search snapshot frozen at exactly this
-        boundary), which is everything a surviving replica needs to
-        thaw the stream after this process is SIGKILLed mid-stream.
-        The payload is captured synchronously; only the atomic disk
-        write runs in the executor.
+        Cheap on purpose — no tier store, and the ledger hashes each
+        line once — just the job + offset + prefix digest (+ the search
+        snapshot frozen at exactly this boundary), which is everything a
+        surviving replica needs to thaw the stream after this process is
+        SIGKILLed mid-stream.  The payload is captured synchronously;
+        only the atomic disk write runs in the executor.
         """
         assert self.store is not None and state.stream_id is not None
-        store, stream_id, record = self.store, state.stream_id, state.checkpoint()
+        store, stream_id, record = self.store, state.stream_id, state.ledger.record()
         await self.offload(store.save_cursor, stream_id, record)
         self.stats.checkpoints += 1
 
@@ -799,45 +697,27 @@ class EnumerationServer(FrontDoor):
     # completion: persist results + checkpoints
     # ------------------------------------------------------------------
     def _finish_stream(self, state: _StreamState) -> None:
-        """Store the known prefix and update the stream's checkpoint."""
-        job = state.job
-        known = len(state.known_lines)
-        if state.contiguous and known and not state.cached:
-            complete = state.exhausted and known >= state.total
-            structures: Optional[Tuple[Any, ...]] = tuple(state.known_structures)
-            if any(s is None for s in structures):
-                structures = None
-            result = JobResult(
-                job_id=job.job_id,
-                kind=job.kind,
-                lines=tuple(state.known_lines),
-                exhausted=complete,
-                stop_reason=None if complete else "limit",
-                elapsed=0.0,
-                ops=0,
-                structures=structures,
-            )
-            self.tier.store(job, result)
+        """Store the known prefix back and update the stream's checkpoint."""
+        ledger = state.ledger
+        ledger.store_back()
         if state.stream_id is None or self.store is None:
             return
-        if state.exhausted:
+        if ledger.exhausted:
             self.store.drop_cursor(state.stream_id)
-            return
-        digest: Optional[str] = None
-        if state.contiguous and known >= state.total:
-            digest = prefix_digest(state.known_lines[: state.total])
-        self.store.save_cursor(state.stream_id, state.checkpoint(digest))
+        else:
+            self.store.save_cursor(state.stream_id, ledger.record())
 
     async def _write_end(self, writer, state: _StreamState) -> None:
+        ledger = state.ledger
         await self._write_event(
             writer,
             {
                 "event": "end",
-                "count": state.total - state.offset,
-                "total": state.total,
-                "exhausted": state.exhausted,
-                "stop_reason": state.stop_reason,
-                "cached": state.cached,
+                "count": ledger.position - ledger.start,
+                "total": ledger.position,
+                "exhausted": ledger.exhausted,
+                "stop_reason": ledger.stop_reason,
+                "cached": not ledger.live,
                 # Worker-busy time for this stream: the fleet router
                 # reads this to charge the owning tenant fleet-wide.
                 "compute_seconds": round(state.compute_seconds, 6),

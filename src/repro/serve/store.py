@@ -151,12 +151,15 @@ class ResultStore:
         Like :meth:`InstanceCache.prefix`: serves incomplete entries and
         never truncates to the job's ``limit``; relabeled donors are
         skipped because their stream order is a permutation of this
-        job's.
+        job's; a complete stream comes back as its stored lines.
         """
         key, order = self.key_of(job)
         record = self._read_entry(key)
         if record is None or record["fingerprint"] != job_fingerprint(job):
             return None
+        if record["exhausted"] and record.get("lines") is not None:
+            lines = tuple(record["lines"])
+            return entry_result(job, lines, False, True, None, apply_limit=False)
         payload = _payload_from_json(job.kind, record["payload"], record["canonical"])
         return entry_result(
             job, payload, record["canonical"], record["exhausted"], order,

@@ -34,6 +34,21 @@ def test_publish_load_round_trip(tmp_path):
     assert arena.load(ref)[0] is edges
 
 
+def test_decode_cache_keeps_the_last_decoded_max(tmp_path):
+    """A long-lived worker keeps a bounded number of decoded instances;
+    an evicted one decodes again from its spool, which stays on disk."""
+    inst = InstanceArena(str(tmp_path))
+    refs = [inst.publish([(0, 1), (1, i + 2)]) for i in range(200)]
+    decoded = [arena.load(ref) for ref in refs]
+    assert len(arena._DECODED) <= arena.DECODED_MAX
+    first = refs[0]
+    assert first["digest"] not in arena._DECODED  # evicted, least recent
+    assert os.path.exists(first["path"])
+    again = arena.load(first)
+    assert again == decoded[0] and again is not decoded[0]
+    assert arena.load(refs[-1]) is decoded[-1]  # still cached: same object
+
+
 def test_publish_dedupes_by_digest(tmp_path):
     inst = InstanceArena(str(tmp_path))
     first = inst.publish(EDGES)

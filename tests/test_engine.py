@@ -707,6 +707,38 @@ class TestService:
             stored = sorted(p.name for p in (spill / "entries").iterdir())
             assert stored and all(name.endswith(".json") for name in stored)
 
+    def test_cli_batch_torn_checkpoint_stops_with_the_job_not_a_traceback(
+        self, tmp_path, monkeypatch
+    ):
+        """A truncated ``--checkpoints`` file ends the next run with the
+        job's id and the reason; checkpoints are written atomically, in
+        the same bytes as before, also under a bare file name."""
+        from repro.cli import main
+        from repro.jsonfile import write_atomic
+
+        path = tmp_path / "jobs.jsonl"
+        path.write_text(
+            json.dumps(
+                {"kind": "steiner-tree", "id": "j1", "limit": 1,
+                 "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+                 "terminals": ["a", "c"]}
+            )
+            + "\n"
+        )
+        argv = ["batch", str(path), "--checkpoints", str(tmp_path / "ck"), "--text"]
+        assert main(argv, out=io.StringIO()) == 0
+        (saved,) = (tmp_path / "ck").iterdir()
+        text = saved.read_text()
+        record = json.loads(text)
+        assert text == json.dumps(record, sort_keys=True) + "\n"
+        saved.write_text(text[: len(text) // 2])
+        with pytest.raises(SystemExit) as stopped:
+            main(argv, out=io.StringIO())
+        assert str(stopped.value).startswith("job 'j1': unreadable cursor checkpoint")
+        monkeypatch.chdir(tmp_path)
+        write_atomic("bare.json", record)
+        assert (tmp_path / "bare.json").read_text() == text
+
     def test_cli_batch_text_mode(self, tmp_path):
         from repro.cli import main
 

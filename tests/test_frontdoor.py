@@ -38,6 +38,8 @@ NODE_KEYWORDS = [("a", ["alpha"]), ("c", ["beta"]), ("d", ["gamma"])]
 #: The same graph with every label shifted — isomorphic, not identical.
 RELABELED_EDGES = [(u.upper(), v.upper()) for u, v in EDGES]
 RELABELED_KEYWORDS = [(n.upper(), kws) for n, kws in NODE_KEYWORDS]
+#: A query naming the dataset registered as "demo".
+QUERY = {"kind": "steiner-tree", "dataset": "demo", "terminals": ["a", "c"]}
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +128,48 @@ class TestDatasetRegistry:
         reg.record_use("cold", ["gamma"])
         assert reg.popular(2) == ["hot", "cold"]
         assert reg.last_keywords("hot") == ["alpha", "beta"]
-        # popularity and last-keywords survive a reopen
+        # popularity and last-keywords survive a reopen once flushed
+        reg.flush()
         reopened = DatasetRegistry(str(tmp_path))
         assert reopened.popular(1) == ["hot"]
         assert reopened.last_keywords("hot") == ["alpha", "beta"]
+
+    def test_usage_is_written_at_most_once_per_interval(self, tmp_path, monkeypatch):
+        from repro.frontdoor import registry as registry_module
+
+        reg = DatasetRegistry(str(tmp_path))
+        reg.add("demo", EDGES)
+        usage = str(tmp_path / "usage.json")
+        writes = []
+        write_atomic = registry_module.write_atomic
+
+        def counting(path, payload):
+            writes.append(path)
+            write_atomic(path, payload)
+
+        monkeypatch.setattr(registry_module, "write_atomic", counting)
+        monkeypatch.setattr(registry_module, "USAGE_FLUSH_SECONDS", 3600.0)
+        for _ in range(200):
+            reg.resolve_spec(QUERY)
+        assert writes.count(usage) <= 1
+        reg.flush()
+        assert DatasetRegistry(str(tmp_path)).list()[0].uses == 200
+        reg.flush()  # nothing new: no write
+        assert writes.count(usage) <= 2
+        monkeypatch.setattr(registry_module, "USAGE_FLUSH_SECONDS", 0.0)
+        reg.record_use("demo")
+        assert DatasetRegistry(str(tmp_path)).list()[0].uses == 201
+
+    def test_a_stopped_server_leaves_its_use_counts_on_disk(self, tmp_path):
+        root = str(tmp_path / "datasets")
+        server = EnumerationServer(workers=1, registry=root)
+        server.registry.add("demo", EDGES)
+        with ServerThread(server) as thread:
+            client = ServeClient(port=thread.port)
+            for _ in range(5):
+                client.solutions(QUERY)
+        (record,) = DatasetRegistry(root).list()
+        assert record.uses == 5
 
 
 # ---------------------------------------------------------------------------

@@ -406,7 +406,7 @@ class TestRestartResume:
         import os
         import signal
 
-        from repro.engine.cursor import EnumerationCursor
+        from repro.engine.cursor import EnumerationCursor, read_checkpoint
         from repro.serve.store import ResultStore
         from repro.serve.workers import WorkerHandle
 
@@ -415,8 +415,9 @@ class TestRestartResume:
         full = run_job(job).lines
         cursor = EnumerationCursor(job)
         head = cursor.take(5)
-        ResultStore(store).save_cursor("thaw-1", cursor.checkpoint())
-        resume = cursor._current_snapshot()
+        record = cursor.checkpoint()
+        ResultStore(store).save_cursor("thaw-1", record)
+        resume = read_checkpoint(record).snapshot
         assert resume is not None
 
         dispatched = []
