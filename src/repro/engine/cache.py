@@ -27,9 +27,10 @@ relabeled copies agree on which tier they use.
 A graph that has no twins and refines to discrete without any roles has
 no non-trivial automorphism; its refinement order is then canonical by
 itself.  Such a graph's *base form* (that order plus the digest of the
-adjacency under it) is computed once per process, and a query on it
-keys as the base digest plus the query roles along the base order, in
-O(n) instead of a refinement and a certificate per query
+adjacency under it) is computed once per process, by the role-free
+search that keys a dataset's registration when it gets there first, and
+a query on it keys as the base digest plus the query roles along the
+base order, in O(n) instead of a refinement and a certificate per query
 (:func:`canonical_signature`).
 
 Cached solutions are stored as canonical-index structures and translated
@@ -78,12 +79,12 @@ class _CanonBudgetExceeded(Exception):
     pass
 
 
-#: Graphs whose vertex list, index, adjacency and base form the process
-#: keeps (the least recently used goes first); every query on a served
-#: graph reuses them.
+#: Graphs whose vertex list, index, adjacency and base form, and whose
+#: fingerprint instance repr, the process keeps (the least recently used
+#: goes first); every query on a served graph reuses them.
 _GRAPH_MEMO = 8
 
-#: Instances whose fingerprint prefix the process keeps.
+#: Kind-and-instance pairs whose fingerprint prefix the process keeps.
 _FINGERPRINT_MEMO = 16
 
 class _GraphForm:
@@ -139,7 +140,10 @@ class _GraphForm:
         with relabelling) and the digest of the adjacency under it.
         Twins keep one colour under every refinement, so the twin test
         skips, at the price of one sort per vertex, the graphs that
-        refinement could never make discrete.  Computed on first need.
+        refinement could never make discrete.  Computed on first need,
+        unless a role-free :func:`canonical_signature` (a dataset's
+        digest probe) refined the graph to discrete first and recorded
+        it.
         """
         n, out_adj, in_adj = len(self.vertices), self.out_adj, self.in_adj
         if _has_twins(n, out_adj, in_adj):
@@ -147,13 +151,19 @@ class _GraphForm:
         colors = _refine(n, out_adj, in_adj, [0] * n)
         if len(set(colors)) < n:
             return None
-        # Discrete dense colours are the canonical positions.
-        order = [0] * n
-        for v, position in enumerate(colors):
-            order[position] = v
-        return order, _digest(
-            ("base", self.directed, n, _edge_code(self.edge_pairs(), colors, self.directed))
+        return _base_form(
+            self.directed, colors, _edge_code(self.edge_pairs(), colors, self.directed)
         )
+
+
+def _base_form(directed: bool, colors: Sequence[int], code: tuple) -> Tuple[List[int], str]:
+    """The base form of a graph whose uniform refinement is the discrete
+    ``colors``, with ``code`` its edge code under them."""
+    # Discrete dense colours are the canonical positions.
+    order = [0] * len(colors)
+    for v, position in enumerate(colors):
+        order[position] = v
+    return order, _digest(("base", directed, len(colors), code))
 
 
 def _has_twins(
@@ -255,7 +265,9 @@ def canonical_signature(job: EnumerationJob) -> Optional[Tuple[List[Any], tuple]
     certificate is the base digest plus the role tokens along that
     order: such a graph has no non-trivial automorphism, so every
     isomorphism between two copies maps one base order onto the other.
-    Every other instance, role-free ones included, takes the search.
+    Every other instance, role-free ones included, takes the search; a
+    role-free one whose first refinement is discrete records the
+    graph's base form on the way.
     """
     if not kind_spec(job.kind).relabelable:
         return None
@@ -347,7 +359,19 @@ def canonical_signature(job: EnumerationJob) -> Optional[Tuple[List[Any], tuple]
             search(refine(branched))
 
     try:
-        search(refine(role_color))
+        colors = refine(role_color)
+    except _CanonBudgetExceeded:
+        return None
+    if not roles and len(set(colors)) == n:
+        # The uniform refinement is discrete, so the graph has no twins
+        # and this is its base form: record it for the queries to come,
+        # with the one edge code the certificate and the digest share.
+        code = _edge_code(edge_pairs, colors, directed)
+        form.base = base = _base_form(directed, colors, code)
+        order = base[0]
+        return [vertices[v] for v in order], (tuple(tokens[v] for v in order), code)
+    try:
+        search(colors)
     except _CanonBudgetExceeded:
         return None
     assert best[0] is not None
@@ -359,11 +383,22 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=_GRAPH_MEMO)
+def instance_repr(edges, vertices) -> bytes:
+    """The instance part of a fingerprint's repr, encoded; one per graph
+    (a dense graph's is ~110 KB), shared by every kind queried on it."""
+    return f"{edges!r}, {vertices!r}, ".encode()
+
+
+def _prefix(kind: str, instance: bytes):
+    return hashlib.sha256(f"('fp', {kind!r}, ".encode() + instance)
+
+
 @functools.lru_cache(maxsize=_FINGERPRINT_MEMO)
 def _fingerprint_prefix(kind: str, edges, vertices):
-    """SHA-256 state after the instance part of a fingerprint's repr
-    (callers copy it before adding the query part)."""
-    return hashlib.sha256(f"('fp', {kind!r}, {edges!r}, {vertices!r}, ".encode())
+    """SHA-256 state after the kind and instance part of a fingerprint's
+    repr (callers copy it before adding the query part)."""
+    return _prefix(kind, instance_repr(edges, vertices))
 
 
 def job_fingerprint(job: EnumerationJob) -> str:
@@ -394,7 +429,7 @@ def job_fingerprint(job: EnumerationJob) -> str:
         try:
             digest = _fingerprint_prefix(job.kind, job.edges, job.vertices).copy()
         except TypeError:  # an unhashable (unvalidated) job: no memo
-            digest = _fingerprint_prefix.__wrapped__(job.kind, job.edges, job.vertices)
+            digest = _prefix(job.kind, instance_repr.__wrapped__(job.edges, job.vertices))
         digest.update((", ".join(map(repr, query)) + ")").encode())
         fingerprint = digest.hexdigest()
         object.__setattr__(job, "_fingerprint", fingerprint)

@@ -33,6 +33,7 @@ raising, which is what a serving layer needs.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import (
@@ -100,18 +101,32 @@ class _BudgetMeter(CostMeter):
                 raise BudgetExceeded("deadline")
 
 
+#: Edge tuples :func:`_edge_pairs` kept as they were, by identity (each
+#: held, so its id is not reused); the oldest goes first.
+_ACCEPTED_MEMO = 8
+_accepted: Dict[int, tuple] = {}
+_accepted_lock = threading.Lock()
+
+
 def _edge_pairs(edges) -> Tuple[Tuple[Vertex, Vertex], ...]:
     """``edges`` as a tuple of pairs.
 
     A tuple of 2-tuples is kept as it is, so every job built on one
     shared instance (a dataset, an arena spool) shares one edges object
-    and the per-instance memos find it by identity.
+    and the per-instance memos find it by identity.  Such a shared tuple
+    is walked once: the last few accepted are recognised by identity.
     """
+    if _accepted.get(id(edges)) is edges:
+        return edges
     if (
         type(edges) is tuple
         and {*map(type, edges)} <= {tuple}
         and {*map(len, edges)} <= {2}
     ):
+        with _accepted_lock:
+            _accepted[id(edges)] = edges
+            while len(_accepted) > _ACCEPTED_MEMO:
+                del _accepted[next(iter(_accepted))]
         return edges
     return tuple((u, v) for u, v in edges)
 
@@ -317,7 +332,13 @@ class EnumerationJob:
     # validation / (de)serialization
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise :class:`InvalidInstanceError` on a malformed spec."""
+        """Raise :class:`InvalidInstanceError` on a malformed spec.
+
+        A job that passed is not checked again: the fields are frozen,
+        and the check hashes the whole instance.
+        """
+        if self.__dict__.get("_valid"):
+            return
         try:
             # Caches key on the job itself, so every field must hash; a
             # JSON array used as a vertex label would not.
@@ -354,6 +375,7 @@ class EnumerationJob:
         if self.shards < 1:
             raise InvalidInstanceError("shards must be >= 1")
         require_backend(self.kind, self.backend)
+        object.__setattr__(self, "_valid", True)
 
     def to_dict(self, instance: bool = True) -> Dict[str, Any]:
         """A JSON-ready dict; omits defaulted fields for compact job files.
@@ -477,6 +499,13 @@ class EnumerationJob:
                 labels.append(node)
         return labels
 
+    def index_pairs(self):
+        """``(labels, index_of, pairs)``: the :meth:`label_table`, its
+        inverse, and the edges over its indices in edge order."""
+        labels = self.label_table()
+        index_of = {v: i for i, v in enumerate(labels)}
+        return labels, index_of, [(index_of[u], index_of[v]) for u, v in self.edges]
+
     def instantiate_indexed(self):
         """The instance over integer vertex indices, plus the label table.
 
@@ -487,9 +516,7 @@ class EnumerationJob:
         are positional either way, so solutions translate back through
         the returned table.  Returns ``(instance, labels, index_of)``.
         """
-        labels = self.label_table()
-        index_of = {v: i for i, v in enumerate(labels)}
-        edges = [(index_of[u], index_of[v]) for u, v in self.edges]
+        labels, index_of, edges = self.index_pairs()
         if self.kind == "kfragments":
             from repro.datagraph.model import DataGraph
 

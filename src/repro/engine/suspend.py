@@ -52,7 +52,7 @@ from repro.engine.jobs import (
 )
 from repro.enumeration.events import SOLUTION
 from repro.exceptions import CursorStateError, InvalidInstanceError
-from repro.graphs.fastgraph import compile_undirected, resolve_backend
+from repro.graphs.fastgraph import FastGraph, resolve_backend
 from repro.paths.fastpaths import FastPathSearch, fast_st_path_search
 from repro.paths.read_tarjan import StPathSearch
 
@@ -220,7 +220,9 @@ def _kernel_key(job: EnumerationJob) -> Optional[tuple]:
 
 def _indexed_instance(job: EnumerationJob):
     """``job.instantiate_indexed()``, except that a shared kind gets its
-    graph's kernel from the memo, compiled on the first query."""
+    graph's kernel from the memo, compiled on the first query straight
+    from the index pairs (the kernel ``instantiate_indexed`` plus
+    compilation would give, without the object graph between)."""
     key = _kernel_key(job)
     if key is None:
         return job.instantiate_indexed()
@@ -229,8 +231,8 @@ def _indexed_instance(job: EnumerationJob):
     if entry is not None and entry[0].version == entry[1]:
         entries.move_to_end(key)
         return entry[0], entry[2], entry[3]
-    graph, labels, index_of = job.instantiate_indexed()
-    kernel = compile_undirected(graph)[0]
+    labels, index_of, pairs = job.index_pairs()
+    kernel = FastGraph.from_edges(pairs, range(len(labels)))
     entries[key] = (kernel, kernel.version, labels, index_of)
     while len(entries) > _KERNEL_MEMO:
         entries.popitem(last=False)

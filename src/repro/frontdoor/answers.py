@@ -6,8 +6,9 @@ and enough provenance to audit where each answer came from.
 :class:`AnswerEngine` produces it:
 
 * the named dataset is materialized into a :class:`DataGraph` once and
-  cached (LRU by content digest, so two names sharing one deduped
-  payload share one graph);
+  cached (LRU by the payload's content key, so two names with one
+  payload share one graph, and a relabeled copy answers in its own
+  labels);
 * the query runs through the datagraph **compiled-query cache**
   (:meth:`DataGraph.compiled_query` — augmented graph + integer
   relabeling + pre-built kernel, memoized per keyword set) and
@@ -17,9 +18,9 @@ and enough provenance to audit where each answer came from.
   edge-id tuple)`` — which is backend-invariant, so ``backend=fast``
   (the default) returns byte-identical answers to the reference
   implementation;
-* finished answer documents are LRU-cached by ``(digest, keywords, k,
-  model, backend)`` — ``/answer`` is idempotent, and the
-  content-addressed digest makes invalidation automatic — so a repeat
+* finished answer documents are LRU-cached by ``(payload key, keywords,
+  k, model, backend)`` — ``/answer`` is idempotent, and the
+  content-addressed key makes invalidation automatic — so a repeat
   of a hot query skips even the enumeration (``provenance.
   answer_cached`` says which path served the response).
 
@@ -80,8 +81,8 @@ class AnswerEngine:
     registry:
         The dataset registry answers resolve names against.
     graph_cache_size:
-        Materialized :class:`DataGraph` LRU capacity (keyed by content
-        digest; each entry also holds its compiled-query memo).
+        Materialized :class:`DataGraph` LRU capacity (keyed by payload
+        content; each entry also holds its compiled-query memo).
     """
 
     def __init__(
@@ -95,16 +96,16 @@ class AnswerEngine:
         self.answer_cache_size = answer_cache_size
         # The engine is driven from multiple server executor threads:
         # ``_lock`` guards the two LRUs and the counters; ``_compute``
-        # holds one lock per cached digest serializing computation on
+        # holds one lock per cached payload serializing computation on
         # that graph (the compiled-query memo and the shared kernel
         # behind it are not safe to drive from two threads at once —
         # distinct datasets still answer in parallel).
         self._lock = threading.Lock()
         self._compute: Dict[str, threading.Lock] = {}
         self._graphs: "OrderedDict[str, DataGraph]" = OrderedDict()
-        # (digest, keywords, k, model, backend) -> finished answer doc;
-        # content-addressed keys make invalidation automatic (a dataset
-        # with different content has a different digest)
+        # (payload key, keywords, k, model, backend) -> finished answer
+        # doc; content-addressed keys make invalidation automatic (a
+        # dataset with different content has a different key)
         self._answers: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
         self.graph_hits = 0
         self.graph_misses = 0
@@ -114,30 +115,29 @@ class AnswerEngine:
 
     # ------------------------------------------------------------------
     def dataset_graph(self, name: str) -> Tuple[DataGraph, str]:
-        """The (cached) data graph for dataset ``name`` + its digest."""
-        record = self.registry.describe(name)
-        if record is None:
-            raise DatasetError(f"unknown dataset {name!r}")
+        """The (cached) data graph for dataset ``name`` + its payload's
+        content key (:meth:`DatasetRegistry.stored`)."""
+        key, payload = self.registry.stored(name)
         with self._lock:
-            cached = self._graphs.get(record.digest)
+            cached = self._graphs.get(key)
             if cached is not None:
-                self._graphs.move_to_end(record.digest)
+                self._graphs.move_to_end(key)
                 self.graph_hits += 1
-                return cached, record.digest
+                return cached, key
             self.graph_misses += 1
-        dg = build_data_graph(self.registry.payload(name))
+        dg = build_data_graph(payload)
         with self._lock:
-            existing = self._graphs.get(record.digest)
+            existing = self._graphs.get(key)
             if existing is not None:
-                # A racer materialized the same digest while we built;
+                # A racer materialized the same payload while we built;
                 # keep its copy so every thread computes on one object.
-                self._graphs.move_to_end(record.digest)
-                return existing, record.digest
-            self._graphs[record.digest] = dg
+                self._graphs.move_to_end(key)
+                return existing, key
+            self._graphs[key] = dg
             while len(self._graphs) > self.graph_cache_size:
                 evicted, _ = self._graphs.popitem(last=False)
                 self._compute.pop(evicted, None)
-        return dg, record.digest
+        return dg, key
 
     def _lookup_answer(self, cache_key: Tuple) -> Optional[Dict[str, Any]]:
         with self._lock:
@@ -172,12 +172,12 @@ class AnswerEngine:
         if not keywords:
             raise InvalidInstanceError("a query needs at least one keyword")
         started = time.perf_counter()
-        dg, digest = self.dataset_graph(name)
-        cache_key = (digest, tuple(keywords), k, model, backend)
+        dg, key = self.dataset_graph(name)
+        cache_key = (key, tuple(keywords), k, model, backend)
         cached = self._lookup_answer(cache_key)
         if cached is None:
             with self._lock:
-                compute = self._compute.setdefault(digest, threading.Lock())
+                compute = self._compute.setdefault(key, threading.Lock())
             with compute:
                 # A racer on the same dataset may have finished this
                 # exact query while we waited for the compute lock.
@@ -224,7 +224,9 @@ class AnswerEngine:
         started: float,
     ) -> Dict[str, Any]:
         """Enumerate one answer document (caller holds the compute lock)."""
-        digest = cache_key[0]
+        record = self.registry.describe(name)
+        if record is None:  # removed since the graph was looked up
+            raise DatasetError(f"unknown dataset {name!r}")
         with self._lock:
             self.answer_misses += 1
         meter = None
@@ -270,7 +272,7 @@ class AnswerEngine:
             "count": len(answers),
             "answers": answers,
             "provenance": {
-                "digest": digest,
+                "digest": record.digest,
                 "model": model,
                 "backend": backend,
                 "scanned": scanned,
@@ -294,7 +296,7 @@ class AnswerEngine:
         stale keyword hints are skipped silently (warming is advisory).
         """
         try:
-            dg, _digest = self.dataset_graph(name)
+            dg, _key = self.dataset_graph(name)
         except Exception:  # noqa: BLE001 — warming must never fail the server
             return False
         if keywords:

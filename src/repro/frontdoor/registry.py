@@ -2,19 +2,23 @@
 
 ``POST /datasets`` (or ``repro dataset add``) stores a graph under a
 caller-chosen name; every later request references the name instead of
-shipping the edge list.  Payloads are **content-addressed by the
-isomorphism-stable instance digest** (:func:`repro.engine.cache.instance_key`
-over a terminal-free probe job), the same key the result store uses —
-so registering a relabeled copy of an existing dataset stores **no
-second payload**: the new name becomes another pointer to the shared
-payload, and the engine's canonical result cache is shared between the
-two names automatically.
+shipping the edge list.  Each name carries the **isomorphism-stable
+digest** of its graph (:func:`repro.engine.cache.instance_key` over a
+terminal-free probe job), the key the result store and the fleet's
+ring use: a relabeled copy of a registered dataset is reported as
+``deduped`` and shares its canonical result cache.  Payloads are
+**content-addressed by their exact content** (labels, edge order,
+keyword table), so each name answers in its own labels: a relabeled
+copy stores its own payload, an identical one none.
 
 Layout under ``root`` (all writes atomic; ``root=None`` = memory only)::
 
-    names/<sha256(name)>.json   {"name", "digest", counts, created}
-    payloads/<digest>.json      {"edges", "vertices", "node_keywords"}
+    names/<sha256(name)>.json   {"name", "digest", "payload", counts, created}
+    payloads/<payload>.json     {"edges", "vertices", "node_keywords"}
     usage.json                  per-name use counts + last keywords
+
+A name record without ``"payload"`` (written before payloads were keyed
+by content) names its payload by ``digest``.
 
 Use counts drive the server's cache warming: the most-queried datasets
 get their data graphs (and last compiled queries) rebuilt at startup.
@@ -32,7 +36,7 @@ import threading
 import time
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.engine.cache import instance_key
+from repro.engine.cache import instance_key, instance_repr
 from repro.engine.jobs import EnumerationJob, _edge_pairs
 from repro.exceptions import ReproError
 from repro.jsonfile import read_json, write_atomic
@@ -150,7 +154,7 @@ class DatasetRegistry:
         # memory tier (always populated; the disk tier mirrors it)
         self._names: Dict[str, Dict[str, Any]] = {}
         self._payloads: Dict[str, Dict[str, Any]] = {}
-        # payload digest -> the (edges, vertices) tuples every resolved
+        # payload key -> the (edges, vertices) tuples every resolved
         # spec shares; never written to disk
         self._instances: Dict[str, Tuple[tuple, tuple]] = {}
         self._uses: Dict[str, int] = {}
@@ -186,11 +190,12 @@ class DatasetRegistry:
                 continue
             record = read_json(os.path.join(self._names_dir(), entry))
             if record and record.get("schema") == _SCHEMA:
+                record.setdefault("payload", record["digest"])
                 self._names[record["name"]] = record
-        for digest in {r["digest"] for r in self._names.values()}:
-            payload = read_json(os.path.join(self._payloads_dir(), f"{digest}.json"))
+        for key in {r["payload"] for r in self._names.values()}:
+            payload = read_json(os.path.join(self._payloads_dir(), f"{key}.json"))
             if payload and payload.get("schema") == _SCHEMA:
-                self._payloads[digest] = payload
+                self._payloads[key] = payload
         usage = read_json(os.path.join(self.root, "usage.json"))
         if usage and usage.get("schema") == _SCHEMA:
             self._uses = {str(k): int(v) for k, v in usage.get("uses", {}).items()}
@@ -230,13 +235,19 @@ class DatasetRegistry:
     ) -> Tuple[DatasetRecord, bool]:
         """Register ``edges`` under ``name``; returns ``(record, deduped)``.
 
-        ``deduped`` is True when an isomorphic payload was already
-        stored (the name points at the existing payload).  Re-adding an
-        existing name is idempotent for the same graph and a
-        :class:`DatasetError` for a different one.  So is a payload of
-        the wrong shape: ``edges`` must be a list of ``[u, v]`` pairs,
-        ``vertices`` a list and ``node_keywords`` a list of
-        ``[node, [keyword, ...]]`` pairs.
+        ``deduped`` is True when an isomorphic dataset was already
+        registered: the two share the canonical result cache, while
+        each name keeps its own labels.  Re-adding an existing name is
+        idempotent for the same graph, takes the new labels for a
+        relabeled copy, and is a :class:`DatasetError` for a graph that
+        is not isomorphic.  So is a payload of the wrong shape:
+        ``edges`` must be a list of ``[u, v]`` pairs, ``vertices`` a list
+        and ``node_keywords`` a list of ``[node, [keyword, ...]]`` pairs.
+
+        The graph's fingerprint repr (:func:`instance_repr`, which the
+        payload's content key hashes) and its canonical base form
+        (through the digest probe) stay in the engine's per-graph
+        memos, so the first query on the dataset does not pay for them.
         """
         if not _NAME_RE.match(name or ""):
             raise DatasetError(
@@ -245,40 +256,41 @@ class DatasetRegistry:
             )
         _check_shapes(edges, vertices, node_keywords)
         edge_tuple = tuple((u, v) for u, v in edges)
-        if not edge_tuple and not vertices:
+        vertex_tuple = tuple(vertices)
+        if not edge_tuple and not vertex_tuple:
             raise DatasetError("dataset needs at least one edge or vertex")
-        digest = dataset_digest(edge_tuple, vertices, node_keywords)
+        digest = dataset_digest(edge_tuple, vertex_tuple, node_keywords)
+        table = [[node, sorted(kws)] for node, kws in (node_keywords or [])]
+        key = hashlib.sha256(
+            instance_repr(edge_tuple, vertex_tuple) + repr(table).encode()
+        ).hexdigest()
         with self._lock:
             existing = self._names.get(name)
             if existing is not None and existing["digest"] != digest:
                 raise DatasetError(
                     f"dataset {name!r} already registered with a different graph"
                 )
-            deduped = digest in self._payloads or any(
-                r["digest"] == digest for r in self._names.values()
-            )
-            if digest not in self._payloads:
+            deduped = any(r["digest"] == digest for r in self._names.values())
+            if key not in self._payloads:
                 # The probe's tuple: the canonical memo already knows it.
-                self._instances[digest] = (edge_tuple, tuple(vertices))
+                self._instances[key] = (edge_tuple, vertex_tuple)
                 payload = {
                     "schema": _SCHEMA,
                     "edges": [[u, v] for u, v in edge_tuple],
-                    "vertices": list(vertices),
-                    "node_keywords": [
-                        [node, sorted(kws)] for node, kws in (node_keywords or [])
-                    ],
+                    "vertices": list(vertex_tuple),
+                    "node_keywords": table,
                 }
-                self._payloads[digest] = payload
+                self._payloads[key] = payload
                 if self.root is not None:
                     write_atomic(
-                        os.path.join(self._payloads_dir(), f"{digest}.json"),
-                        payload,
+                        os.path.join(self._payloads_dir(), f"{key}.json"), payload
                     )
-            vertex_set = {v for e in edge_tuple for v in e} | set(vertices)
+            vertex_set = {v for e in edge_tuple for v in e} | set(vertex_tuple)
             record = {
                 "schema": _SCHEMA,
                 "name": name,
                 "digest": digest,
+                "payload": key,
                 "num_vertices": len(vertex_set),
                 "num_edges": len(edge_tuple),
                 "created": existing["created"] if existing else time.time(),
@@ -286,6 +298,8 @@ class DatasetRegistry:
             self._names[name] = record
             if self.root is not None:
                 write_atomic(self._name_path(name), record)
+            if existing is not None:
+                self._drop_unused(existing["payload"])
             return self._record(record), deduped
 
     def _record(self, raw: Dict[str, Any]) -> DatasetRecord:
@@ -312,16 +326,19 @@ class DatasetRegistry:
         Raises :class:`DatasetError` for unknown names (the server maps
         this to a 404).
         """
-        return self._lookup(name)[1]
+        return self.stored(name)[1]
 
-    def _lookup(self, name: str) -> Tuple[str, Dict[str, Any]]:
+    def stored(self, name: str) -> Tuple[str, Dict[str, Any]]:
+        """``(key, payload)``: the content key of ``name``'s stored
+        payload, equal for two names exactly when their payloads are,
+        and the payload itself (:meth:`payload`)."""
         raw = self._names.get(name)
         if raw is None:
             raise DatasetError(f"unknown dataset {name!r}")
-        payload = self._payloads.get(raw["digest"])
+        payload = self._payloads.get(raw["payload"])
         if payload is None:
             raise DatasetError(f"dataset {name!r} payload is missing")
-        return raw["digest"], payload
+        return raw["payload"], payload
 
     def list(self) -> List[DatasetRecord]:
         """All registered datasets, sorted by name."""
@@ -338,21 +355,23 @@ class DatasetRegistry:
                     os.unlink(self._name_path(name))
                 except FileNotFoundError:
                     pass
-            digest = raw["digest"]
-            if not any(r["digest"] == digest for r in self._names.values()):
-                self._payloads.pop(digest, None)
-                self._instances.pop(digest, None)
-                if self.root is not None:
-                    try:
-                        os.unlink(
-                            os.path.join(self._payloads_dir(), f"{digest}.json")
-                        )
-                    except FileNotFoundError:
-                        pass
+            self._drop_unused(raw["payload"])
             self._uses.pop(name, None)
             self._last_keywords.pop(name, None)
             self._persist_usage()
             return True
+
+    def _drop_unused(self, key: str) -> None:
+        """Delete payload ``key`` when no name points at it (lock held)."""
+        if any(r["payload"] == key for r in self._names.values()):
+            return
+        self._payloads.pop(key, None)
+        self._instances.pop(key, None)
+        if self.root is not None:
+            try:
+                os.unlink(os.path.join(self._payloads_dir(), f"{key}.json"))
+            except FileNotFoundError:
+                pass
 
     def __len__(self) -> int:
         return len(self._names)
@@ -395,9 +414,10 @@ class DatasetRegistry:
         dataset's edges / vertices / keyword table are injected; a spec
         that also ships its own ``edges`` is rejected as ambiguous.
         Every spec resolved from one payload gets the same immutable
-        ``edges`` and ``vertices`` tuples, so the engine's per-instance
-        memos (:mod:`repro.engine.cache`, the arena ref, the worker's
-        kernel) recognise the graph without walking it.
+        ``edges`` and ``vertices`` tuples (:meth:`instance`), so the
+        engine's per-instance memos (:mod:`repro.engine.cache`, the
+        arena ref, the worker's kernel) recognise the graph without
+        walking it.
         """
         if "dataset" not in spec:
             return spec
@@ -406,8 +426,8 @@ class DatasetRegistry:
             raise DatasetError("'dataset' must be a string name")
         if spec.get("edges"):
             raise DatasetError("give either 'dataset' or 'edges', not both")
-        digest, payload = self._lookup(name)
-        edges, vertices = self._instance(digest, payload)
+        payload = self.payload(name)
+        edges, vertices = self.instance(name)
         resolved = {k: v for k, v in spec.items() if k != "dataset"}
         resolved["edges"] = edges
         if vertices:
@@ -419,14 +439,16 @@ class DatasetRegistry:
         self.record_use(name, resolved.get("keywords") or ())
         return resolved
 
-    def _instance(self, digest: str, payload: Dict[str, Any]) -> Tuple[tuple, tuple]:
-        """The shared ``(edges, vertices)`` tuples of a payload."""
-        instance = self._instances.get(digest)
+    def instance(self, name: str) -> Tuple[tuple, tuple]:
+        """The ``(edges, vertices)`` tuples every query on ``name``
+        shares (built from the payload once, if it was read from disk)."""
+        key, payload = self.stored(name)
+        instance = self._instances.get(key)
         if instance is None:
             instance = (
                 tuple((u, v) for u, v in payload["edges"]),
                 tuple(payload.get("vertices") or ()),
             )
             with self._lock:
-                instance = self._instances.setdefault(digest, instance)
+                instance = self._instances.setdefault(key, instance)
         return instance

@@ -247,12 +247,52 @@ class FastGraph:
     def from_edges(
         cls, edges: Iterable[Tuple[int, int]], vertices: Iterable[int] = ()
     ) -> "FastGraph":
-        """Build a kernel from endpoint pairs (ids assigned positionally)."""
+        """Build a kernel from endpoint pairs (ids assigned positionally).
+
+        Slot for slot what ``from_graph(Graph.from_edges(edges,
+        vertices))`` compiles, without the object graph: vertex order is
+        ``vertices`` and then first appearance, each incidence list is in
+        edge order, the undo log is empty and ``version`` is 0.  A
+        self-loop raises :class:`SelfLoopError` as
+        :meth:`Graph.add_edge` does.
+        """
         fg = cls()
-        for v in vertices:
-            fg.add_vertex(v)
+        order = dict.fromkeys(vertices)
+        eu: List[int] = []
+        ev: List[int] = []
         for u, v in edges:
-            fg.add_edge(u, v)
+            if u == v:
+                raise SelfLoopError(u)
+            eu.append(u)
+            ev.append(v)
+            order[u] = order[v] = None  # an existing key keeps its place
+        space = 0
+        for v in order:
+            space = max(space, _check_vertex_id(v) + 1)
+        fg._grow_vertices(space)
+        alive = fg._vertex_alive
+        for v in order:
+            alive[v] = 1
+        m = len(eu)
+        inc = fg._inc
+        posu = [0] * m
+        posv = [0] * m
+        for eid in range(m):
+            lst = inc[eu[eid]]
+            posu[eid] = len(lst)
+            lst.append(eid)
+            lst = inc[ev[eid]]
+            posv[eid] = len(lst)
+            lst.append(eid)
+        fg._vorder = order
+        fg._n_alive = len(order)
+        fg.m_space = fg._m_alive = m
+        fg._eu, fg._ev, fg._posu, fg._posv = eu, ev, posu, posv
+        fg._esum = [u + v for u, v in zip(eu, ev)]
+        fg._wf = [0.0] * m
+        fg._wi = [0] * m
+        fg._edge_alive = bytearray(b"\x01" * m)
+        fg._eorder = dict.fromkeys(range(m))
         return fg
 
     def copy(self) -> "FastGraph":

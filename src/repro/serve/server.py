@@ -270,6 +270,22 @@ class EnumerationServer(FrontDoor):
             self._answer_executor.shutdown(wait=False)
             self._answer_executor = None
 
+    async def datasets_changed(
+        self, method: str, path: str, payload: Optional[Dict[str, Any]]
+    ) -> None:
+        """Spool a dataset the moment it is registered.
+
+        Registration already computed its digest (which records the
+        graph's base form) and its fingerprint repr; publishing the
+        shared ``(edges, vertices)`` through the arena's ref memo here
+        leaves the first query on it nothing to prepare on the server.
+        """
+        if method != "POST" or payload is None:
+            return
+        arena = self._pool.arena if self._pool is not None else None
+        if arena is not None:
+            arena.ref(*self.registry.instance(str(payload.get("name", ""))))
+
     # ------------------------------------------------------------------
     # /answer and the ops documents
     # ------------------------------------------------------------------

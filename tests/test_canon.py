@@ -624,11 +624,67 @@ def test_registry_written_by_the_parent_takes_its_dataset_again(tmp_path, dense_
     write_atomic(os.path.join(root, "names", f"{name_file}.json"), record)
     write_atomic(os.path.join(root, "payloads", f"{digests[0]}.json"), payload)
     registry = DatasetRegistry(root)
+    assert registry.payload(name)["edges"] == edges  # read as the parent wrote it
     record, deduped = registry.add(name, edges)
     assert record.digest == digests[0] and deduped
     # A dense query now keys through the base form.
     spec = registry.resolve_spec({"kind": "steiner-tree", "dataset": name, "terminals": [0, 1]})
     assert canonical_signature(EnumerationJob.from_dict(spec))[1][0] == "base"
+
+
+# ----------------------------------------------------------------------
+# registration seeds the base form
+# ----------------------------------------------------------------------
+def _first_query_after_registration(job: EnumerationJob, monkeypatch):
+    """Register ``job``'s graph, then key its query on the dataset.
+
+    Returns the query's key, the number of refinements keying it ran,
+    and the key the lazy path (memos cleared first) gives the same job.
+    """
+    cache_mod._graph_forms.cache_clear()
+    registry = DatasetRegistry(None)
+    registry.add("g", list(job.edges), vertices=list(job.vertices))
+    query = EnumerationJob.from_dict(
+        registry.resolve_spec(dict(job.to_dict(instance=False), dataset="g"))
+    )
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _refine(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_mod, "_refine", counting)
+        key = instance_key(query)
+    cache_mod._graph_forms.cache_clear()
+    return key, len(calls), instance_key(job)
+
+
+def test_registration_seeds_the_dense_base_forms(dense_graphs, monkeypatch):
+    graphs, _digests = dense_graphs
+    for edges in graphs:
+        job = EnumerationJob.steiner_tree([tuple(e) for e in edges], [1, 2, 3])
+        key, refinements, lazy = _first_query_after_registration(job, monkeypatch)
+        assert refinements == 0 and key == lazy
+
+
+@settings(max_examples=80, deadline=None)
+@given(base_instances())
+def test_registration_seeds_every_undirected_base_form(job):
+    assume(not job.is_directed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        key, refinements, lazy = _first_query_after_registration(job, monkeypatch)
+    assert refinements == 0 and key == lazy
+
+
+def test_a_graph_with_twins_stays_unseeded(monkeypatch):
+    job = _twin_leaf_pairs(3)
+    cache_mod._graph_forms.cache_clear()
+    DatasetRegistry(None).add("g", list(job.edges))
+    form = cache_mod._graph_forms(False, job.edges, job.vertices)
+    assert "base" not in form.__dict__
+    key, _refinements, lazy = _first_query_after_registration(job, monkeypatch)
+    assert key == lazy and canonical_signature(job)[1][0] != "base"
 
 
 def test_memos_agree_under_concurrent_servers():

@@ -252,6 +252,45 @@ class TestJobs:
         with pytest.raises(InvalidInstanceError):
             load_jobs_jsonl(str(bad))
 
+    def test_a_shared_edge_tuple_is_walked_once_and_a_job_checked_once(
+        self, monkeypatch
+    ):
+        from repro.engine import jobs
+
+        edges = tuple((i, i + 1) for i in range(50))
+        spec = {"kind": "st-path", "edges": edges, "source": 0, "target": 50}
+        walks = []
+
+        def counting_map(function, *iterables):
+            walks.append(function)
+            return map(function, *iterables)
+
+        monkeypatch.setattr(jobs, "map", counting_map, raising=False)
+        first = EnumerationJob.from_dict(spec)
+        assert len(walks) == 2  # the pair check's two passes
+        second = EnumerationJob.from_dict(dict(spec))
+        assert first.edges is second.edges is edges and len(walks) == 2
+        # A list is rebuilt, and a tuple that is not all pairs is too.
+        assert EnumerationJob.from_dict(dict(spec, edges=list(edges))).edges == edges
+        ragged = edges[:-1] + ([50, 49],)
+        assert EnumerationJob.from_dict(dict(spec, edges=ragged)).edges[-1] == (50, 49)
+        monkeypatch.undo()
+
+        hashes = []
+        job_hash = EnumerationJob.__hash__
+
+        def counting_hash(job):
+            hashes.append(job)
+            return job_hash(job)
+
+        monkeypatch.setattr(EnumerationJob, "__hash__", counting_hash)
+        job = EnumerationJob.st_path(edges, 0, 50)
+        job.validate()
+        job.validate()
+        assert len(hashes) == 1
+        with pytest.raises(InvalidInstanceError):
+            EnumerationJob.st_path(edges, 0, None).validate()
+
 
 # ----------------------------------------------------------------------
 # pool

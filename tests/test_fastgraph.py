@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import (
     EdgeNotFound,
@@ -152,6 +153,56 @@ class TestProtocolParity:
         assert sorted(fg.edge_ids()) == [0, 1]
         fg2, index2 = compile_undirected(fg)
         assert fg2 is fg and index2 is None
+
+
+def _slots(fg: FastGraph) -> dict:
+    """Every slot's value; the order dicts as item lists, so their order
+    counts."""
+    values = {name: getattr(fg, name) for name in FastGraph.__slots__}
+    return {k: list(v.items()) if isinstance(v, dict) else v for k, v in values.items()}
+
+
+class TestFromEdges:
+    """``FastGraph.from_edges`` builds, without an object graph, the
+    kernel ``from_graph(Graph.from_edges(...))`` compiles."""
+
+    @given(
+        st.integers(0, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+                    .filter(lambda e: e[0] != e[1]),
+                    max_size=0 if n < 2 else 30,
+                ),
+            )
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_slot_identical_to_compiling_an_object_graph(self, case, listed):
+        n, edges = case  # parallel edges and isolated vertices included
+        vertices = range(n) if listed else ()
+        expected = FastGraph.from_graph(Graph.from_edges(edges, vertices=vertices))
+        assert _slots(FastGraph.from_edges(edges, vertices)) == _slots(expected)
+
+    def test_corpus_and_empty_graph(self):
+        from conftest import load_corpus
+
+        for case in load_corpus():
+            edges = [(e.u, e.v) for e in case.graph.edges()]
+            expected = FastGraph.from_graph(Graph.from_edges(edges, range(len(case.graph))))
+            got = FastGraph.from_edges(edges, range(len(case.graph)))
+            assert _slots(got) == _slots(expected), case.name
+        assert _slots(FastGraph.from_edges([])) == _slots(FastGraph.from_graph(Graph()))
+
+    def test_self_loop_and_bad_vertex_raise_like_the_object_path(self):
+        with pytest.raises(SelfLoopError):
+            FastGraph.from_edges([(0, 1), (2, 2)])
+        with pytest.raises(InvalidInstanceError):
+            FastGraph.from_edges([(0, -1)])
+        with pytest.raises(InvalidInstanceError):
+            FastGraph.from_edges([(0, 1)], vertices=["a"])
 
 
 class TestUndoLog:

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.engine.jobs import EnumerationJob
+from repro.engine.jobs import EnumerationJob, run_job
 from repro.exceptions import ReproError
 from repro.frontdoor import (
     AnswerEngine,
@@ -79,12 +79,17 @@ class TestDatasetRegistry:
         second, deduped = reg.add("twin", RELABELED_EDGES)
         assert deduped
         assert first.digest == second.digest
-        # one content-addressed payload, two names
+        # Each name keeps its own labels: a relabeled copy stores its own
+        # payload, an identical copy under a third name none.
+        assert reg.add("copy", EDGES)[1]
         payloads = list((tmp_path / "payloads").iterdir())
-        assert len(payloads) == 1
+        assert len(payloads) == 2
+        assert reg.payload("twin")["edges"] == [list(e) for e in RELABELED_EDGES]
         # removing one name keeps the shared payload alive
+        reg.remove("copy")
+        assert reg.payload("demo")["edges"] == [list(e) for e in EDGES]
         reg.remove("twin")
-        assert reg.payload("demo")["edges"]
+        assert len(list((tmp_path / "payloads").iterdir())) == 1
 
     def test_same_name_different_content_conflicts(self, tmp_path):
         reg = DatasetRegistry(str(tmp_path))
@@ -493,6 +498,70 @@ class TestDatasetEndpoints:
         )
         inline = client.solutions(EnumerationJob.steiner_tree(EDGES, ["a", "d"]))
         assert by_name == inline and by_name
+
+
+#: Relabeled copies registered after their originals: the original's
+#: graph, the copy's, and a query on the copy (the examples that used to
+#: answer in the original's labels).
+RELABELED_CASES = {
+    "int": (
+        [(0, 1), (1, 2), (2, 3), (0, 2)],
+        [(3, 2), (2, 1), (1, 0), (3, 1)],
+        {"kind": "steiner-tree", "terminals": [0, 3]},
+    ),
+    "str": (
+        [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")],
+        [("w", "z"), ("z", "y"), ("y", "x"), ("w", "y")],
+        {"kind": "steiner-tree", "terminals": ["x", "w"]},
+    ),
+    "directed": (
+        [(0, 1), (1, 2), (0, 2)],
+        [(1, 0), (2, 1), (2, 0)],
+        {"kind": "directed-steiner", "root": 2, "terminals": [0]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELABELED_CASES))
+def test_relabeled_copy_answers_in_its_own_labels(case, tmp_path):
+    original, copy, query = RELABELED_CASES[case]
+    expected = run_job(EnumerationJob.from_dict(dict(query, edges=copy))).lines
+    assert expected
+    with ServerThread(EnumerationServer(workers=1, store=str(tmp_path))) as thread:
+        client = ServeClient(port=thread.port)
+        client.register_dataset("original", original)
+        assert client.register_dataset("copy", copy)["deduped"]
+        assert tuple(client.solutions(dict(query, dataset="copy"))) == expected
+
+
+def test_relabeled_keyword_copy_answers_in_its_own_labels():
+    registry = DatasetRegistry(None)
+    registry.add("demo", EDGES, node_keywords=NODE_KEYWORDS)
+    registry.add("twin", RELABELED_EDGES, node_keywords=RELABELED_KEYWORDS)
+    engine = AnswerEngine(registry)
+    demo = engine.answer("demo", ["alpha", "beta"], k=2)
+    twin = engine.answer("twin", ["alpha", "beta"], k=2)
+    assert demo["provenance"]["digest"] == twin["provenance"]["digest"]
+    upper = [[[u.upper(), v.upper()] for u, v in a["edges"]] for a in demo["answers"]]
+    assert [a["edges"] for a in twin["answers"]] == upper
+    assert not twin["provenance"]["answer_cached"]
+
+
+def test_registration_spools_the_graph_and_its_first_query_publishes_nothing(tmp_path):
+    edges = [(v, (v + 1) % 11) for v in range(11)] + [(0, 5), (2, 8), (3, 9)]
+    server = EnumerationServer(workers=1, store=str(tmp_path))
+    with ServerThread(server) as thread:
+        client = ServeClient(port=thread.port)
+        client.register_dataset("spooled", edges)
+        assert len(list((tmp_path / "arena").glob("*.arena"))) == 1
+        ref = server._pool.arena.ref
+        assert ref.cache_info().misses == 1
+        query = {"kind": "st-path", "dataset": "spooled", "source": 0, "target": 5}
+        lines = client.solutions(dict(query, backend="fast"))
+        assert ref.cache_info().misses == 1 and ref.cache_info().hits == 1
+        assert tuple(lines) == run_job(
+            EnumerationJob.st_path(edges, 0, 5, backend="fast")
+        ).lines
 
 
 class TestAnswerEndpoint:

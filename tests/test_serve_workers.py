@@ -251,13 +251,24 @@ def _run_streams(specs, fresh: bool, observe=None) -> List[List[tuple]]:
 
 
 def _reference_runs(specs) -> List[List[tuple]]:
+    """The streams on kernels compiled as before the direct path: an
+    object ``Graph`` copied into a ``FastGraph`` (run in a spawned
+    process, so the patch dies with it)."""
+    from repro.graphs.fastgraph import FastGraph
+    from repro.graphs.graph import Graph
+
+    FastGraph.from_edges = classmethod(
+        lambda cls, pairs, vertices=(): cls.from_graph(Graph.from_edges(pairs, vertices))
+    )
     return _run_streams(specs, fresh=True)
 
 
 def test_queries_on_one_dataset_share_one_kernel_and_stream_unchanged(tmp_path):
     """Steiner-tree and st-path queries on one dataset, through one
     worker's ``_stream_job``, against a fresh process running each
-    stream on its inline spec without a kept kernel.
+    stream on its inline spec without a kept kernel, on a kernel
+    compiled through an object ``Graph``.  The same streams on a kernel
+    compiled afresh from the index pairs for each stream match too.
 
     The streams include a cancelled one, a budget-aborted one and a
     resume from a chunk snapshot; lines, structures, chunk snapshots,
@@ -307,6 +318,7 @@ def test_queries_on_one_dataset_share_one_kernel_and_stream_unchanged(tmp_path):
 
     got = _run_streams(dispatched, fresh=False, observe=observe)
     assert got == expected
+    assert _run_streams(dispatched, fresh=True) == expected
     stop = [run[-1][1]["stop_reason"] for run in got]
     assert stop == ["limit", "limit", "cancelled", "budget", "limit", "limit"]
     assert got[3][-1][1]["snapshot"] is None
@@ -317,3 +329,28 @@ def test_queries_on_one_dataset_share_one_kernel_and_stream_unchanged(tmp_path):
     assert kernels[3] is None
     assert kernels[4][0] is not first and kernels[5][0] is kernels[4][0]
     assert all(k[0].version == k[1] for k in kernels if k is not None)
+
+
+def test_a_shared_kernel_is_the_kernel_its_object_graph_compiles():
+    """``_indexed_instance`` builds a shared kind's kernel from the index
+    pairs, slot for slot the one the object graph compiles to, for the
+    reuse dataset (string labels too) and the pinned corpus."""
+    from conftest import load_corpus
+    from repro.engine import suspend
+    from repro.engine.jobs import EnumerationJob
+    from repro.graphs.fastgraph import FastGraph
+
+    def slots(fg):
+        values = [getattr(fg, name) for name in FastGraph.__slots__]
+        return [list(v.items()) if isinstance(v, dict) else v for v in values]
+
+    graphs = [_dataset_edges(), [(f"v{u}", f"v{v}") for u, v in _dataset_edges()]]
+    graphs += [[(e.u, e.v) for e in case.graph.edges()] for case in load_corpus()]
+    for edges in graphs:
+        job = EnumerationJob.st_path(edges, edges[0][0], edges[-1][1], backend="fast")
+        suspend._KERNELS.entries.clear()
+        kernel, labels, index_of = suspend._indexed_instance(job)
+        graph, expected_labels, expected_index = job.instantiate_indexed()
+        assert slots(kernel) == slots(FastGraph.from_graph(graph))
+        assert (labels, index_of) == (expected_labels, expected_index)
+    suspend._KERNELS.entries.clear()
