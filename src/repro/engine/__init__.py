@@ -7,8 +7,9 @@ enumeration requests fast".
 * :mod:`repro.engine.jobs` — declarative :class:`EnumerationJob` specs
   covering all six Steiner enumerators plus paths and K-fragments, with
   clean deadline/budget stops and JSONL (de)serialization.
-* :mod:`repro.engine.cache` — :class:`InstanceCache`: canonical
-  (relabeling-stable) instance hashing and an in-memory LRU
+* :mod:`repro.engine.cache` — :class:`ResultCache`: canonical
+  (relabeling-stable) instance hashing and the result cache's rules over
+  its tiers; :class:`InstanceCache` is the in-memory LRU tier
   (:class:`repro.serve.store.TieredCache` puts a JSON disk tier
   behind it).
 * :mod:`repro.engine.pool` — :func:`run_batch`: multiprocessing fan-out
@@ -30,7 +31,13 @@ Quickstart
 [('a-c c-d', 'a-b b-c c-d')]
 """
 
-from repro.engine.cache import CacheStats, InstanceCache, canonical_signature, instance_key
+from repro.engine.cache import (
+    CacheStats,
+    InstanceCache,
+    ResultCache,
+    canonical_signature,
+    instance_key,
+)
 from repro.engine.cursor import EnumerationCursor
 from repro.engine.jobs import (
     EnumerationJob,
@@ -53,6 +60,7 @@ __all__ = [
     "JOB_KINDS",
     "JobResult",
     "load_jobs_jsonl",
+    "ResultCache",
     "run_batch",
     "run_job",
     "run_steiner_shard",

@@ -1,4 +1,4 @@
-"""Instance cache: canonical hashing + LRU result store.
+"""Result cache: canonical instance hashing, one set of serve rules, tiers.
 
 Two jobs that describe the *same* instance should pay for enumeration
 once.  "Same" is stronger than textual equality: a relabeled copy of a
@@ -19,7 +19,7 @@ search individualizes only the first member of each twin class; the
 pruned subtrees mirror kept ones, and the result is the one the full
 search would return.  What symmetry remains can still make the search
 exponential, so it carries a work budget; when exceeded,
-:class:`InstanceCache` falls back to an exact label-sensitive key (still
+:func:`instance_key` falls back to an exact label-sensitive key (still
 correct, just not relabel-stable for that instance).  The budget depends
 only on the instance's symmetry structure, never on its labels, so
 relabeled copies agree on which tier they use.
@@ -46,10 +46,13 @@ cursor prefixes are served only to the identical instance (splicing a
 donor-ordered prefix onto a different job's live stream would duplicate
 and drop solutions).
 
-Entries evicted from the LRU are dropped.
-:class:`repro.serve.store.TieredCache` puts a
-:class:`repro.serve.store.ResultStore` (plain JSON files: nothing read
-back can execute code) behind it as a disk tier.
+:class:`ResultCache` writes these rules once, over an ordered list of
+tiers that get and put entries by key: :class:`InstanceCache` is the
+memory tier (an LRU; evicted entries are dropped),
+:class:`repro.serve.store.ResultStore` the disk tier (plain JSON files:
+nothing read back can execute code), and
+:class:`repro.serve.store.TieredCache` puts the memory tier in front of
+the disk tier.  Each tier alone is a result cache too.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import functools
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.capabilities import spec as kind_spec
 from repro.engine.jobs import (
@@ -494,8 +497,9 @@ def from_canonical(job: EnumerationJob, canonical, order: List[Any]) -> tuple:
 
 @dataclass
 class _Entry:
-    """One cached enumeration: solutions plus completeness metadata."""
+    """One cached enumeration of ``kind``: solutions plus completeness."""
 
+    kind: str
     payload: tuple  # canonical structures, or rendered lines when order is None
     canonical: bool
     exhausted: bool
@@ -505,86 +509,55 @@ class _Entry:
     # re-rendering entirely — the donor's stream IS the requester's.
     lines: Optional[tuple] = None
 
+    def serves(self, job: EnumerationJob, same: bool) -> bool:
+        """Whether :meth:`ResultCache.lookup` may serve this entry to ``job``.
 
-def line_result(job: EnumerationJob, lines: tuple, exhausted: bool) -> JobResult:
-    """A replayed result served straight from stored rendered lines.
+        The job's own entry (``same`` fingerprint) is its own stream, so
+        a stored prefix may satisfy a ``limit`` by truncation.  A
+        relabelled copy's is a permutation of the job's stream, so only
+        the *complete* solution set may be served (truncating it would
+        return a different subset than a fresh limited run would).
+        """
+        count = len(self.payload)
+        if same:
+            return self.exhausted or (job.limit is not None and count >= job.limit)
+        return self.exhausted and (job.limit is None or job.limit >= count)
 
-    Exactly :func:`entry_result` on a raw-line payload — the named
-    wrapper marks the exact-fingerprint fast path (no canonical
-    translation) at its call sites.
-    """
-    return entry_result(job, tuple(lines), False, exhausted, None)
+    def result(
+        self, job: EnumerationJob, order: Optional[List[Any]], verbatim: bool, apply_limit: bool
+    ) -> JobResult:
+        """This entry as a cached :class:`JobResult` for ``job``.
 
-
-def storable(result: JobResult) -> bool:
-    """True when ``result`` is sound to record for future replay.
-
-    Deadline- and budget-stopped runs are rejected: their cut point is
-    timing-dependent, so replaying them would be nondeterministic.
-    Errored runs carry no reusable content either.
-    """
-    return result.stop_reason not in ("deadline", "budget") and result.error is None
-
-
-def entry_usable(
-    job: EnumerationJob, same_fingerprint: bool, exhausted: bool, count: int
-) -> bool:
-    """Serve gating shared by :class:`InstanceCache` and the disk store.
-
-    An exact-fingerprint entry is the job's own stream, so a stored
-    prefix may satisfy a ``limit`` by truncation.  A relabeled entry is
-    a permutation of the job's stream, so only the *complete* solution
-    set may be served (truncating it would return a different subset
-    than a fresh limited run would).
-    """
-    if same_fingerprint:
-        return exhausted or (job.limit is not None and count >= job.limit)
-    return exhausted and (job.limit is None or job.limit >= count)
-
-
-def entry_result(
-    job: EnumerationJob,
-    payload: tuple,
-    canonical: bool,
-    exhausted: bool,
-    order: Optional[List[Any]],
-    apply_limit: bool = True,
-) -> JobResult:
-    """Materialize a stored entry as a :class:`JobResult` for ``job``.
-
-    Canonical payloads are translated through ``order`` into the job's
-    own labels; raw-line payloads are served verbatim.  With
-    ``apply_limit`` the job's ``limit`` truncates the stream (the stored
-    entry may know more solutions than the job asked for).
-    """
-    structures: Optional[tuple]
-    if canonical:
-        if order is None:
-            raise RuntimeError("canonical cache entry hit through a non-canonical key")
-        structures = from_canonical(job, payload, order)
-        lines = tuple(structure_line(job, s) for s in structures)
-    else:
-        structures = None
-        lines = payload
-    stop_reason = None
-    if apply_limit and job.limit is not None and len(lines) >= job.limit:
-        lines = lines[: job.limit]
-        structures = structures[: job.limit] if structures is not None else None
-        exhausted = False
-        stop_reason = "limit"
-    elif not exhausted:
-        stop_reason = "limit"
-    return JobResult(
-        job_id=job.job_id,
-        kind=job.kind,
-        lines=lines,
-        exhausted=exhausted,
-        stop_reason=stop_reason,
-        elapsed=0.0,
-        ops=0,
-        cached=True,
-        structures=structures,
-    )
+        With ``verbatim`` the stored lines come back as they are, without
+        structures; otherwise a canonical payload is translated through
+        ``order`` into the job's own labels.  With ``apply_limit`` the
+        job's ``limit`` truncates the stream (the entry may know more
+        solutions than the job asked for).
+        """
+        lines = self.lines if self.canonical else self.payload
+        structures: Optional[tuple] = None
+        if lines is None or (self.canonical and not verbatim):
+            assert order is not None  # canonical entries fit canonical keys only
+            structures = from_canonical(job, self.payload, order)
+            lines = tuple(structure_line(job, s) for s in structures)
+        exhausted, stop_reason = self.exhausted, None
+        if apply_limit and job.limit is not None and len(lines) >= job.limit:
+            lines, exhausted, stop_reason = lines[: job.limit], False, "limit"
+            if structures is not None:
+                structures = structures[: job.limit]
+        elif not exhausted:
+            stop_reason = "limit"
+        return JobResult(
+            job_id=job.job_id,
+            kind=job.kind,
+            lines=lines,
+            exhausted=exhausted,
+            stop_reason=stop_reason,
+            elapsed=0.0,
+            ops=0,
+            cached=True,
+            structures=structures,
+        )
 
 
 @dataclass
@@ -608,14 +581,162 @@ class CacheStats:
         }
 
 
-class InstanceCache:
-    """LRU cache of enumeration results keyed by canonical instance hash.
+class ResultCache:
+    """The result cache: one set of rules over an ordered list of tiers.
+
+    A tier gets and puts entries by key (:meth:`get` / :meth:`put`): the
+    memory LRU, :class:`InstanceCache`, and the JSON entry files of
+    :class:`repro.serve.store.ResultStore` are tiers, and each is also a
+    result cache whose one tier is itself;
+    :class:`repro.serve.store.TieredCache` names a memory tier in front
+    of a disk tier.  A job is keyed by :func:`instance_key` once, through
+    the cache's bounded memo (:attr:`key_of`, for equal jobs across
+    requests), and keeps its key, so later calls on the job by any cache
+    skip the hashing.  The rules:
+
+    * :meth:`lookup` serves a result that satisfies the job in full.
+      The job's own entry (same fingerprint) serves when it is complete
+      or holds at least the job's ``limit`` solutions, which then cut
+      it; a relabelled copy's serves only when it is complete and the
+      ``limit`` would not cut it.  Tiers are asked front to back, each
+      counting a hit or a miss, and a hit is put into every tier in
+      front of the one that had it.
+    * :meth:`prefix` serves the longest of the job's own entries across
+      the tiers, complete or not, never cut.
+    * :meth:`store` writes a result through to every tier whose entry it
+      upgrades, building (and canonicalising) the entry once.
+
+    An entry whose kind or shape does not fit the job's key is a miss.
+    """
+
+    #: The tiers, front first.
+    tiers: List["ResultCache"]
+    stats: CacheStats
+    key_of: Callable[[EnumerationJob], Tuple[str, Optional[List[Any]]]]
+    #: Whether a hit in this tier also counts as a disk hit.
+    persistent = False
+
+    def __init__(self, key_memo: int) -> None:
+        self.tiers = [self]
+        self.stats = CacheStats()
+        self.key_of = functools.lru_cache(maxsize=key_memo)(instance_key)
+
+    def get(self, key: str) -> Optional[_Entry]:
+        """The entry stored under ``key`` in this tier, or ``None``."""
+        raise NotImplementedError
+
+    def put(self, key: str, entry: _Entry) -> None:
+        """Store ``entry`` under ``key`` in this tier."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        # The entries across the tiers (a tier counts its own).
+        return sum(len(tier) for tier in self.tiers)
+
+    # ------------------------------------------------------------------
+    def lookup(self, job: EnumerationJob) -> Optional[JobResult]:
+        """A complete :class:`JobResult` for ``job`` (marked ``cached``),
+        or ``None``."""
+        for i, (tier, entry) in enumerate(self._walk(job)):
+            same = entry is not None and entry.fingerprint == job_fingerprint(job)
+            if entry is None or not entry.serves(job, same):
+                tier.stats.misses += 1
+                continue
+            tier.stats.hits += 1
+            if tier.persistent:
+                tier.stats.disk_hits += 1
+            key, order = self._key(job)
+            for front in self.tiers[:i]:
+                front.put(key, entry)
+            return entry.result(job, order, verbatim=same, apply_limit=True)
+        return None
+
+    def prefix(self, job: EnumerationJob) -> Optional[JobResult]:
+        """The longest stored solution prefix of ``job``'s own stream.
+
+        Unlike :meth:`lookup` this serves incomplete entries (e.g. a
+        checkpointed cursor's delivered prefix) and never truncates to
+        the job's ``limit``; the result's ``exhausted`` flag says whether
+        the prefix is the whole enumeration.  A relabelled donor's
+        prefix is in the donor's order, and splicing it onto this job's
+        live stream would duplicate some solutions and drop others, so
+        only the job's own entries serve.  A complete stream comes back
+        as its stored lines, without structures: nothing is ever stored
+        over a complete entry.
+        """
+        best: Optional[_Entry] = None
+        for _tier, entry in self._walk(job):
+            if entry is not None and entry.fingerprint == job_fingerprint(job):
+                if best is None or len(entry.payload) > len(best.payload):
+                    best = entry
+            if best is not None and best.exhausted:
+                break
+        if best is None:
+            return None
+        order = self._key(job)[1]
+        return best.result(job, order, verbatim=best.exhausted, apply_limit=False)
+
+    def store(self, job: EnumerationJob, result: JobResult) -> None:
+        """Record ``result`` for ``job`` in every tier it upgrades.
+
+        Deadline- and budget-stopped runs are not stored (their cut
+        point is timing-dependent, so replaying them would be
+        nondeterministic), nor are errored ones.  An entry is replaced
+        only by one that knows strictly more solutions, or completes it;
+        a complete entry is final.
+        """
+        stopped = result.stop_reason in ("deadline", "budget") or result.error is not None
+        if stopped or not self.tiers:
+            return
+        key, order = self._key(job)
+        if order is not None and result.structures is None:
+            return  # canonical entries need structures to translate on hit
+        entry: Optional[_Entry] = None
+        for tier, existing in self._walk(job):
+            if existing is not None and (
+                existing.exhausted
+                or (len(existing.payload) >= result.count and not result.exhausted)
+            ):
+                continue
+            if entry is None:  # built and canonicalised once, for every tier
+                lines = tuple(result.lines)
+                fingerprint = job_fingerprint(job)
+                if order is None:
+                    entry = _Entry(job.kind, lines, False, result.exhausted, fingerprint)
+                else:
+                    payload = to_canonical(job.kind, result.structures, order)
+                    entry = _Entry(job.kind, payload, True, result.exhausted, fingerprint, lines)
+            tier.put(key, entry)
+
+    # ------------------------------------------------------------------
+    def _key(self, job: EnumerationJob) -> Tuple[str, Optional[List[Any]]]:
+        keyed = job.__dict__.get("_cache_key")
+        if keyed is None:
+            keyed = self.key_of(job)
+            object.__setattr__(job, "_cache_key", keyed)
+        return keyed
+
+    def _walk(self, job: EnumerationJob) -> Iterator[Tuple["ResultCache", Optional[_Entry]]]:
+        """Each tier with its entry for ``job``, front first."""
+        for tier in self.tiers:
+            key, order = self._key(job)
+            entry = tier.get(key)
+            if entry is not None and (
+                entry.kind != job.kind or entry.canonical != (order is not None)
+            ):
+                entry = None
+            yield tier, entry
+
+
+class InstanceCache(ResultCache):
+    """The memory tier: an LRU of entries keyed by canonical instance hash.
 
     Parameters
     ----------
     maxsize:
         In-memory entry cap; least-recently-used entries beyond it are
-        evicted.
+        evicted (and dropped: a :class:`~repro.serve.store.TieredCache`
+        keeps them on disk).
 
     Examples
     --------
@@ -631,122 +752,25 @@ class InstanceCache:
     def __init__(self, maxsize: int = 256) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
+        super().__init__(key_memo=4 * maxsize)
         self.maxsize = maxsize
-        self.stats = CacheStats()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        #: Memoized :func:`instance_key`, bounded alongside the entry LRU
-        #: so lookup()+store() pay for canonicalization once per job (a
-        #: :class:`~repro.serve.store.TieredCache` shares it with its
-        #: disk tier).
-        self.key_of = functools.lru_cache(maxsize=4 * maxsize)(instance_key)
 
-    # ------------------------------------------------------------------
-    def lookup(self, job: EnumerationJob) -> Optional[JobResult]:
-        """Return a complete :class:`JobResult` for ``job``, or ``None``.
+    def get(self, key: str) -> Optional[_Entry]:
+        """The entry under ``key`` (now the most recently used), or ``None``."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
 
-        Serves only when the stored enumeration satisfies the job in
-        full: the entry is exhausted, or the job has a ``limit`` the
-        stored prefix covers.  Results are marked ``cached=True``.
-        """
-        key, order = self.key_of(job)
-        entry = self._load(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        same = entry.fingerprint == job_fingerprint(job)
-        if not entry_usable(job, same, entry.exhausted, len(entry.payload)):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        if same and entry.canonical and entry.lines is not None:
-            return line_result(job, entry.lines, entry.exhausted)
-        return self._result_from_entry(job, entry, order)
-
-    def prefix(self, job: EnumerationJob) -> Optional[JobResult]:
-        """The stored solution prefix for ``job``, complete or not.
-
-        Unlike :meth:`lookup` this also serves incomplete entries (e.g.
-        a checkpointed cursor's delivered prefix) and never truncates to
-        the job's ``limit``; the result's ``exhausted`` flag says whether
-        the stored prefix is the whole enumeration.  Returns ``None``
-        only on a true miss.  The job's own complete stream comes back as
-        its stored lines, untranslated and without structures: nothing
-        is ever stored over a complete entry.
-        """
-        key, order = self.key_of(job)
-        entry = self._load(key)
-        if entry is None or entry.fingerprint != job_fingerprint(job):
-            # A relabeled donor's prefix is in the donor's order; splicing
-            # it onto this job's live enumeration would duplicate some
-            # solutions and drop others, so only exact matches serve.
-            return None
-        if entry.exhausted and entry.lines is not None:
-            return entry_result(job, entry.lines, False, True, None, apply_limit=False)
-        return self._result_from_entry(job, entry, order, apply_limit=False)
-
-    def store(
-        self,
-        job: EnumerationJob,
-        result: JobResult,
-        canonicalize: Optional[Callable[[str, Any, List[Any]], tuple]] = None,
-    ) -> None:
-        """Record ``result`` for ``job``.
-
-        Deadline- and budget-stopped runs are not cached (their cut point
-        is timing-dependent, so replaying them would be nondeterministic).
-        An existing entry is only replaced by one that knows strictly
-        more solutions.  ``canonicalize`` stands in for
-        :func:`to_canonical`; a :class:`~repro.serve.store.TieredCache`
-        passes both tiers one memo, so a write-through canonicalises once.
-        """
-        if not storable(result):
-            return
-        key, order = self.key_of(job)
-        if order is not None and result.structures is None:
-            return  # canonical entries need structures to translate on hit
-        existing = self._load(key)
-        if existing is not None:
-            upgrades = result.exhausted and not existing.exhausted
-            if existing.exhausted or (
-                len(existing.payload) >= result.count and not upgrades
-            ):
-                return
-        fingerprint = job_fingerprint(job)
-        if order is not None:
-            payload = (canonicalize or to_canonical)(job.kind, result.structures, order)
-            entry = _Entry(
-                payload, True, result.exhausted, fingerprint, tuple(result.lines)
-            )
-        else:
-            entry = _Entry(tuple(result.lines), False, result.exhausted, fingerprint)
+    def put(self, key: str, entry: _Entry) -> None:
+        """Insert ``entry`` as the most recently used; evict past ``maxsize``."""
         self._entries[key] = entry
         self._entries.move_to_end(key)
         self.stats.stores += 1
-        self._shrink()
-
-    def adopt_entry(
-        self,
-        job: EnumerationJob,
-        payload: tuple,
-        canonical: bool,
-        exhausted: bool,
-        fingerprint: str,
-        lines: Optional[tuple] = None,
-    ) -> None:
-        """Insert a pre-built entry for ``job``'s key (tier promotion).
-
-        Used by the disk tier to promote a hit into memory without
-        re-deriving structures.  The caller asserts the payload matches
-        the entry shape ``job``'s key implies (canonical payload iff the
-        key canonicalizes).
-        """
-        key, order = self.key_of(job)
-        if canonical != (order is not None):
-            return  # shape mismatch: refuse rather than corrupt the tier
-        self._entries[key] = _Entry(payload, canonical, exhausted, fingerprint, lines)
-        self._entries.move_to_end(key)
-        self.stats.stores += 1
-        self._shrink()
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     def clear(self) -> None:
         """Drop all entries."""
@@ -754,29 +778,3 @@ class InstanceCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    # ------------------------------------------------------------------
-    def _result_from_entry(
-        self,
-        job: EnumerationJob,
-        entry: _Entry,
-        order: Optional[List[Any]],
-        apply_limit: bool = True,
-    ) -> JobResult:
-        return entry_result(
-            job, entry.payload, entry.canonical, entry.exhausted, order, apply_limit
-        )
-
-    # ------------------------------------------------------------------
-    # LRU machinery
-    # ------------------------------------------------------------------
-    def _load(self, key: str) -> Optional[_Entry]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def _shrink(self) -> None:
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1

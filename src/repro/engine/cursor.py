@@ -44,7 +44,7 @@ import hashlib
 import json
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.engine.cache import InstanceCache, job_fingerprint
+from repro.engine.cache import ResultCache, job_fingerprint
 from repro.engine.jobs import EnumerationJob, JobResult
 from repro.engine.suspend import Segment
 from repro.exceptions import CursorStateError, InvalidInstanceError
@@ -174,10 +174,10 @@ class StreamLedger:
 
     The stream resumes at position ``offset`` (0 when fresh) with the
     ``snapshot`` and ``digest`` of the checkpoint being resumed there;
-    ``cache`` is any tier with ``lookup``/``prefix``/``store``.  The
-    ledger decides what replays, tracks the known prefix, stores it back
-    and builds the checkpoint record; its caller runs the live leg and
-    reports what it produced.  The rules:
+    ``cache`` is any :class:`ResultCache`.  The ledger decides what
+    replays, tracks the known prefix, stores it back and builds the
+    checkpoint record; its caller runs the live leg and reports what it
+    produced.  The rules:
 
     1. **Replay** (:meth:`plan`).  A stored entry serves the stream from
        position ``k`` only when its first ``k`` solutions are the ones
@@ -210,7 +210,7 @@ class StreamLedger:
     def __init__(
         self,
         job: EnumerationJob,
-        cache: Optional[InstanceCache] = None,
+        cache: Optional[ResultCache] = None,
         offset: int = 0,
         snapshot: Optional[bytes] = None,
         digest: Optional[str] = None,
@@ -368,7 +368,7 @@ class EnumerationCursor:
         and ``budget`` allowance under the rules of
         :class:`repro.engine.suspend.Segment`.
     cache:
-        Optional :class:`InstanceCache`.  The stream replays from it and
+        Optional :class:`ResultCache`.  The stream replays from it and
         stores its known prefix back into it under the rules of
         :class:`StreamLedger`, so later resumes (and unrelated identical
         jobs) skip recomputation.
@@ -398,7 +398,7 @@ class EnumerationCursor:
     def __init__(
         self,
         job: EnumerationJob,
-        cache: Optional[InstanceCache] = None,
+        cache: Optional[ResultCache] = None,
         offset: int = 0,
         _expected_digest: Optional[str] = None,
         snapshot: Optional[bytes] = None,
@@ -485,7 +485,7 @@ class EnumerationCursor:
     def resume(
         cls,
         state: Dict[str, Any],
-        cache: Optional[InstanceCache] = None,
+        cache: Optional[ResultCache] = None,
         job: Optional[EnumerationJob] = None,
         resume_mode: str = "snapshot",
     ) -> "EnumerationCursor":
@@ -512,7 +512,7 @@ class EnumerationCursor:
     def load(
         cls,
         path: str,
-        cache: Optional[InstanceCache] = None,
+        cache: Optional[ResultCache] = None,
         job: Optional[EnumerationJob] = None,
         resume_mode: str = "snapshot",
     ) -> "EnumerationCursor":

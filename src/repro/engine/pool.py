@@ -33,7 +33,7 @@ import dataclasses
 import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.engine.cache import InstanceCache
+from repro.engine.cache import ResultCache
 from repro.engine.jobs import EnumerationJob, JobResult, _BudgetMeter, BudgetExceeded
 from repro.engine.jobs import solution_edge_structure, structure_line, run_job
 
@@ -222,7 +222,7 @@ def _merge_pieces(job: EnumerationJob, pieces: Dict[int, JobResult]) -> JobResul
 def run_batch(
     jobs: Sequence[EnumerationJob],
     workers: int = 1,
-    cache: Optional[InstanceCache] = None,
+    cache: Optional[ResultCache] = None,
     mp_context: Optional[str] = None,
     resume_snapshots: Optional[Sequence[Optional[bytes]]] = None,
 ) -> List[JobResult]:

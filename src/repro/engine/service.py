@@ -28,7 +28,7 @@ import sys
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
-from repro.engine.cache import InstanceCache
+from repro.engine.cache import InstanceCache, ResultCache
 from repro.engine.cursor import EnumerationCursor
 from repro.engine.jobs import EnumerationJob, JobResult, load_jobs_jsonl
 from repro.engine.pool import run_batch
@@ -44,8 +44,10 @@ class BatchRunner:
         Worker process count; ``1`` runs everything in-process (no
         multiprocessing import cost, identical output).
     cache:
-        An :class:`InstanceCache`, ``None`` to build a default one, or
-        ``False`` to disable caching entirely.
+        A :class:`ResultCache` (such as an :class:`InstanceCache` or a
+        :class:`~repro.serve.store.TieredCache`), ``None`` to build a
+        default :class:`InstanceCache`, or ``False`` to disable caching
+        entirely.
     mp_context:
         Multiprocessing start method override (default: fork if
         available).
@@ -69,7 +71,7 @@ class BatchRunner:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.cache: Optional[InstanceCache]
+        self.cache: Optional[ResultCache]
         if cache is False:
             self.cache = None
         elif cache is None:

@@ -46,5 +46,5 @@ def read_json(path: str) -> Optional[Any]:
     try:
         with open(path) as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # ValueError: malformed JSON or not UTF-8
         return None

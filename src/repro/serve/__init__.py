@@ -4,10 +4,11 @@ This package turns :mod:`repro.engine` into a network service:
 
 * :class:`ResultStore` (:mod:`repro.serve.store`) — a disk-backed result
   store keyed by the engine's isomorphism-stable instance digest, with
-  cursor checkpoints that survive process restarts.  It speaks the same
-  ``lookup`` / ``prefix`` / ``store`` protocol as
-  :class:`repro.engine.cache.InstanceCache`, so cursors and the batch
-  pool accept one interchangeably.
+  cursor checkpoints that survive process restarts.  It is the disk
+  tier of :class:`repro.engine.cache.ResultCache`, and a result cache
+  itself, so cursors and the batch pool accept it as they accept an
+  :class:`repro.engine.cache.InstanceCache`; :class:`TieredCache` puts
+  the two tiers together.
 * :class:`WorkerPool` (:mod:`repro.serve.workers`) — a persistent pool
   of enumeration worker processes streaming solution chunks back over
   pipes with credit-based flow control and cooperative cancellation.

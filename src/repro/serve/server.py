@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.capabilities import capability_matrix
-from repro.engine.cache import InstanceCache
+from repro.engine.cache import InstanceCache, ResultCache
 from repro.engine.cursor import StreamLedger, StreamPlan, read_checkpoint
 from repro.engine.jobs import EnumerationJob
 from repro.engine.suspend import snapshot_usable
@@ -133,8 +133,9 @@ class EnumerationServer(FrontDoor):
         concurrently *enumerating* streams (replayed streams don't
         occupy a worker).
     cache:
-        An :class:`InstanceCache`, ``None`` to build a default one, or
-        ``False`` to disable the memory tier.
+        The memory tier: an :class:`InstanceCache` (or another
+        :class:`ResultCache` tier), ``None`` to build a default one, or
+        ``False`` to disable it.
     store:
         A :class:`ResultStore`, a directory path to open one, or
         ``None`` to run memory-only (no persistence, no resumable
@@ -180,7 +181,7 @@ class EnumerationServer(FrontDoor):
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        cache: Union[InstanceCache, None, bool] = None,
+        cache: Union[ResultCache, None, bool] = None,
         store: Union[ResultStore, str, None] = None,
         chunk: int = DEFAULT_CHUNK,
         mp_context: Optional[str] = None,

@@ -1,51 +1,36 @@
 """Disk-backed result store: persistent replay across process restarts.
 
-:class:`ResultStore` is the durable sibling of
-:class:`repro.engine.cache.InstanceCache`.  Entries are keyed by the
-same isomorphism-stable instance digest (:func:`repro.engine.cache.instance_key`),
-so a *relabeled* copy of a solved instance replays the stored stream
-translated into the caller's vertex names, and the same serve-gating
-rules apply (relabeled hits serve only complete solution sets; exact
-fingerprint matches may satisfy a ``limit`` by prefix truncation).
-
-The store speaks the cache's ``lookup`` / ``prefix`` / ``store``
-protocol, so every consumer that accepts an ``InstanceCache`` — the
-batch pool, :class:`repro.engine.cursor.EnumerationCursor`, the serving
-layer — accepts a ``ResultStore`` unchanged.  On top of that it
-persists **cursor checkpoints** (`save_cursor` / `load_cursor`), which
-is what lets an interrupted server stream resume after a restart.
+:class:`ResultStore` is the disk tier of the result cache
+(:class:`repro.engine.cache.ResultCache`): it gets and puts the cache's
+entries as JSON files, keyed by the same isomorphism-stable instance
+digest (:func:`repro.engine.cache.instance_key`), and the cache's rules
+decide what serves — a *relabeled* copy of a solved instance replays
+the stored stream translated into the caller's vertex names, relabeled
+hits serve only complete solution sets, and exact fingerprint matches
+may satisfy a ``limit`` by prefix truncation.  Used alone it is a
+result cache of its own; :class:`TieredCache` puts an
+:class:`~repro.engine.cache.InstanceCache` in front of it.  On top of
+that it persists **cursor checkpoints** (`save_cursor` /
+`load_cursor`), which is what lets an interrupted server stream resume
+after a restart.
 
 Storage format: one JSON file per entry under ``<root>/entries/``
 (canonical payloads are pure integer structures, so they round-trip
 through JSON exactly), one JSON file per checkpoint under
 ``<root>/cursors/``.  Writes are atomic (tempfile + ``os.replace``), so
-a killed process never leaves a half-written entry.
+a killed process never leaves a half-written entry; a file that does
+not decode to an entry is a miss, and the next store rewrites it.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro.engine.cache import (
-    CacheStats,
-    InstanceCache,
-    entry_result,
-    entry_usable,
-    instance_key,
-    job_fingerprint,
-    line_result,
-    storable,
-    to_canonical,
-)
 from repro.core.capabilities import spec as kind_spec
-from repro.engine.jobs import (
-    EnumerationJob,
-    JobResult,
-)
+from repro.engine.cache import CacheStats, InstanceCache, ResultCache, _Entry, instance_key
 from repro.exceptions import InvalidInstanceError
 from repro.jsonfile import read_json, write_atomic
 
@@ -62,7 +47,31 @@ def _payload_from_json(kind: str, raw: list, canonical: bool) -> tuple:
     return tuple(tuple(int(x) for x in s) for s in raw)
 
 
-class ResultStore:
+def _decode(record: Any) -> Optional[_Entry]:
+    """The entry a JSON record holds; ``None`` when it holds none."""
+    if not isinstance(record, dict) or record.get("schema") != _SCHEMA:
+        return None
+    try:
+        kind, raw, lines = record["kind"], record["payload"], record.get("lines")
+        canonical, exhausted = record["canonical"], record["exhausted"]
+        fingerprint = record["fingerprint"]
+        if not (
+            isinstance(raw, list)
+            and isinstance(lines, (list, type(None)))
+            and isinstance(fingerprint, str)
+            and type(canonical) is bool
+            and type(exhausted) is bool
+        ):
+            return None
+        payload = _payload_from_json(kind, raw, canonical)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return _Entry(
+        kind, payload, canonical, exhausted, fingerprint, None if lines is None else tuple(lines)
+    )
+
+
+class ResultStore(ResultCache):
     """Persistent enumeration results + cursor checkpoints on disk.
 
     Parameters
@@ -84,12 +93,11 @@ class ResultStore:
     ('a-b b-c',)
     """
 
+    persistent = True
+
     def __init__(self, root: str) -> None:
+        super().__init__(key_memo=1024)
         self.root = root
-        self.stats = CacheStats()
-        #: Memoized :func:`~repro.engine.cache.instance_key` (replaced by
-        #: the memory tier's under a :class:`TieredCache`).
-        self.key_of = functools.lru_cache(maxsize=1024)(instance_key)
 
     # ------------------------------------------------------------------
     # paths
@@ -109,130 +117,29 @@ class ResultStore:
         digest = hashlib.sha256(stream_id.encode()).hexdigest()[:40]
         return os.path.join(self._cursors_dir(), f"{digest}.json")
 
-    def _read_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        # An unreadable entry is a miss; a future store rewrites it.
-        record = read_json(self._entry_path(key))
-        if record is None or record.get("schema") != _SCHEMA:
-            return None
-        return record
-
     # ------------------------------------------------------------------
-    # the cache protocol: lookup / prefix / store
+    # the tier: one JSON file per entry
     # ------------------------------------------------------------------
-    def lookup(self, job: EnumerationJob) -> Optional[JobResult]:
-        """A complete :class:`JobResult` for ``job`` from disk, or ``None``.
+    def get(self, key: str) -> Optional[_Entry]:
+        """The entry in ``key``'s file; ``None`` when the file is missing
+        or does not decode to an entry (the next store rewrites it)."""
+        return _decode(read_json(self._entry_path(key)))
 
-        Same gating as :meth:`InstanceCache.lookup`: exact-fingerprint
-        entries may satisfy a ``limit`` by truncation, relabeled entries
-        serve only complete solution sets (translated to the caller's
-        labels).
-        """
-        key, order = self.key_of(job)
-        record = self._read_entry(key)
-        if record is None:
-            self.stats.misses += 1
-            return None
-        same = record["fingerprint"] == job_fingerprint(job)
-        if not entry_usable(job, same, record["exhausted"], len(record["payload"])):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self.stats.disk_hits += 1
-        if same and record["canonical"] and record.get("lines") is not None:
-            # Exact instance: the donor's rendered lines ARE this job's
-            # stream — skip the canonical translation entirely.
-            return line_result(job, tuple(record["lines"]), record["exhausted"])
-        payload = _payload_from_json(job.kind, record["payload"], record["canonical"])
-        return entry_result(job, payload, record["canonical"], record["exhausted"], order)
-
-    def prefix(self, job: EnumerationJob) -> Optional[JobResult]:
-        """The stored solution prefix for ``job`` (exact matches only).
-
-        Like :meth:`InstanceCache.prefix`: serves incomplete entries and
-        never truncates to the job's ``limit``; relabeled donors are
-        skipped because their stream order is a permutation of this
-        job's; a complete stream comes back as its stored lines.
-        """
-        key, order = self.key_of(job)
-        record = self._read_entry(key)
-        if record is None or record["fingerprint"] != job_fingerprint(job):
-            return None
-        if record["exhausted"] and record.get("lines") is not None:
-            lines = tuple(record["lines"])
-            return entry_result(job, lines, False, True, None, apply_limit=False)
-        payload = _payload_from_json(job.kind, record["payload"], record["canonical"])
-        return entry_result(
-            job, payload, record["canonical"], record["exhausted"], order,
-            apply_limit=False,
-        )
-
-    def store(
-        self,
-        job: EnumerationJob,
-        result: JobResult,
-        canonicalize: Optional[Callable[[str, Any, List[Any]], tuple]] = None,
-    ) -> None:
-        """Persist ``result`` for ``job`` (upgrade-only, atomic write).
-
-        Deadline/budget-stopped and errored results are rejected (their
-        cut point is not deterministic); an existing entry is replaced
-        only by one that knows strictly more solutions.
-        ``canonicalize`` stands in for :func:`to_canonical`, as in
-        :meth:`InstanceCache.store`.
-        """
-        if not storable(result):
-            return
-        key, order = self.key_of(job)
-        if order is not None and result.structures is None:
-            return  # canonical entries need structures to translate on hit
-        existing = self._read_entry(key)
-        if existing is not None:
-            upgrades = result.exhausted and not existing["exhausted"]
-            if existing["exhausted"] or (
-                len(existing["payload"]) >= result.count and not upgrades
-            ):
-                return
-        if order is not None:
-            canonical = True
-            payload = (canonicalize or to_canonical)(job.kind, result.structures, order)
-        else:
-            canonical = False
-            payload = result.lines
+    def put(self, key: str, entry: _Entry) -> None:
+        """Write ``entry`` to ``key``'s file (atomically)."""
         # json.dumps writes the payload's nested tuples as arrays.
         record = {
             "schema": _SCHEMA,
-            "kind": job.kind,
-            "canonical": canonical,
-            "exhausted": result.exhausted,
-            "fingerprint": job_fingerprint(job),
-            "payload": payload,
+            "kind": entry.kind,
+            "canonical": entry.canonical,
+            "exhausted": entry.exhausted,
+            "fingerprint": entry.fingerprint,
+            "payload": entry.payload,
         }
-        if canonical:
-            record["lines"] = result.lines
+        if entry.canonical:
+            record["lines"] = entry.lines
         write_atomic(self._entry_path(key), record)
         self.stats.stores += 1
-
-    def raw_entry(
-        self, job: EnumerationJob
-    ) -> Optional[Tuple[tuple, bool, bool, str, Optional[tuple]]]:
-        """The stored entry in :class:`InstanceCache` shape, for promotion.
-
-        Returns ``(payload, canonical, exhausted, fingerprint, lines)``
-        or ``None`` on a miss.
-        """
-        key, _order = self.key_of(job)
-        record = self._read_entry(key)
-        if record is None:
-            return None
-        payload = _payload_from_json(job.kind, record["payload"], record["canonical"])
-        lines = tuple(record["lines"]) if record.get("lines") is not None else None
-        return (
-            payload,
-            record["canonical"],
-            record["exhausted"],
-            record["fingerprint"],
-            lines,
-        )
 
     # ------------------------------------------------------------------
     # cursor checkpoints
@@ -301,76 +208,25 @@ class ResultStore:
         return payload
 
 
-class TieredCache:
-    """Memory-LRU front + persistent-store back, one cache protocol.
+class TieredCache(ResultCache):
+    """A memory tier in front of a disk tier; either may be ``None``.
 
-    ``lookup``/``prefix`` consult the in-memory :class:`InstanceCache`
-    first and fall back to the :class:`ResultStore`; disk hits are
-    promoted into memory.  ``store`` writes through to both tiers.
-    ``repro serve --store DIR`` and ``repro batch --spill-dir DIR`` use
-    this so repeated queries are memory-fast while every completed
-    enumeration survives eviction and restarts.
+    The result cache's rules run over the two tiers: lookups ask memory
+    first and put a disk hit into memory, and stores write through to
+    both.  ``repro serve --store DIR`` and ``repro batch --spill-dir
+    DIR`` use this so repeated queries are memory-fast while every
+    completed enumeration survives eviction and restarts.  The front
+    tier's counters are :attr:`stats` (what :class:`BatchRunner`
+    reports) and its key memo is the cache's.
     """
 
     def __init__(self, cache: Optional[InstanceCache], store: Optional[ResultStore]) -> None:
         self.cache = cache
         self.store_tier = store
-        if cache is not None and store is not None:
-            # Both tiers key through one memo: a request that misses
-            # memory and falls through to disk is canonicalized once.
-            store.key_of = cache.key_of
-
-    def _tiers(self):
-        return [t for t in (self.cache, self.store_tier) if t is not None]
-
-    def lookup(self, job: EnumerationJob) -> Optional[JobResult]:
-        """First complete hit across the tiers (disk hits are promoted)."""
-        for tier in self._tiers():
-            result = tier.lookup(job)
-            if result is not None:
-                if tier is self.store_tier and self.cache is not None:
-                    raw = self.store_tier.raw_entry(job)
-                    if raw is not None:
-                        self.cache.adopt_entry(job, *raw)
-                return result
-        return None
-
-    def prefix(self, job: EnumerationJob) -> Optional[JobResult]:
-        """The longest stored prefix across the tiers (exact matches only)."""
-        best: Optional[JobResult] = None
-        for tier in self._tiers():
-            result = tier.prefix(job)
-            if result is not None and (best is None or result.count > best.count):
-                best = result
-            if best is not None and best.exhausted:
-                break
-        return best
-
-    def store(self, job: EnumerationJob, result: JobResult) -> None:
-        """Write ``result`` through to every tier.
-
-        The tiers share one key memo and so one canonical order: the
-        first tier that writes canonicalises ``result``, the other
-        reuses its payload.
-        """
-        memo: list = []
-
-        def canonicalize(kind: str, structures: Any, order: List[Any]) -> tuple:
-            if not memo:
-                memo.append(to_canonical(kind, structures, order))
-            return memo[0]
-
-        for tier in self._tiers():
-            tier.store(job, result, canonicalize)
-
-    @property
-    def stats(self) -> CacheStats:
-        """The front tier's counters (keeps :class:`BatchRunner` happy)."""
-        tiers = self._tiers()
-        return tiers[0].stats if tiers else CacheStats()
-
-    def __len__(self) -> int:
-        return sum(len(tier) for tier in self._tiers())
+        self.tiers = [t for t in (cache, store) if t is not None]
+        front = self.tiers[0] if self.tiers else None
+        self.stats = front.stats if front is not None else CacheStats()
+        self.key_of = front.key_of if front is not None else instance_key
 
     def as_dict(self) -> Dict[str, Any]:
         """Per-tier stats payload plus the cross-tier aggregate.

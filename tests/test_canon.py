@@ -380,6 +380,23 @@ def test_tiered_cache_canonicalizes_a_request_once(tmp_path, monkeypatch):
     assert calls == [job]
 
 
+def test_a_job_keeps_the_key_a_cache_gave_it(tmp_path, monkeypatch):
+    """Once a tiered cache has keyed a job, a store used on its own
+    keys that job without calling ``instance_key`` again."""
+    job = _twin_leaf_pairs(3)
+    assert _tiered(tmp_path / "tiered").lookup(job) is None
+    calls = []
+
+    def counting(job):
+        calls.append(job)
+        return canonical_signature(job)
+
+    monkeypatch.setattr(cache_mod, "canonical_signature", counting)
+    store = ResultStore(str(tmp_path / "alone"))
+    store.store(job, run_job(job))
+    assert calls == [] and store.lookup(job) is not None
+
+
 # ----------------------------------------------------------------------
 # the base family: queries on graphs with no non-trivial automorphism
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ requests, mid-handshake disconnects and oversized payloads, and must
 answer with a documented 4xx — never a traceback-bearing 500 and never
 a hung connection (see the ``TestServeHTTP*`` classes).  Cursor
 checkpoints read back from the store get the same treatment
-(``TestHostileCheckpoints``)."""
+(``TestHostileCheckpoints``); result entry files that do not decode are
+misses that the next store rewrites (``TestHostileEntries``)."""
 
 import json
 import socket
@@ -420,6 +421,91 @@ class TestHostileCheckpoints:
         assert tuple(lines) == run_job(self._job()).lines[1:]
         assert events[-1]["event"] == "end"
         assert client.stats()["degraded_resumes"] == before + 1
+
+
+class TestHostileEntries:
+    """An entry file that does not decode to an entry is a miss for every
+    cache shape over its directory, and the next store rewrites it."""
+
+    #: Raw file bodies, and patches over a well-formed record of the job.
+    BODIES = {
+        "list": b"[1, 2]",
+        "string": b'"text"',
+        "schema-only": b'{"schema": 1}',
+        "not-utf8": b"\xff\xfe\x00",
+        "string-index": {"payload": [[["a", 1]]]},
+        "payload-string": {"payload": "text"},
+        "other-kind": {"kind": "st-path", "payload": [[0, 1]]},
+        "not-canonical": {"canonical": False, "payload": ["0-1"], "lines": None},
+    }
+
+    @staticmethod
+    def _job(n: int = 4):
+        from repro.engine.jobs import EnumerationJob
+
+        cycle = [(i, (i + 1) % n) for i in range(n)] + [(0, 2)]
+        return EnumerationJob.steiner_tree(cycle, [0, 1, n - 1])
+
+    @staticmethod
+    def _plant(root: str, job, case: str) -> str:
+        """Write ``case``'s body where ``job``'s entry lives; its path."""
+        import os
+
+        from repro.engine.cache import instance_key, job_fingerprint
+
+        path = os.path.join(root, "entries", f"{instance_key(job)[0]}.json")
+        body = TestHostileEntries.BODIES[case]
+        if isinstance(body, dict):
+            record = {"schema": 1, "kind": job.kind, "canonical": True, "exhausted": True,
+                      "fingerprint": job_fingerprint(job), "payload": [[[0, 1]]],
+                      "lines": ["0-1"]}
+            body = json.dumps(dict(record, **body)).encode()
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(body)
+        return path
+
+    @pytest.mark.parametrize("case", sorted(BODIES))
+    @pytest.mark.parametrize("shape", ["store", "tiered", "disk-only-tiered"])
+    def test_every_shape_misses_and_rewrites(self, tmp_path, case, shape):
+        from repro.engine.cache import InstanceCache
+        from repro.engine.jobs import EnumerationJob, run_job
+        from repro.serve.store import ResultStore, TieredCache
+
+        root = str(tmp_path)
+        job = self._job()
+        copy = EnumerationJob.steiner_tree(
+            [(f"v{(v + 1) % 4}", f"v{(u + 1) % 4}") for u, v in reversed(job.edges)],
+            ["v1", "v2", "v0"],
+        )
+        path = self._plant(root, job, case)
+        cache = {
+            "store": lambda: ResultStore(root),
+            "tiered": lambda: TieredCache(InstanceCache(), ResultStore(root)),
+            "disk-only-tiered": lambda: TieredCache(None, ResultStore(root)),
+        }[shape]()
+        assert cache.lookup(job) is None and cache.lookup(copy) is None
+        assert cache.prefix(job) is None
+        cache.store(job, run_job(job))
+        with open(path) as handle:
+            assert json.load(handle)["exhausted"] is True
+        assert ResultStore(root).lookup(copy).count == run_job(copy).count
+
+    @pytest.mark.parametrize("case", sorted(BODIES))
+    def test_server_streams_in_full_and_rewrites(self, checkpoint_server, case):
+        from repro.engine.jobs import run_job
+        from repro.serve.client import ServeClient
+
+        port, store = checkpoint_server
+        # One graph per case: the server's memory tier must not know it.
+        job = self._job(5 + sorted(self.BODIES).index(case))
+        path = self._plant(store, job, case)
+        events = list(ServeClient(port=port).enumerate(job))
+        lines = [e["line"] for e in events if e["event"] == "solution"]
+        assert tuple(lines) == run_job(job).lines
+        assert events[-1]["event"] == "end"
+        with open(path) as handle:
+            assert json.load(handle)["lines"] == lines
 
 
 class TestExceptionHierarchy:

@@ -28,7 +28,6 @@ from repro.engine import cache as cache_module
 from repro.engine.cache import InstanceCache, instance_key, job_fingerprint
 from repro.engine.cursor import EnumerationCursor
 from repro.engine.jobs import JOB_KINDS, EnumerationJob, run_job
-from repro.serve import store as store_module
 from repro.serve.store import ResultStore, TieredCache
 
 
@@ -255,7 +254,6 @@ class TestTieredCache:
             return original(*args)
 
         monkeypatch.setattr(cache_module, "to_canonical", counting)
-        monkeypatch.setattr(store_module, "to_canonical", counting)
         through = ResultStore(str(tmp_path / "through"))
         memory = InstanceCache()
         TieredCache(memory, through).store(job, result)
