@@ -13,6 +13,11 @@ declarative registry instead of encoding the capability split itself:
   (byte-identical streams on integer-compact instances).
 * ``relabelable`` — cache entries translate between relabeled
   isomorphic instances (:mod:`repro.engine.cache`).
+* ``shared_kernel`` — fast-backend queries on one graph share one
+  compiled kernel (:mod:`repro.engine.suspend`): the kind's machine
+  only reads the kernel's incidence arrays and version-keyed derived
+  data, never changes them.  An engine detail, so it is left out of the
+  published capability rows.
 
 Every kind runs on an explicit-state search machine
 (:mod:`repro.engine.suspend`), so every stream suspends, checkpoints
@@ -58,6 +63,7 @@ class KindSpec:
     directed: bool
     backends: Tuple[str, ...]
     relabelable: bool
+    shared_kernel: bool = False
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready capability row (used by ``/stats`` and ``/metrics``)."""
@@ -69,7 +75,9 @@ class KindSpec:
         }
 
 
-def _spec(kind: str, shape: str, *, directed: bool = False) -> KindSpec:
+def _spec(
+    kind: str, shape: str, *, directed: bool = False, shared_kernel: bool = False
+) -> KindSpec:
     # Every kind runs on both backends; only kfragments (keyword queries
     # are bound to concrete node labels) refuses relabeled cache
     # translation.
@@ -79,6 +87,7 @@ def _spec(kind: str, shape: str, *, directed: bool = False) -> KindSpec:
         directed=directed,
         backends=BACKEND_NAMES,
         relabelable=kind != "kfragments",
+        shared_kernel=shared_kernel,
     )
 
 
@@ -86,12 +95,14 @@ def _spec(kind: str, shape: str, *, directed: bool = False) -> KindSpec:
 KIND_REGISTRY: Dict[str, KindSpec] = {
     s.kind: s
     for s in (
-        _spec("steiner-tree", "edge-set"),
+        # The Steiner-tree traversal and the Read-Tarjan path search only
+        # read their kernel.
+        _spec("steiner-tree", "edge-set", shared_kernel=True),
         _spec("steiner-forest", "edge-set"),
         _spec("terminal-steiner", "edge-set"),
         _spec("directed-steiner", "arc-set", directed=True),
         _spec("induced-steiner", "vertex-set"),
-        _spec("st-path", "path"),
+        _spec("st-path", "path", shared_kernel=True),
         _spec("chordless-path", "path"),
         _spec("kfragments", "fragment"),
     )

@@ -64,11 +64,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.capabilities import spec as kind_spec
-from repro.engine.jobs import (
-    EnumerationJob,
-    JobResult,
-    structure_line,
-)
+from repro.engine.jobs import EnumerationJob, JobResult, RenderTable
 
 #: Abort the individualization search after this many refinement passes,
 #: i.e. nodes of the twin-pruned search tree.  Twin subtrees are mirror
@@ -467,32 +463,32 @@ def instance_key(job: EnumerationJob) -> Tuple[str, Optional[List[Any]]]:
 
 
 def to_canonical(kind: str, structures, order: List[Any]) -> tuple:
-    """Re-express label-level ``structures`` in canonical vertex indices."""
+    """Re-express label-level ``structures`` in canonical vertex indices.
+
+    Each distinct edge or arc pair is translated once per call (a
+    stream's structures share one tuple per edge).
+    """
     pos = {v: i for i, v in enumerate(order)}
     if kind_spec(kind).result_shape in ("vertex-set", "path"):
-        return tuple(tuple(pos[v] for v in s) for s in structures)
-    return tuple(tuple((pos[u], pos[v]) for u, v in s) for s in structures)
+        return tuple(tuple([pos[v] for v in s]) for s in structures)
+    pairs: Dict[tuple, tuple] = {}
+    return tuple(
+        tuple([pairs.get(p) or pairs.setdefault(p, (pos[p[0]], pos[p[1]])) for p in s])
+        for s in structures
+    )
 
 
-def from_canonical(job: EnumerationJob, canonical, order: List[Any]) -> tuple:
-    """Translate canonical-index structures into ``job``'s own labels."""
-    if kind_spec(job.kind).result_shape == "vertex-set":
-        # Vertex sets are rendered sorted by repr (matching JobSearch);
-        # paths keep their traversal order.
-        return tuple(
-            tuple(sorted((order[i] for i in s), key=repr)) for s in canonical
-        )
-    if kind_spec(job.kind).result_shape == "path":
-        return tuple(tuple(order[i] for i in s) for s in canonical)
-    structures = []
-    for s in canonical:
-        if job.is_directed:
-            pairs = [(order[i], order[j]) for i, j in s]
-        else:
-            pairs = [tuple(sorted((order[i], order[j]), key=repr)) for i, j in s]
-        pairs.sort(key=lambda p: (repr(p[0]), repr(p[1])))
-        structures.append(tuple(pairs))
-    return tuple(structures)
+def from_canonical(job: EnumerationJob, canonical, order: List[Any]) -> Tuple[tuple, tuple]:
+    """Translate canonical-index structures into ``job``'s own labels:
+    ``(lines, structures)``, rendered by a :class:`RenderTable` over
+    ``order`` (one ``repr`` and one ``str`` per vertex per call)."""
+    table = RenderTable(order, directed=job.is_directed)
+    render = {
+        "vertex-set": table.vertex_set,
+        "path": table.path,
+    }.get(kind_spec(job.kind).result_shape, table.edge_set)
+    rendered = [render(s) for s in canonical]
+    return tuple([r[0] for r in rendered]), tuple([r[1] for r in rendered])
 
 
 @dataclass
@@ -508,6 +504,9 @@ class _Entry:
     # exact-fingerprint hit skip the canonical->label translation and
     # re-rendering entirely — the donor's stream IS the requester's.
     lines: Optional[tuple] = None
+    # The largest vertex index a canonical payload holds (-1: none, or
+    # not known to be out of range); an entry read from disk records it.
+    top: int = -1
 
     def serves(self, job: EnumerationJob, same: bool) -> bool:
         """Whether :meth:`ResultCache.lookup` may serve this entry to ``job``.
@@ -538,8 +537,7 @@ class _Entry:
         structures: Optional[tuple] = None
         if lines is None or (self.canonical and not verbatim):
             assert order is not None  # canonical entries fit canonical keys only
-            structures = from_canonical(job, self.payload, order)
-            lines = tuple(structure_line(job, s) for s in structures)
+            lines, structures = from_canonical(job, self.payload, order)
         exhausted, stop_reason = self.exhausted, None
         if apply_limit and job.limit is not None and len(lines) >= job.limit:
             lines, exhausted, stop_reason = lines[: job.limit], False, "limit"
@@ -606,7 +604,9 @@ class ResultCache:
     * :meth:`store` writes a result through to every tier whose entry it
       upgrades, building (and canonicalising) the entry once.
 
-    An entry whose kind or shape does not fit the job's key is a miss.
+    An entry whose kind or shape does not fit the job's key, or whose
+    vertex indices lie past the key's order, is a miss (the next store
+    rewrites it).
     """
 
     #: The tiers, front first.
@@ -722,7 +722,9 @@ class ResultCache:
             key, order = self._key(job)
             entry = tier.get(key)
             if entry is not None and (
-                entry.kind != job.kind or entry.canonical != (order is not None)
+                entry.kind != job.kind
+                or entry.canonical != (order is not None)
+                or (order is not None and entry.top >= len(order))
             ):
                 entry = None
             yield tier, entry

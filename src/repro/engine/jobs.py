@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from operator import itemgetter
 from dataclasses import dataclass, field, fields
 from typing import (
     Any,
@@ -197,6 +198,12 @@ class EnumerationJob:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "backend", resolve_backend(self.backend))
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The render table is rebuilt where the job runs, not shipped.
+        state = dict(self.__dict__)
+        state.pop("_render", None)
+        return state
 
     # ------------------------------------------------------------------
     # constructors
@@ -609,37 +616,167 @@ def render_structure(kind: str, structure) -> str:
     raise InvalidInstanceError(f"no structure rendering for kind {kind!r}")
 
 
+class _Rerank(Exception):
+    """An edge endpoint prints unlike its vertex's label (``True`` for a
+    vertex first written ``1``): the ranks must take its ``repr`` in."""
+
+
+#: Types whose equal values have equal ``repr`` and ``str``.
+_PLAIN_TYPES = (int, str)
+
+#: An edge entry's rank key.
+_KEY = itemgetter(0)
+
+
+class RenderTable:
+    """How one instance's solutions become structures and lines.
+
+    The rule: an undirected edge lists its endpoints in ``repr`` order, a
+    set of edges or arcs lists its pairs in their endpoints' ``repr``
+    order, a vertex set lists its labels in ``repr`` order, a path keeps
+    its traversal order, and a keyword fragment lists the ``str``-sorted
+    ``u-v`` tokens of its edges as sorted strings.  Lines join the
+    labels' ``str``.
+
+    Per vertex (an index into ``labels``) the table holds the label's
+    ``str`` and its dense rank by ``repr``: one ``repr`` and one ``str``
+    per vertex.  Per edge, on its first use, it holds the edge's rank
+    key, its label pair (one tuple, shared by every solution holding the
+    edge) and its tokens, ``u-v`` or ``u->v`` and the fragment token.  A
+    solution is then an integer sort plus a join.  An edge is read from
+    ``edges`` by edge id, or given as a pair of vertex indices.
+
+    An edge renders the endpoint objects ``edges`` lists.  One that
+    equals its vertex's label but prints otherwise (``True`` where the
+    vertex was first written ``1``) takes a rank of its own ``repr``:
+    the ranks are rebuilt to include it and the edge entries dropped.
+    """
+
+    def __init__(self, labels, index_of=None, edges=(), directed: bool = False) -> None:
+        self.labels = labels
+        self.index_of = index_of
+        self.edges = edges
+        self.directed = directed
+        self.text = [str(x) for x in labels]
+        self._reprs = [repr(x) for x in labels]
+        self._rerank(())
+
+    def _rerank(self, extra) -> None:
+        """Dense ranks over the labels' reprs and ``extra``; drops the
+        edge entries, whose keys used the old ranks."""
+        order = sorted({*self._reprs, *extra})
+        self._rank_of = {r: i for i, r in enumerate(order)}
+        self.rank = [self._rank_of[r] for r in self._reprs]
+        self._width = len(order)
+        self._edge: Dict[Any, tuple] = {}
+
+    # ------------------------------------------------------------------
+    # entries
+    # ------------------------------------------------------------------
+    def _vertex(self, x) -> Tuple[int, str]:
+        """Rank and text of endpoint object ``x``."""
+        i = self.index_of[x]
+        label = self.labels[i]
+        if label is x or (type(x) is type(label) and type(x) in _PLAIN_TYPES):
+            return self.rank[i], self.text[i]
+        r = repr(x)
+        rank = self._rank_of.get(r)
+        if rank is None:
+            raise _Rerank(r)
+        return rank, str(x)
+
+    def _entry(self, u, v, a: Tuple[int, str], b: Tuple[int, str], pair) -> tuple:
+        """``(key, pair, token, fragment token)`` of edge ``u``-``v``."""
+        (ra, sa), (rb, sb) = a, b
+        fragment = f"{sa}-{sb}" if sa <= sb else f"{sb}-{sa}"
+        if self.directed:
+            return ra * self._width + rb, pair, f"{sa}->{sb}", fragment
+        if rb < ra:
+            return rb * self._width + ra, (v, u), f"{sb}-{sa}", fragment
+        return ra * self._width + rb, (u, v), f"{sa}-{sb}", fragment
+
+    def _fill(self, e) -> tuple:
+        if type(e) is tuple:  # a pair of vertex indices
+            i, j = e
+            labels, rank, text = self.labels, self.rank, self.text
+            u, v = labels[i], labels[j]
+            entry = self._entry(u, v, (rank[i], text[i]), (rank[j], text[j]), (u, v))
+        else:
+            pair = self.edges[e]
+            u, v = pair
+            entry = self._entry(u, v, self._vertex(u), self._vertex(v), pair)
+        self._edge[e] = entry
+        return entry
+
+    def _entries(self, eids) -> List[tuple]:
+        edge = self._edge
+        try:
+            return [edge[e] for e in eids]
+        except KeyError:
+            pass
+        while True:
+            edge = self._edge
+            try:
+                entries = [edge.get(e) or self._fill(e) for e in eids]
+            except _Rerank as exc:
+                self._rerank([*self._rank_of, exc.args[0]])
+                continue
+            if edge is self._edge:
+                return entries
+
+    # ------------------------------------------------------------------
+    # one solution: (line, structure)
+    # ------------------------------------------------------------------
+    def edge_set(self, eids) -> Tuple[str, tuple]:
+        """An edge- or arc-set solution, by edge ids or index pairs."""
+        entries = self._entries(eids)
+        if not entries:
+            return "(single-vertex tree)", ()
+        entries.sort(key=_KEY)
+        return " ".join([e[2] for e in entries]), tuple([e[1] for e in entries])
+
+    def vertex_set(self, vertices) -> Tuple[str, tuple]:
+        """A vertex-set solution of vertex indices."""
+        ordered = sorted(vertices, key=self.rank.__getitem__)
+        labels, text = self.labels, self.text
+        return " ".join([text[v] for v in ordered]), tuple([labels[v] for v in ordered])
+
+    def path(self, vertices) -> Tuple[str, tuple]:
+        """A path of vertex indices, in traversal order."""
+        labels, text = self.labels, self.text
+        return "->".join([text[v] for v in vertices]), tuple([labels[v] for v in vertices])
+
+    def fragment(self, fragment) -> Tuple[str, str]:
+        """A keyword fragment; its structure is its line."""
+        tokens = sorted([e[3] for e in self._entries(fragment.structural_edges)])
+        edges = " ".join(tokens) if tokens else "(single node)"
+        text = self.text
+        matches = ",".join([f"{kw}={text[node]}" for kw, node in fragment.matches])
+        line = f"[{fragment.size}] {edges} | {matches}"
+        return line, line
+
+
+def render_table(job: EnumerationJob) -> RenderTable:
+    """``job``'s :class:`RenderTable`, built on first need and kept on
+    the job (never pickled with it)."""
+    table = job.__dict__.get("_render")
+    if table is None:
+        labels = job.label_table()
+        index_of = {v: i for i, v in enumerate(labels)}
+        table = RenderTable(labels, index_of, job.edges, job.is_directed)
+        object.__setattr__(job, "_render", table)
+    return table
+
+
 def solution_edge_structure(job: EnumerationJob, eids) -> tuple:
     """Label-level form of an edge/arc-set solution via positional ids.
 
     Edge ids of any instantiation of ``job`` are positions into
     ``job.edges``, so the original endpoint labels are recovered without
-    touching the (possibly integer-relabeled) instance.
+    touching the (possibly integer-relabeled) instance; the job's
+    :class:`RenderTable` orders them.
     """
-    if job.is_directed:
-        pairs = [job.edges[a] for a in eids]
-    else:
-        pairs = [tuple(sorted(job.edges[e], key=repr)) for e in eids]
-    return tuple(sorted(pairs, key=lambda p: (repr(p[0]), repr(p[1]))))
-
-
-def _render_fragment(job: EnumerationJob, labels, fragment) -> str:
-    """Deterministic one-line rendering of a keyword-search fragment."""
-    pairs = sorted(
-        "{}-{}".format(*sorted(map(str, job.edges[e])))
-        for e in fragment.structural_edges
-    )
-    edges = " ".join(pairs) if pairs else "(single node)"
-    matches = ",".join(f"{kw}={labels[node]}" for kw, node in fragment.matches)
-    return f"[{fragment.size}] {edges} | {matches}"
-
-
-def structure_line(job: EnumerationJob, structure) -> str:
-    """Render one label-level structure of ``job``'s stream as its line
-    (``kfragments`` structures are pre-rendered lines)."""
-    if job.kind == "kfragments":
-        return structure
-    return render_structure(job.kind, structure)
+    return render_table(job).edge_set(eids)[1]
 
 
 def run_job(job: EnumerationJob, resume: Optional[bytes] = None) -> JobResult:

@@ -35,7 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import EnumerationJob, JobResult, _BudgetMeter, BudgetExceeded
-from repro.engine.jobs import solution_edge_structure, structure_line, run_job
+from repro.engine.jobs import render_table, run_job
 
 
 class _Task(NamedTuple):
@@ -111,7 +111,8 @@ def run_steiner_shard(
             (time.monotonic() + job.deadline) if job.deadline is not None else None
         ),
     )
-    structures = []
+    table = render_table(job)
+    rendered = []
     stop_reason: Optional[str] = None
     try:
         pruned = graph.copy()
@@ -128,19 +129,19 @@ def run_steiner_shard(
             ):
                 candidate = frozenset(sol) | {forced}
                 if is_minimal_steiner_tree(graph, candidate, terminals):
-                    structures.append(solution_edge_structure(job, candidate))
+                    rendered.append(table.edge_set(candidate))
             pruned.remove_edge(forced)
     except BudgetExceeded as exc:
         stop_reason = exc.reason
     return JobResult(
         job_id=job.job_id,
         kind=job.kind,
-        lines=tuple(structure_line(job, s) for s in structures),
+        lines=tuple([r[0] for r in rendered]),
         exhausted=stop_reason is None,
         stop_reason=stop_reason,
         elapsed=time.perf_counter() - start,
         ops=meter.count,
-        structures=tuple(structures),
+        structures=tuple([r[1] for r in rendered]),
     )
 
 

@@ -28,6 +28,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
+from repro.core.capabilities import kinds_where
 from repro.core.directed_steiner import DirectedSteinerSearch
 from repro.core.induced_paths import ChordlessPathSearch
 from repro.core.induced_steiner import InducedSteinerSearch
@@ -45,10 +46,8 @@ from repro.engine.cache import job_fingerprint
 from repro.engine.jobs import (
     BudgetExceeded,
     EnumerationJob,
+    RenderTable,
     _BudgetMeter,
-    _render_fragment,
-    solution_edge_structure,
-    structure_line,
 )
 from repro.enumeration.events import SOLUTION
 from repro.exceptions import CursorStateError, InvalidInstanceError
@@ -107,8 +106,8 @@ class _Machine(NamedTuple):
     restore: Callable[..., Any]
     #: ``machine -> raw solution``, ``None`` at the end of the stream.
     pull: Callable[[Any], Any]
-    #: ``(job, labels, raw solution) -> label-level structure``.
-    structure: Callable[..., Any]
+    #: ``(render table, raw solution) -> (line, label-level structure)``.
+    render: Callable[..., Tuple[str, Any]]
 
 
 def _terminals(job, vertex):
@@ -150,18 +149,6 @@ def _advance(machine):
     return machine.advance()
 
 
-def _edge_set(job, _labels, eids):
-    return solution_edge_structure(job, eids)
-
-
-def _vertex_set(_job, labels, solution):
-    return tuple(sorted((labels[v] for v in solution), key=repr))
-
-
-def _path(_job, labels, vertices):
-    return tuple(labels[v] for v in vertices)
-
-
 def _steiner(cls, query) -> _Machine:
     return _Machine(
         query,
@@ -170,35 +157,33 @@ def _steiner(cls, query) -> _Machine:
         ),
         lambda g, state, meter, _backend: cls.restore(g, state, meter),
         _next_solution,
-        _edge_set,
+        RenderTable.edge_set,
     )
 
 
-def _plain(cls, query, structure) -> _Machine:
+def _plain(cls, query, render) -> _Machine:
     return _Machine(
         query,
         lambda g, args, meter, backend: cls(g, *args, meter=meter, backend=backend),
         lambda g, state, meter, _backend: cls.restore(g, state, meter),
         _advance,
-        structure,
+        render,
     )
 
 
 # ----------------------------------------------------------------------
 # one kernel per graph
 # ----------------------------------------------------------------------
-#: Fast-backend kinds whose machines read their kernel and never change
-#: it: the Steiner-tree traversal and the Read-Tarjan path searches only
-#: read the incidence arrays and the version-keyed derived data.  Their
-#: queries on one graph share one compiled kernel.
-_SHARED_KERNEL_KINDS = frozenset({"steiner-tree", "st-path"})
+#: Kinds whose queries on one graph share one compiled fast kernel
+#: (``shared_kernel`` in :mod:`repro.core.capabilities`).
+_SHARED_KERNEL_KINDS = kinds_where(shared_kernel=True)
 
 #: Compiled graphs each thread keeps (least recently used out first).
 _KERNEL_MEMO = 4
 
 
 class _Kernels(threading.local):
-    """Per-thread memo: instance -> ``(kernel, version, labels, index_of)``.
+    """Per-thread memo: instance -> ``(kernel, version, render table)``.
 
     Per thread because a kernel's sweep buffers (``_scratch``) serve one
     search call at a time.
@@ -218,25 +203,38 @@ def _kernel_key(job: EnumerationJob) -> Optional[tuple]:
     return (job.edges, job.vertices, job.node_keywords)
 
 
-def _indexed_instance(job: EnumerationJob):
-    """``job.instantiate_indexed()``, except that a shared kind gets its
-    graph's kernel from the memo, compiled on the first query straight
-    from the index pairs (the kernel ``instantiate_indexed`` plus
-    compilation would give, without the object graph between)."""
+def _indexed_instance(job: EnumerationJob) -> Tuple[Any, RenderTable]:
+    """``job.instantiate_indexed()`` as ``(instance, render table)``,
+    except that a shared kind gets its graph's kernel and table from the
+    memo, the kernel compiled on the first query straight from the index
+    pairs (the kernel ``instantiate_indexed`` plus compilation would
+    give, without the object graph between).  The table is kept on the
+    job too (:func:`repro.engine.jobs.render_table`)."""
     key = _kernel_key(job)
     if key is None:
-        return job.instantiate_indexed()
-    entries = _KERNELS.entries
-    entry = entries.get(key)
-    if entry is not None and entry[0].version == entry[1]:
-        entries.move_to_end(key)
-        return entry[0], entry[2], entry[3]
-    labels, index_of, pairs = job.index_pairs()
-    kernel = FastGraph.from_edges(pairs, range(len(labels)))
-    entries[key] = (kernel, kernel.version, labels, index_of)
-    while len(entries) > _KERNEL_MEMO:
-        entries.popitem(last=False)
-    return kernel, labels, index_of
+        instance, labels, index_of = job.instantiate_indexed()
+        table = job.__dict__.get("_render") or RenderTable(
+            labels, index_of, job.edges, job.is_directed
+        )
+    else:
+        entries = _KERNELS.entries
+        entry = entries.get(key)
+        if entry is not None and entry[0].version == entry[1]:
+            entries.move_to_end(key)
+            instance, table = entry[0], entry[2]
+            if table.edges is not job.edges:
+                # Equal pairs in other objects, which an edge renders.
+                table = RenderTable(table.labels, table.index_of, job.edges, job.is_directed)
+                entries[key] = (instance, entry[1], table)
+        else:
+            labels, index_of, pairs = job.index_pairs()
+            instance = FastGraph.from_edges(pairs, range(len(labels)))
+            table = RenderTable(labels, index_of, job.edges, job.is_directed)
+            entries[key] = (instance, instance.version, table)
+            while len(entries) > _KERNEL_MEMO:
+                entries.popitem(last=False)
+    object.__setattr__(job, "_render", table)
+    return instance, table
 
 
 def _forget_kernel(job: EnumerationJob) -> None:
@@ -252,8 +250,8 @@ _MACHINES: Dict[str, _Machine] = {
     "terminal-steiner": _steiner(TerminalSteinerSearch, _terminals),
     "steiner-forest": _steiner(SteinerForestSearch, _families),
     "directed-steiner": _steiner(DirectedSteinerSearch, _rooted),
-    "induced-steiner": _plain(InducedSteinerSearch, _terminals, _vertex_set),
-    "chordless-path": _plain(ChordlessPathSearch, _endpoints, _path),
+    "induced-steiner": _plain(InducedSteinerSearch, _terminals, RenderTable.vertex_set),
+    "chordless-path": _plain(ChordlessPathSearch, _endpoints, RenderTable.path),
     # On the fast backend the instance is the memo's compiled kernel.
     "st-path": _Machine(
         _endpoints,
@@ -264,9 +262,9 @@ _MACHINES: Dict[str, _Machine] = {
             FastPathSearch if backend == "fast" else StPathSearch
         ).restore(g, state, meter),
         _next_path,
-        _path,
+        RenderTable.path,
     ),
-    "kfragments": _plain(KFragmentSearch, _keywords, _render_fragment),
+    "kfragments": _plain(KFragmentSearch, _keywords, RenderTable.fragment),
 }
 
 
@@ -293,13 +291,13 @@ class JobSearch:
         self.meter = meter
         self.fingerprint = job_fingerprint(job)
         self.emitted = 0
-        self._instance, self.labels, self._index_of = _indexed_instance(job)
+        self._instance, self.table = _indexed_instance(job)
         self._kind = _MACHINES[job.kind]
         return self._kind
 
     def _query_vertex(self, vertex: Any) -> int:
         try:
-            return self._index_of[vertex]
+            return self.table.index_of[vertex]
         except KeyError:
             raise InvalidInstanceError(
                 f"query vertex {vertex!r} is not in the instance"
@@ -311,9 +309,9 @@ class JobSearch:
         raw = self._kind.pull(self._machine)
         if raw is None:
             return None
-        structure = self._kind.structure(self.job, self.labels, raw)
+        pair = self._kind.render(self.table, raw)
         self.emitted += 1
-        return structure_line(self.job, structure), structure
+        return pair
 
     def __iter__(self) -> Iterator[Tuple[str, Any]]:
         while True:

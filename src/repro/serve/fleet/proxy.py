@@ -5,7 +5,13 @@ The replicas speak the exact protocol of :mod:`repro.serve.protocol`
 ``Content-Length``, streams as ``Transfer-Encoding: chunked`` NDJSON),
 so the router needs only this small, dependency-free client: open a
 connection, send one request, read the response head, then either the
-sized body or the chunked NDJSON lines, incrementally.
+sized body or the chunked NDJSON events.
+
+A stream is read one upstream read at a time: :func:`read_events`
+yields, per read, every complete event that read finished
+(:class:`ChunkedEvents` decodes the framing across read boundaries), so
+the router relays a read's solutions with one write and one drain
+instead of one per event.
 
 Kept separate from the router so the chaos tests can hit the framing
 edge cases (truncated chunk, missing terminator, oversized head)
@@ -17,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
-from typing import Any, AsyncIterator, Dict, Optional, Tuple
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.serve.protocol import ProtocolError
 
@@ -25,6 +31,9 @@ from repro.serve.protocol import ProtocolError
 #: block or a single absurd NDJSON event at the router.
 MAX_HEAD_LINE = 64 * 1024
 MAX_EVENT_BYTES = 16 * 1024 * 1024
+
+#: Bytes asked of an upstream stream per read.
+READ_SIZE = 64 * 1024
 
 
 async def send_request(
@@ -122,45 +131,102 @@ async def read_sized_body(
     return await reader.readexactly(length) if length else b""
 
 
-async def iter_chunked_lines(reader: asyncio.StreamReader) -> AsyncIterator[bytes]:
-    """Decode a chunked body into complete NDJSON lines (no trailing LF).
+class ChunkedEvents:
+    """Incremental decoder of a chunked NDJSON body into event lines.
 
-    The replica frames one event per HTTP chunk, but TCP does not owe
-    us that alignment — decoded bytes are re-split on newlines so every
-    yielded item is exactly one complete event line.  Raises
-    :class:`ProtocolError` on malformed framing and
-    ``IncompleteReadError`` when the upstream dies mid-chunk (the
-    router turns that into a migration).
+    :meth:`feed` takes the bytes of one upstream read and returns every
+    complete event line (no trailing LF) they finish, in order.  The
+    replica frames one event per HTTP chunk, but TCP does not owe us
+    that alignment: a read may end inside a chunk-size line, a chunk or
+    its CRLF, and decoded bytes are re-split on newlines, so an event
+    split across chunks comes out whole and a chunk holding several
+    comes out as several.  ``done`` turns true at the zero-size chunk
+    (its CRLF need not arrive).  Malformed framing (a bad or oversized
+    chunk size, an event over :data:`MAX_EVENT_BYTES`) stops decoding:
+    the events before it are still returned, and ``error`` holds the
+    :class:`ProtocolError` for the caller to raise.
     """
-    pending = b""
-    while True:
-        size_line = await reader.readline()
-        if not size_line:
-            raise asyncio.IncompleteReadError(b"", None)
+
+    def __init__(self) -> None:
+        self._buf = b""  # bytes not decoded yet
+        self._size: Optional[int] = None  # data bytes of the open chunk
+        self._pending = b""  # decoded bytes of an unfinished event
+        self.done = False
+        self.error: Optional[ProtocolError] = None
+
+    def feed(self, data: bytes) -> List[bytes]:
+        """The event lines ``data`` completes."""
+        lines: List[bytes] = []
+        if self.done or self.error is not None:
+            return lines
         try:
-            size = int(size_line.strip().split(b";")[0], 16)
-        except ValueError as exc:
-            raise ProtocolError(f"malformed chunk size {size_line!r}") from exc
-        if size < 0 or size > MAX_EVENT_BYTES:
-            raise ProtocolError(f"unreasonable chunk size {size}")
-        if size == 0:
-            await reader.readline()  # trailing CRLF after the 0 chunk
-            if pending.strip():
-                yield pending
-            return
-        data = await reader.readexactly(size)
-        await reader.readexactly(2)  # CRLF after each chunk
-        pending += data
-        while True:
-            newline = pending.find(b"\n")
-            if newline < 0:
-                if len(pending) > MAX_EVENT_BYTES:
+            self._decode(self._buf + data, lines)
+        except ProtocolError as exc:
+            self.error = exc
+        return lines
+
+    def _decode(self, buf: bytes, lines: List[bytes]) -> None:
+        pos, end = 0, len(buf)
+        try:
+            while True:
+                size = self._size
+                if size is None:
+                    newline = buf.find(b"\n", pos)
+                    if newline < 0:
+                        if end - pos > MAX_HEAD_LINE:
+                            raise ProtocolError("oversized chunk-size line from upstream")
+                        return
+                    size_line = buf[pos : newline + 1]
+                    pos = newline + 1
+                    try:
+                        size = int(size_line.strip().split(b";")[0], 16)
+                    except ValueError as exc:
+                        raise ProtocolError(f"malformed chunk size {size_line!r}") from exc
+                    if size < 0 or size > MAX_EVENT_BYTES:
+                        raise ProtocolError(f"unreasonable chunk size {size}")
+                    if size == 0:
+                        self.done = True
+                        if self._pending.strip():
+                            lines.append(self._pending)
+                        return
+                    self._size = size
+                if end - pos < size + 2:  # the data and the CRLF after it
+                    return
+                data = buf[pos : pos + size]
+                pos += size + 2
+                self._size = None
+                if not self._pending and data.endswith(b"\n") and data.count(b"\n") == 1:
+                    if data.strip():
+                        lines.append(data[:-1])
+                    continue
+                parts = (self._pending + data).split(b"\n")
+                self._pending = parts.pop()
+                lines.extend(part for part in parts if part.strip())
+                if len(self._pending) > MAX_EVENT_BYTES:
                     raise ProtocolError("oversized NDJSON event from upstream")
-                break
-            line = pending[:newline]
-            pending = pending[newline + 1 :]
-            if line.strip():
-                yield line
+        finally:
+            self._buf = buf[pos:]
+
+
+async def read_events(reader: asyncio.StreamReader) -> AsyncIterator[List[bytes]]:
+    """Decode a chunked NDJSON body: per upstream read, the complete
+    event lines it finished (reads that finish none yield nothing).
+
+    Raises :class:`ProtocolError` on malformed framing, after yielding
+    the events before it, and ``IncompleteReadError`` when the upstream
+    ends before the zero-size chunk (the router turns either into a
+    migration).
+    """
+    decoder = ChunkedEvents()
+    while not decoder.done:
+        data = await reader.read(READ_SIZE)
+        if not data:
+            raise asyncio.IncompleteReadError(b"", None)
+        lines = decoder.feed(data)
+        if lines:
+            yield lines
+        if decoder.error is not None:
+            raise decoder.error
 
 
 async def fetch_json(

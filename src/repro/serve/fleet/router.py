@@ -16,10 +16,11 @@ Per request the router:
 2. **routes** — the job's isomorphism-stable instance digest picks the
    owning replica on the :class:`~repro.serve.fleet.hashring.HashRing`,
    so relabeled duplicates of a hot graph hit the same warm cache;
-3. **proxies** — events stream through with per-event backpressure
-   (a slow client stalls the router's reads, which stalls the
-   replica's credit flow, which suspends the worker — bounded memory
-   end to end);
+3. **proxies** — events stream through with per-read backpressure:
+   the solutions one upstream read holds go to the client in one write
+   and one drain (a slow client stalls the router's reads, which stalls
+   the replica's credit flow, which suspends the worker — bounded
+   memory end to end);
 4. **migrates** — when a replica dies mid-stream the router marks it
    down, re-routes to the surviving owner, and re-issues the stream at
    the exact next position.  The replacement replica thaws the last
@@ -50,7 +51,7 @@ from repro.serve.fleet.admission import AdmissionController, RateLimitExceeded
 from repro.serve.fleet.hashring import HashRing, routing_key
 from repro.serve.fleet.proxy import (
     fetch_json,
-    iter_chunked_lines,
+    read_events,
     read_response_head,
     read_sized_body,
     send_request,
@@ -538,10 +539,15 @@ class FleetRouter(FrontDoor):
         """Proxy one stream across however many replicas it takes.
 
         Returns ``(solutions delivered, compute seconds, http status)``.
+        Each upstream read's solution events go out in one write;
+        ``expected``, where a migration resumes, counts only the
+        solutions forwarded, and a leg that fails partway through a
+        read forwards the solutions parsed before the failure first.
         """
         head_sent = False
         expected: Optional[int] = None  # next absolute seq the client needs
         client_start: Optional[int] = None
+        batch: List[bytes] = []  # framed solutions of this read, not yet sent
         compute = 0.0
         leg_offset = offset
         attempts = 0
@@ -555,6 +561,15 @@ class FleetRouter(FrontDoor):
                 await writer.drain()
             except (ConnectionError, OSError) as exc:
                 raise Disconnect from exc
+
+        async def flush() -> None:
+            nonlocal expected
+            if batch:
+                data, count = b"".join(batch), len(batch)
+                batch.clear()
+                await forward(data)
+                expected = (expected or 0) + count
+                self.stats.solutions += count
 
         while True:
             budget = (
@@ -623,57 +638,53 @@ class FleetRouter(FrontDoor):
                     writer.write(json_response(status, parsed))
                     await writer.drain()
                     return 0, compute, status
-                async for line in iter_chunked_lines(reader):
-                    try:
-                        event = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ProtocolError(f"bad event from replica: {exc}") from exc
-                    etype = event.get("event")
-                    if etype == "accepted":
-                        if migrated:
-                            continue  # the client saw the first leg's accept
-                        if expected is None:
-                            expected = int(event.get("offset", 0))
-                            client_start = expected
-                        if not head_sent:
-                            await forward(response_head(200, "application/x-ndjson"))
-                            head_sent = True
-                        await forward(encode_event(event))
-                    elif etype == "solution":
-                        seq = int(event.get("seq", -1))
-                        if expected is None:
-                            expected = seq
-                            client_start = seq
-                        if seq < expected:
-                            continue  # overlap from a migration resume
-                        if seq > expected:
-                            raise ProtocolError(
-                                f"stream gap: expected seq {expected}, got {seq}"
-                            )
-                        await forward(
-                            b"%x\r\n%s\r\n" % (len(line) + 1, line + b"\n")
-                        )
-                        expected += 1
-                        self.stats.solutions += 1
-                    elif etype == "end":
-                        compute += float(event.get("compute_seconds", 0.0) or 0.0)
-                        event["count"] = (expected or 0) - (client_start or 0)
-                        if migrated:
-                            event["migrated"] = True
-                        await forward(encode_event(event))
-                        await forward(FINAL_CHUNK)
-                        return event["count"], compute, 200
-                    elif etype == "error":
-                        # Deterministic job-level failure: every replica
-                        # would refuse identically, so relay it.
-                        self.stats.errors += 1
-                        await forward(encode_event(event))
-                        await forward(FINAL_CHUNK)
-                        return (expected or 0) - (client_start or 0), compute, 200
-                    else:
-                        await forward(
-                            b"%x\r\n%s\r\n" % (len(line) + 1, line + b"\n")
-                        )
+                async for lines in read_events(reader):
+                    for line in lines:
+                        try:
+                            event = json.loads(line)
+                        except json.JSONDecodeError as exc:
+                            raise ProtocolError(f"bad event from replica: {exc}") from exc
+                        etype = event.get("event")
+                        if etype == "solution":
+                            seq = int(event.get("seq", -1))
+                            if expected is None:
+                                expected = client_start = seq
+                            if seq < expected + len(batch):
+                                continue  # overlap from a migration resume
+                            if seq > expected + len(batch):
+                                raise ProtocolError(
+                                    f"stream gap: expected seq {expected + len(batch)}, "
+                                    f"got {seq}"
+                                )
+                            # One HTTP chunk per event, as the client reads.
+                            batch.append(b"%x\r\n%s\r\n" % (len(line) + 1, line + b"\n"))
+                            continue
+                        await flush()
+                        if etype == "accepted":
+                            if migrated:
+                                continue  # the client saw the first leg's accept
+                            if expected is None:
+                                expected = client_start = int(event.get("offset", 0))
+                            if not head_sent:
+                                await forward(response_head(200, "application/x-ndjson"))
+                                head_sent = True
+                            await forward(encode_event(event))
+                        elif etype == "end":
+                            compute += float(event.get("compute_seconds", 0.0) or 0.0)
+                            event["count"] = (expected or 0) - (client_start or 0)
+                            if migrated:
+                                event["migrated"] = True
+                            await forward(encode_event(event) + FINAL_CHUNK)
+                            return event["count"], compute, 200
+                        elif etype == "error":
+                            # Deterministic job-level failure: every replica
+                            # would refuse identically, so relay it.
+                            self.stats.errors += 1
+                            await forward(encode_event(event) + FINAL_CHUNK)
+                            return (expected or 0) - (client_start or 0), compute, 200
+                        else:
+                            await forward(b"%x\r\n%s\r\n" % (len(line) + 1, line + b"\n"))
+                    await flush()
                 # Chunked body ended without a terminal event: treat as
                 # a replica failure and migrate.
                 raise asyncio.IncompleteReadError(b"", None)
@@ -684,6 +695,9 @@ class FleetRouter(FrontDoor):
                 asyncio.TimeoutError,
                 asyncio.IncompleteReadError,
             ) as exc:
+                # The solutions parsed before the failure go out first:
+                # the migration resumes after them.
+                await flush()
                 self._mark_down(info)
                 last_error = f"{type(exc).__name__}: {exc}"
                 if head_sent:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.capabilities import spec as kind_spec
 from repro.engine.cache import CacheStats, InstanceCache, ResultCache, _Entry, instance_key
@@ -37,14 +37,21 @@ from repro.jsonfile import read_json, write_atomic
 _SCHEMA = 1
 
 
-def _payload_from_json(kind: str, raw: list, canonical: bool) -> tuple:
+def _payload_from_json(kind: str, raw: list, canonical: bool) -> Tuple[tuple, int]:
     """Rebuild the exact tuple payload an entry was written from (JSON
-    writes its nested tuples as arrays)."""
+    writes its nested tuples as arrays), with its largest vertex index
+    (-1 when it has none).  A negative index is a ``ValueError``."""
     if not canonical:
-        return tuple(raw)
+        return tuple(raw), -1
     if kind_spec(kind).result_shape in ("edge-set", "arc-set"):
-        return tuple(tuple((int(a), int(b)) for a, b in s) for s in raw)
-    return tuple(tuple(int(x) for x in s) for s in raw)
+        payload = tuple(tuple((int(a), int(b)) for a, b in s) for s in raw)
+        indices = [i for s in payload for pair in s for i in pair]
+    else:
+        payload = tuple(tuple(int(x) for x in s) for s in raw)
+        indices = [i for s in payload for i in s]
+    if indices and min(indices) < 0:
+        raise ValueError("negative vertex index")
+    return payload, max(indices, default=-1)
 
 
 def _decode(record: Any) -> Optional[_Entry]:
@@ -63,11 +70,17 @@ def _decode(record: Any) -> Optional[_Entry]:
             and type(exhausted) is bool
         ):
             return None
-        payload = _payload_from_json(kind, raw, canonical)
+        payload, top = _payload_from_json(kind, raw, canonical)
     except (KeyError, TypeError, ValueError):
         return None
     return _Entry(
-        kind, payload, canonical, exhausted, fingerprint, None if lines is None else tuple(lines)
+        kind,
+        payload,
+        canonical,
+        exhausted,
+        fingerprint,
+        None if lines is None else tuple(lines),
+        top,
     )
 
 

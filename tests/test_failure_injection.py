@@ -434,6 +434,8 @@ class TestHostileEntries:
         "schema-only": b'{"schema": 1}',
         "not-utf8": b"\xff\xfe\x00",
         "string-index": {"payload": [[["a", 1]]]},
+        "index-past-instance": {"payload": [[[0, 99]]]},
+        "negative-index": {"payload": [[[0, -1]]]},
         "payload-string": {"payload": "text"},
         "other-kind": {"kind": "st-path", "payload": [[0, 1]]},
         "not-canonical": {"canonical": False, "payload": ["0-1"], "lines": None},

@@ -349,8 +349,8 @@ def test_a_shared_kernel_is_the_kernel_its_object_graph_compiles():
     for edges in graphs:
         job = EnumerationJob.st_path(edges, edges[0][0], edges[-1][1], backend="fast")
         suspend._KERNELS.entries.clear()
-        kernel, labels, index_of = suspend._indexed_instance(job)
+        kernel, table = suspend._indexed_instance(job)
         graph, expected_labels, expected_index = job.instantiate_indexed()
         assert slots(kernel) == slots(FastGraph.from_graph(graph))
-        assert (labels, index_of) == (expected_labels, expected_index)
+        assert (table.labels, table.index_of) == (expected_labels, expected_index)
     suspend._KERNELS.entries.clear()
