@@ -709,20 +709,14 @@ class RenderTable:
         return entry
 
     def _entries(self, eids) -> List[tuple]:
-        edge = self._edge
-        try:
-            return [edge[e] for e in eids]
-        except KeyError:
-            pass
         while True:
             edge = self._edge
             try:
-                entries = [edge.get(e) or self._fill(e) for e in eids]
+                return [edge.get(e) or self._fill(e) for e in eids]
             except _Rerank as exc:
+                # Entries filled before the alias used the old ranks:
+                # re-rank with its repr and fill them again.
                 self._rerank([*self._rank_of, exc.args[0]])
-                continue
-            if edge is self._edge:
-                return entries
 
     # ------------------------------------------------------------------
     # one solution: (line, structure)

@@ -148,9 +148,9 @@ class ChunkedEvents:
     """
 
     def __init__(self) -> None:
-        self._buf = b""  # bytes not decoded yet
+        self._buf = bytearray()  # bytes not decoded yet
         self._size: Optional[int] = None  # data bytes of the open chunk
-        self._pending = b""  # decoded bytes of an unfinished event
+        self._pending = bytearray()  # decoded bytes of an unfinished event
         self.done = False
         self.error: Optional[ProtocolError] = None
 
@@ -159,13 +159,19 @@ class ChunkedEvents:
         lines: List[bytes] = []
         if self.done or self.error is not None:
             return lines
+        self._buf += data
+        if self._size is not None and len(self._buf) < self._size + 2:
+            # The open chunk is still short: it is decoded once, whole,
+            # so an event that spans many reads is not copied per read.
+            return lines
         try:
-            self._decode(self._buf + data, lines)
+            self._decode(lines)
         except ProtocolError as exc:
             self.error = exc
         return lines
 
-    def _decode(self, buf: bytes, lines: List[bytes]) -> None:
+    def _decode(self, lines: List[bytes]) -> None:
+        buf = bytes(self._buf)
         pos, end = 0, len(buf)
         try:
             while True:
@@ -187,25 +193,23 @@ class ChunkedEvents:
                     if size == 0:
                         self.done = True
                         if self._pending.strip():
-                            lines.append(self._pending)
+                            lines.append(bytes(self._pending))
                         return
                     self._size = size
                 if end - pos < size + 2:  # the data and the CRLF after it
                     return
-                data = buf[pos : pos + size]
+                *events, rest = buf[pos : pos + size].split(b"\n")
                 pos += size + 2
                 self._size = None
-                if not self._pending and data.endswith(b"\n") and data.count(b"\n") == 1:
-                    if data.strip():
-                        lines.append(data[:-1])
-                    continue
-                parts = (self._pending + data).split(b"\n")
-                self._pending = parts.pop()
-                lines.extend(part for part in parts if part.strip())
+                if events and self._pending:
+                    events[0] = bytes(self._pending + events[0])
+                    self._pending.clear()
+                lines += [event for event in events if event.strip()]
+                self._pending += rest
                 if len(self._pending) > MAX_EVENT_BYTES:
                     raise ProtocolError("oversized NDJSON event from upstream")
         finally:
-            self._buf = buf[pos:]
+            del self._buf[:pos]
 
 
 async def read_events(reader: asyncio.StreamReader) -> AsyncIterator[List[bytes]]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import chain
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.capabilities import spec as kind_spec
@@ -43,15 +44,20 @@ def _payload_from_json(kind: str, raw: list, canonical: bool) -> Tuple[tuple, in
     (-1 when it has none).  A negative index is a ``ValueError``."""
     if not canonical:
         return tuple(raw), -1
-    if kind_spec(kind).result_shape in ("edge-set", "arc-set"):
+    pairs = kind_spec(kind).result_shape in ("edge-set", "arc-set")
+    if pairs:
         payload = tuple(tuple((int(a), int(b)) for a, b in s) for s in raw)
-        indices = [i for s in payload for pair in s for i in pair]
     else:
         payload = tuple(tuple(int(x) for x in s) for s in raw)
-        indices = [i for s in payload for i in s]
-    if indices and min(indices) < 0:
+
+    def indices():
+        """Every index of the payload, chained in C: no list is built."""
+        items = chain.from_iterable(payload)
+        return chain.from_iterable(items) if pairs else items
+
+    if min(indices(), default=0) < 0:
         raise ValueError("negative vertex index")
-    return payload, max(indices, default=-1)
+    return payload, max(indices(), default=-1)
 
 
 def _decode(record: Any) -> Optional[_Entry]:

@@ -7,7 +7,8 @@ upstream read at a time and relays each read's solutions in one write.
   several events in one chunk, the final zero chunk with and without
   its CRLF — and must yield the lines the per-event reader the router
   used before yielded (a reference copy is kept here).  Malformed
-  framing still raises, after the events before it.
+  framing still raises, after the events before it.  A chunk that
+  arrives over many reads is decoded once, when whole.
 * A router over scripted replicas must send the client the bytes the
   per-event relay sent, whatever the upstream's read boundaries.
 * A replica leg that delivers ``k`` solutions and then a malformed
@@ -204,6 +205,26 @@ def test_an_oversized_chunk_size_line_raises():
     line = b"1" * (proxy.MAX_HEAD_LINE + 1)
     batches, raised = _read_all([line[:1000], line[1000:]])
     assert isinstance(raised, ProtocolError) and batches == []
+
+
+def test_an_event_spanning_many_reads_is_decoded_once_it_is_whole(monkeypatch):
+    # Decoding the open chunk on each read would copy its buffered part
+    # each time, quadratic in the event's size: it waits until whole.
+    body = encode_event({"event": "solution", "seq": 0, "line": "x" * 100_000}) + FINAL_CHUNK
+    buffered = []
+    decode = proxy.ChunkedEvents._decode
+
+    def counting(self, lines):
+        buffered.append(len(self._buf))
+        return decode(self, lines)
+
+    monkeypatch.setattr(proxy.ChunkedEvents, "_decode", counting)
+    decoder = proxy.ChunkedEvents()
+    lines = []
+    for at in range(0, len(body), 1000):
+        lines += decoder.feed(body[at : at + 1000])
+    assert decoder.done and lines == _reference_lines(body)
+    assert len(buffered) <= 3, buffered  # the size line, the whole chunk, the zero chunk
 
 
 # ----------------------------------------------------------------------

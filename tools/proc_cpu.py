@@ -2,8 +2,8 @@
 
 Made for ``servebench``: start a run, then sample its process tree until
 the run exits.  Each process keeps the last ``utime + stime`` seen in
-``/proc/<pid>/stat`` (so one loses at most its last poll interval), and
-the totals are summed per role:
+``/proc/<pid>/stat`` every ``POLL_S`` seconds (so one loses at most its
+last poll), and the totals are summed per role:
 
 * ``client`` — the root process (``servebench/run.py``, which is the
   load generator);
@@ -19,7 +19,7 @@ Usage::
 
     python3 servebench/run.py --workload fleet-cold --seed S --seconds 30 \\
         --trace 0 > run.txt &
-    python3 tools/proc_cpu.py $! [--interval 0.05]
+    python3 tools/proc_cpu.py $!
 
 It prints one JSON object of CPU seconds per role.  Divide by the run's
 solution count (``sols_per_s ... (n=<count>)`` in ``run.txt``) for CPU
@@ -35,6 +35,7 @@ import time
 from typing import Dict, List
 
 ROLES = ("client", "router", "replica", "worker", "other")
+POLL_S = 0.05
 
 
 def _stat(pid: int):
@@ -50,7 +51,7 @@ def _cmdline(pid: int) -> str:
         return handle.read().replace(b"\0", b" ").decode(errors="replace")
 
 
-def sample(root: int, interval: float) -> Dict[int, list]:
+def sample(root: int) -> Dict[int, list]:
     """``pid -> [ppid, cmdline, ticks]`` for every process seen until
     ``root`` exits."""
     seen: Dict[int, list] = {}
@@ -67,7 +68,7 @@ def sample(root: int, interval: float) -> Dict[int, list]:
                     seen[pid] = [ppid, _cmdline(pid), ticks]
             except (OSError, ValueError, IndexError):
                 pass  # gone between listdir and read
-        time.sleep(interval)
+        time.sleep(POLL_S)
     return seen
 
 
@@ -106,9 +107,8 @@ def roles(root: int, seen: Dict[int, list]) -> Dict[str, float]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("pid", type=int, help="root of the process tree")
-    parser.add_argument("--interval", type=float, default=0.05)
     args = parser.parse_args()
-    print(json.dumps(roles(args.pid, sample(args.pid, args.interval))))
+    print(json.dumps(roles(args.pid, sample(args.pid))))
 
 
 if __name__ == "__main__":
